@@ -64,8 +64,21 @@ fn parse_header(line: &str, expect_tag: &str) -> Result<Header, ParseAigerError>
             format!("header needs 5-7 fields, got {}", nums.len()),
         ));
     }
+    // Literal 2·M+1 must fit a u32, or every literal would be truncated.
+    let max_var = u32::try_from(nums[0])
+        .ok()
+        .filter(|&m| m <= (u32::MAX - 1) / 2)
+        .ok_or_else(|| {
+            err(
+                1,
+                format!(
+                    "maximum variable index {} overflows 32-bit literals",
+                    nums[0]
+                ),
+            )
+        })?;
     Ok(Header {
-        max_var: nums[0] as u32,
+        max_var,
         i: nums[1],
         l: nums[2],
         o: nums[3],
@@ -409,6 +422,12 @@ mod tests {
         assert!(parse_ascii("aat 1 0 0 0 0\n").is_err());
         assert!(parse_ascii("aag 1 0\n").is_err());
         assert!(parse_ascii("aag x 0 0 0 0\n").is_err());
+        // 2^32 + 1 must not truncate to a maximum variable index of 1.
+        let err = parse_ascii("aag 4294967297 0 1 0 0 1\n2 3\n2\n").unwrap_err();
+        assert!(err.message.contains("overflows 32-bit literals"), "{err}");
+        // The largest index whose literals still fit is accepted.
+        let fits = format!("aag {} 0 0 0 0\n", (u32::MAX - 1) / 2);
+        assert!(parse_ascii(&fits).is_ok());
     }
 
     #[test]

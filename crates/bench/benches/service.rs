@@ -11,49 +11,51 @@
 //!    suite where every job is trivial (queue/dispatch dominated)?
 //! 3. **Portfolio deepening**: on one deepening run to the first
 //!    reachable bound, how does racing *live* sessions per bound
-//!    (`DeepeningPortfolio`) compare with PR 2's whole-run races
-//!    (`run_portfolio` with fresh sessions at every bound)?
+//!    (one `DeepeningPortfolio` for the whole run) compare with
+//!    whole-run races (a fresh `DeepeningPortfolio`, so fresh sessions,
+//!    at every bound)?
 //!
 //! Run with `cargo bench --bench service`; pass `--json` for a
 //! machine-readable summary.
 
-use sebmc::{run_portfolio, Budget, DeepeningPortfolio, Engine, JSat, Semantics, UnrollSat};
+use sebmc::{Budget, DeepeningPortfolio, Engine, JSat, Semantics, UnrollSat};
 use sebmc_bench::microbench::{print_json, run, Sample};
 use sebmc_model::builders::{fifo, token_ring};
-use sebmc_service::{suite_jobs, CheckService, EngineKind, Job, ServiceConfig};
+use sebmc_service::{suite_jobs, EngineKind, Job, ServiceConfig, ServiceHandle};
 
 /// Drains `n_jobs` equal-weight jsat jobs (fifo(3), bounds 0..=10, an
 /// unreachable sweep with real DFS effort) on `workers` workers once.
 fn drain_heavy(n_jobs: usize, workers: usize) -> usize {
-    let mut svc = CheckService::new(ServiceConfig::with_workers(workers));
-    for i in 0..n_jobs {
-        let mut job = Job::new(fifo(3), vec![EngineKind::Jsat], 10);
-        job.name = format!("fifo_3#{i}");
-        svc.submit(job);
-    }
-    let report = svc.run();
+    let jobs = (0..n_jobs)
+        .map(|i| {
+            let mut job = Job::new(fifo(3), vec![EngineKind::Jsat], 10);
+            job.name = format!("fifo_3#{i}");
+            job
+        })
+        .collect();
+    let report = ServiceHandle::run_batch(ServiceConfig::with_workers(workers), jobs);
     assert_eq!(report.unknown, 0, "fifo(3) sweeps must decide");
     report.jobs.len()
 }
 
 /// Drains the 13-job small-suite batch on `workers` workers once.
 fn drain_suite(workers: usize) -> usize {
-    let mut svc = CheckService::new(ServiceConfig::with_workers(workers));
-    for job in suite_jobs(true, &[EngineKind::Jsat], 6, &Budget::none()) {
-        svc.submit(job);
-    }
-    let report = svc.run();
+    let jobs = suite_jobs(true, &[EngineKind::Jsat], 6, &Budget::none());
+    let report = ServiceHandle::run_batch(ServiceConfig::with_workers(workers), jobs);
     assert_eq!(report.jobs.len(), 13);
     assert_eq!(report.unknown, 0, "the small suite decides everywhere");
     report.jobs.len()
 }
 
+fn jsat_unroll() -> Vec<Box<dyn Engine + Send>> {
+    vec![Box::new(JSat::default()), Box::new(UnrollSat)]
+}
+
 /// One portfolio-level deepening run to the first reachable bound.
 fn deepen_per_bound(max_bound: usize) -> usize {
     let model = token_ring(8); // first reachable at bound 7
-    let engines: Vec<Box<dyn Engine + Send>> =
-        vec![Box::new(JSat::default()), Box::new(UnrollSat::default())];
-    let mut p = DeepeningPortfolio::start(&model, Semantics::Exactly, engines, Budget::none());
+    let mut p =
+        DeepeningPortfolio::start(&model, Semantics::Exactly, jsat_unroll(), Budget::none());
     for k in 0..=max_bound {
         if p.check_bound(k).verdict().is_reachable() {
             return k;
@@ -62,15 +64,14 @@ fn deepen_per_bound(max_bound: usize) -> usize {
     panic!("token_ring(8) must be reachable within {max_bound}");
 }
 
-/// The PR 2 shape: a whole-run race per bound, fresh sessions each
-/// time (no state survives between bounds).
+/// Whole-run races: a fresh portfolio, so fresh sessions, per bound
+/// (no state survives between bounds).
 fn deepen_whole_run(max_bound: usize) -> usize {
     let model = token_ring(8);
     for k in 0..=max_bound {
-        let engines: Vec<Box<dyn Engine + Send>> =
-            vec![Box::new(JSat::default()), Box::new(UnrollSat::default())];
-        let entries = run_portfolio(&model, k, Semantics::Exactly, engines, Budget::none());
-        if entries.iter().any(|e| e.outcome.result.is_reachable()) {
+        let mut p =
+            DeepeningPortfolio::start(&model, Semantics::Exactly, jsat_unroll(), Budget::none());
+        if p.check_bound(k).verdict().is_reachable() {
             return k;
         }
     }

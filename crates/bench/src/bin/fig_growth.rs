@@ -10,7 +10,7 @@
 //! cargo run -p sebmc-bench --release --bin fig_growth -- [--max-bound 32]
 //! ```
 
-use sebmc::{encode_qbf_linear, encode_unrolled, BoundedChecker, JSat, Semantics};
+use sebmc::{encode_qbf_linear, encode_unrolled, Budget, Engine, JSat, Semantics};
 use sebmc_bench::{flag_u64, Table};
 use sebmc_model::builders::{dense_fsm, round_robin_arbiter};
 
@@ -34,8 +34,16 @@ fn main() {
         ]);
         let mut prev_u = 0usize;
         let mut prev_q = 0usize;
-        let mut jsat = JSat::default();
-        let jsat_lits = jsat.check(&model, 1, Semantics::Exactly).stats.encode_lits;
+        // Unreduced, like the encodings it is compared with.
+        let unreduced = Budget {
+            reduce: false,
+            ..Budget::default()
+        };
+        let jsat_lits = JSat::default()
+            .start(&model, Semantics::Exactly, unreduced)
+            .check_bound(1)
+            .stats
+            .encode_lits;
         let mut deltas_u = Vec::new();
         let mut deltas_q = Vec::new();
         for k in 1..=max_bound {

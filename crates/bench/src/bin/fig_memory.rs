@@ -15,7 +15,7 @@
 //!     [--max-bound 64] [--step 8] [--timeout-ms 20000]
 //! ```
 
-use sebmc::{BoundedChecker, JSat, Semantics, UnrollSat};
+use sebmc::{Engine, JSat, Semantics, UnrollSat};
 use sebmc_bench::{budget, flag_u64, Table};
 use sebmc_model::builders::{counter_with_reset, gray_counter};
 
@@ -41,10 +41,12 @@ fn main() {
         ]);
         let mut k = step;
         while k <= max_bound {
-            let mut unroll = UnrollSat::with_budget(limits.clone());
-            let mut jsat = JSat::with_budget(limits.clone());
-            let uo = unroll.check(&model, k, Semantics::Exactly);
-            let jo = jsat.check(&model, k, Semantics::Exactly);
+            let uo = UnrollSat
+                .start(&model, Semantics::Exactly, limits.clone())
+                .check_bound(k);
+            let jo = JSat::default()
+                .start(&model, Semantics::Exactly, limits.clone())
+                .check_bound(k);
             assert!(
                 uo.result.agrees_with(&jo.result),
                 "engines disagree on {} at {k}",

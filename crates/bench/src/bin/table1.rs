@@ -32,7 +32,8 @@ fn main() {
     );
 
     let suite = suite13();
-    let engine_names: Vec<&'static str> = e1_engines(&limits).iter().map(|e| e.name()).collect();
+    let engines = e1_engines();
+    let engine_names: Vec<&'static str> = engines.iter().map(|e| e.name()).collect();
     let mut per_model: Vec<Vec<usize>> = vec![vec![0; engine_names.len()]; suite.len()];
     let mut totals = vec![0usize; engine_names.len()];
     let mut peak_bytes = vec![0usize; engine_names.len()];
@@ -40,12 +41,13 @@ fn main() {
     let start = Instant::now();
 
     for (mi, model) in suite.iter().enumerate() {
-        // Fresh engines per model keeps the runs independent.
-        let mut engines = e1_engines(&limits);
         let mut verdicts: Vec<Vec<Option<bool>>> = vec![Vec::new(); max_bound];
         for k in 1..=max_bound {
-            for (ei, engine) in engines.iter_mut().enumerate() {
-                let out = engine.check(model, k, Semantics::Exactly);
+            for (ei, engine) in engines.iter().enumerate() {
+                // A fresh session per instance keeps the runs independent.
+                let out = engine
+                    .start(model, Semantics::Exactly, limits.clone())
+                    .check_bound(k);
                 peak_bytes[ei] = peak_bytes[ei].max(out.stats.peak_formula_bytes);
                 if !out.result.is_unknown() {
                     per_model[mi][ei] += 1;

@@ -10,7 +10,7 @@
 //!     [--timeout-ms 10000] [--bound 10]
 //! ```
 
-use sebmc::{BoundedChecker, Budget, JSat, JSatConfig, Semantics};
+use sebmc::{Budget, JSatConfig, JSatSession, Semantics};
 use sebmc_bench::{budget, flag_u64, Table};
 use sebmc_model::builders::{counter_with_enable, peterson, traffic_light};
 
@@ -20,12 +20,12 @@ fn run(
     model: &sebmc_model::Model,
     k: usize,
 ) -> (String, u64, u64, usize, u128) {
-    let mut engine = JSat::with_config(limits.clone(), config);
-    let out = engine.check(model, k, Semantics::Exactly);
+    let mut session = JSatSession::new(model, Semantics::Exactly, config, limits.clone());
+    let out = session.check_bound(k);
     (
         out.result.to_string(),
-        engine.jsat_stats().sat_calls,
-        engine.jsat_stats().cache_hits,
+        session.search_stats().sat_calls,
+        session.search_stats().cache_hits,
         out.stats.peak_formula_lits,
         out.stats.duration.as_millis(),
     )

@@ -17,7 +17,7 @@ pub mod workloads;
 
 use std::time::Duration;
 
-use sebmc::{BoundedChecker, Budget, JSat, QbfBackend, QbfLinear, QbfSquaring, UnrollSat};
+use sebmc::{Budget, Engine, JSat, QbfBackend, QbfLinear, QbfSquaring, UnrollSat};
 
 /// A minimal command-line flag reader: `--name value`.
 pub fn flag(name: &str) -> Option<String> {
@@ -56,16 +56,13 @@ pub fn budget(timeout_ms: u64, mem_mib: u64) -> Budget {
     }
 }
 
-/// The four engines of experiment E1, each with the given budget.
-pub fn e1_engines(budget: &Budget) -> Vec<Box<dyn BoundedChecker + Send>> {
+/// The four engines of experiment E1.
+pub fn e1_engines() -> Vec<Box<dyn Engine + Send>> {
     vec![
-        Box::new(UnrollSat::with_budget(budget.clone())),
-        Box::new(JSat::with_budget(budget.clone())),
-        Box::new(QbfLinear::with_budget(QbfBackend::Qdpll, budget.clone())),
-        Box::new(QbfSquaring::with_budget(
-            QbfBackend::Expansion,
-            budget.clone(),
-        )),
+        Box::new(UnrollSat),
+        Box::new(JSat::default()),
+        Box::new(QbfLinear::new(QbfBackend::Qdpll)),
+        Box::new(QbfSquaring::new(QbfBackend::Expansion)),
     ]
 }
 
@@ -159,7 +156,7 @@ mod tests {
 
     #[test]
     fn e1_engine_lineup() {
-        let engines = e1_engines(&Budget::none());
+        let engines = e1_engines();
         let names: Vec<&str> = engines.iter().map(|e| e.name()).collect();
         assert_eq!(
             names,

@@ -14,7 +14,7 @@
 //! use sebmc_model::builders::shift_register;
 //!
 //! let model = shift_register(4);
-//! let engine = UnrollSat::default();
+//! let engine = UnrollSat;
 //! let mut session = engine.start(&model, Semantics::Exactly, Budget::none());
 //! // Deepen: every bound reuses the clauses (and learnt clauses) of
 //! // the previous ones.
@@ -468,12 +468,6 @@ pub trait Engine {
     /// budget's wall clock starts now and covers every subsequent
     /// [`Session::check_bound`] call.
     fn start(&self, model: &Model, semantics: Semantics, budget: Budget) -> Box<dyn Session>;
-
-    /// The budget used by the one-shot [`BoundedChecker::check`]
-    /// convenience path (the engine's configured per-check budget).
-    fn default_budget(&self) -> Budget {
-        Budget::none()
-    }
 }
 
 /// An open bounded-model-checking session: engine state bound to one
@@ -518,28 +512,6 @@ pub trait Session: Send {
     /// durations and solver effort summed, formula sizes and memory
     /// peaks maxed.
     fn cumulative_stats(&self) -> RunStats;
-}
-
-/// One-shot convenience over the session API: open a session with the
-/// engine's default budget, check a single bound, drop the session.
-pub fn one_shot(engine: &dyn Engine, model: &Model, k: usize, semantics: Semantics) -> BmcOutcome {
-    engine
-        .start(model, semantics, engine.default_budget())
-        .check_bound(k)
-}
-
-/// The legacy one-shot interface, kept as a thin veneer over
-/// [`Engine`]/[`Session`] for callers that decide a single bound.
-///
-/// Every engine implements this by opening a fresh session with its
-/// configured [`Engine::default_budget`] and checking one bound.
-pub trait BoundedChecker {
-    /// Short engine name for tables.
-    fn name(&self) -> &'static str;
-
-    /// Decides whether a target state of `model` is reachable at bound
-    /// `k` under `semantics`.
-    fn check(&mut self, model: &Model, k: usize, semantics: Semantics) -> BmcOutcome;
 }
 
 #[cfg(test)]

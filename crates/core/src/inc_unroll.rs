@@ -10,7 +10,7 @@
 //!
 //! This is the engine a 2005 bounded model checker would actually run
 //! in its deepening loop;
-//! [`find_shortest_witness`](crate::incremental::find_shortest_witness)
+//! [`DeepeningPortfolio::sweep`](crate::DeepeningPortfolio::sweep)
 //! drives it (or any other session) bound by bound.
 
 use std::time::Instant;

@@ -176,7 +176,7 @@ pub fn k_induction_run(model: &Model, max_depth: usize, budget: &Budget) -> Indu
     let mut stats = RunStats::default();
     // One incremental base-case session shared by every depth: the
     // deepening base checks are exactly the session workload.
-    let mut base = UnrollSat::default().start(model, Semantics::Within, budget.clone());
+    let mut base = UnrollSat.start(model, Semantics::Within, budget.clone());
     let finish = |result: InductionResult, mut stats: RunStats| {
         stats.duration = start.elapsed();
         InductionRun { result, stats }

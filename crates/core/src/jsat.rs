@@ -41,9 +41,7 @@ use sebmc_model::{Model, Trace};
 use sebmc_proof::Certificate;
 use sebmc_sat::{SolveResult, Solver};
 
-use crate::engine::{
-    BmcOutcome, BmcResult, BoundedChecker, Budget, Engine, RunStats, Semantics, Session,
-};
+use crate::engine::{BmcOutcome, BmcResult, Budget, Engine, RunStats, Semantics, Session};
 
 /// Tuning knobs of the jSAT procedure (ablated in experiment E5).
 #[derive(Clone, Debug)]
@@ -161,45 +159,24 @@ struct Frame {
 /// The jSAT engine (formula (4) + implicit `(U,V)` association).
 ///
 /// ```
-/// use sebmc::{BoundedChecker, JSat, Semantics};
+/// use sebmc::{Budget, Engine, JSat, Semantics};
 /// use sebmc_model::builders::shift_register;
 ///
 /// let model = shift_register(4);
-/// let mut engine = JSat::default();
-/// let out = engine.check(&model, 4, Semantics::Exactly);
-/// assert!(out.result.is_reachable());
-/// assert!(engine.check(&model, 3, Semantics::Exactly).result.is_unreachable());
+/// let mut session = JSat::default().start(&model, Semantics::Exactly, Budget::none());
+/// assert!(session.check_bound(3).result.is_unreachable());
+/// assert!(session.check_bound(4).result.is_reachable());
 /// ```
 #[derive(Debug, Default)]
 pub struct JSat {
-    /// Default budget for one-shot [`BoundedChecker::check`] calls.
-    pub budget: Budget,
     /// Algorithm configuration.
     pub config: JSatConfig,
-    stats: JSatStats,
 }
 
 impl JSat {
-    /// Creates the engine with the given default budget.
-    pub fn with_budget(budget: Budget) -> Self {
-        JSat {
-            budget,
-            ..JSat::default()
-        }
-    }
-
     /// Creates the engine with explicit configuration.
-    pub fn with_config(budget: Budget, config: JSatConfig) -> Self {
-        JSat {
-            budget,
-            config,
-            stats: JSatStats::default(),
-        }
-    }
-
-    /// Statistics of the most recent one-shot check.
-    pub fn jsat_stats(&self) -> &JSatStats {
-        &self.stats
+    pub fn with_config(config: JSatConfig) -> Self {
+        JSat { config }
     }
 }
 
@@ -213,24 +190,6 @@ impl Engine for JSat {
         crate::reduce::start_with_reduction(model, semantics, budget, |m, sem, b| {
             Box::new(JSatSession::new(m, sem, config, b))
         })
-    }
-
-    fn default_budget(&self) -> Budget {
-        self.budget.clone()
-    }
-}
-
-impl BoundedChecker for JSat {
-    fn name(&self) -> &'static str {
-        Engine::name(self)
-    }
-
-    fn check(&mut self, model: &Model, k: usize, semantics: Semantics) -> BmcOutcome {
-        let mut session =
-            JSatSession::new(model, semantics, self.config.clone(), self.budget.clone());
-        let out = session.check_bound(k);
-        self.stats = session.search_stats().clone();
-        out
     }
 }
 
@@ -719,10 +678,29 @@ mod tests {
     };
     use sebmc_model::explicit;
 
-    fn check_all_bounds(model: &sebmc_model::Model, max_k: usize, semantics: Semantics) {
-        let mut e = JSat::default();
+    /// Decides one bound on a fresh session, returning the outcome and
+    /// the session's search statistics.
+    fn check(
+        model: &Model,
+        k: usize,
+        semantics: Semantics,
+        config: JSatConfig,
+    ) -> (BmcOutcome, JSatStats) {
+        let mut session = JSatSession::new(model, semantics, config, Budget::none());
+        let out = session.check_bound(k);
+        (out, session.search_stats().clone())
+    }
+
+    fn no_cache() -> JSatConfig {
+        JSatConfig {
+            use_failed_cache: false,
+            ..JSatConfig::default()
+        }
+    }
+
+    fn check_all_bounds(model: &Model, max_k: usize, semantics: Semantics) {
         for k in 0..=max_k {
-            let got = e.check(model, k, semantics);
+            let (got, _) = check(model, k, semantics, JSatConfig::default());
             let expect = match semantics {
                 Semantics::Exactly => explicit::reachable_in_exactly(model, k),
                 Semantics::Within => explicit::reachable_within(model, k),
@@ -825,21 +803,14 @@ mod tests {
     #[test]
     fn cache_ablation_agrees() {
         let m = counter_with_reset(3);
-        let mut with = JSat::default();
-        let mut without = JSat::with_config(
-            Budget::none(),
-            JSatConfig {
-                use_failed_cache: false,
-                ..JSatConfig::default()
-            },
-        );
         for k in 0..8 {
-            let a = with.check(&m, k, Semantics::Exactly).result.is_reachable();
-            let b = without
-                .check(&m, k, Semantics::Exactly)
-                .result
-                .is_reachable();
-            assert_eq!(a, b, "bound {k}");
+            let (a, _) = check(&m, k, Semantics::Exactly, JSatConfig::default());
+            let (b, _) = check(&m, k, Semantics::Exactly, no_cache());
+            assert_eq!(
+                a.result.is_reachable(),
+                b.result.is_reachable(),
+                "bound {k}"
+            );
         }
     }
 
@@ -847,18 +818,10 @@ mod tests {
     fn cache_reduces_sat_calls_on_unsat() {
         let m = counter_with_reset(3);
         // Bound 6 < 7 is UNSAT and forces full exhaustion.
-        let mut with = JSat::default();
-        with.check(&m, 6, Semantics::Exactly);
-        let calls_with = with.jsat_stats().sat_calls;
-        let mut without = JSat::with_config(
-            Budget::none(),
-            JSatConfig {
-                use_failed_cache: false,
-                ..JSatConfig::default()
-            },
-        );
-        without.check(&m, 6, Semantics::Exactly);
-        let calls_without = without.jsat_stats().sat_calls;
+        let calls_with = check(&m, 6, Semantics::Exactly, JSatConfig::default())
+            .1
+            .sat_calls;
+        let calls_without = check(&m, 6, Semantics::Exactly, no_cache()).1.sat_calls;
         assert!(
             calls_with <= calls_without,
             "cache must not increase SAT calls ({calls_with} vs {calls_without})"
@@ -884,9 +847,9 @@ mod tests {
         let session_calls = session.search_stats().sat_calls;
         let mut oneshot_calls = 0;
         for k in 0..=max_k {
-            let mut e = JSat::default();
-            assert!(e.check(&m, k, Semantics::Exactly).result.is_unreachable());
-            oneshot_calls += e.jsat_stats().sat_calls;
+            let (out, stats) = check(&m, k, Semantics::Exactly, JSatConfig::default());
+            assert!(out.result.is_unreachable());
+            oneshot_calls += stats.sat_calls;
         }
         assert!(
             session_calls <= oneshot_calls,
@@ -941,8 +904,9 @@ mod tests {
     #[test]
     fn timeout_gives_unknown() {
         let m = sebmc_model::builders::random_fsm(20, 2, 11);
-        let mut e = JSat::with_budget(Budget::with_timeout(std::time::Duration::from_nanos(1)));
-        assert!(e.check(&m, 10, Semantics::Exactly).result.is_unknown());
+        let budget = Budget::with_timeout(std::time::Duration::from_nanos(1));
+        let mut session = JSatSession::new(&m, Semantics::Exactly, JSatConfig::default(), budget);
+        assert!(session.check_bound(10).result.is_unknown());
     }
 
     /// The arena-refactor acceptance check at the jSAT level: an UNSAT
@@ -953,20 +917,15 @@ mod tests {
     #[test]
     fn retired_blocking_clauses_are_physically_reclaimed() {
         let m = counter_with_reset(8);
-        let mut e = JSat::with_config(
-            Budget::none(),
-            JSatConfig {
-                // No failed-state cache: maximal path enumeration and
-                // therefore maximal blocking-clause churn. Simplify
-                // eagerly so retirement is observable per backtrack.
-                use_failed_cache: false,
-                simplify_interval: 8,
-                ..JSatConfig::default()
-            },
-        );
-        let out = e.check(&m, 10, Semantics::Exactly);
+        // No failed-state cache: maximal path enumeration and therefore
+        // maximal blocking-clause churn. Simplify eagerly so retirement
+        // is observable per backtrack.
+        let config = JSatConfig {
+            simplify_interval: 8,
+            ..no_cache()
+        };
+        let (out, st) = check(&m, 10, Semantics::Exactly, config);
         assert!(out.result.is_unreachable(), "8-bit counter needs 255 steps");
-        let st = e.jsat_stats().clone();
         assert!(st.backtracks > 0, "the sweep must backtrack");
         assert!(st.simplify_runs > 0, "simplify must have run");
         assert!(
@@ -987,9 +946,12 @@ mod tests {
     fn memory_stays_flat_across_bounds() {
         // The paper's headline: jSAT's formula does not grow with k.
         let m = counter_with_reset(3);
-        let mut e = JSat::default();
-        let s1 = e.check(&m, 7, Semantics::Exactly).stats;
-        let s2 = e.check(&m, 7 + 4, Semantics::Exactly).stats;
+        let s1 = check(&m, 7, Semantics::Exactly, JSatConfig::default())
+            .0
+            .stats;
+        let s2 = check(&m, 7 + 4, Semantics::Exactly, JSatConfig::default())
+            .0
+            .stats;
         assert_eq!(
             s1.encode_lits, s2.encode_lits,
             "formula (4) is independent of the bound"
@@ -999,11 +961,10 @@ mod tests {
     #[test]
     fn stats_populated() {
         let m = shift_register(4);
-        let mut e = JSat::default();
-        let out = e.check(&m, 4, Semantics::Exactly);
+        let (out, stats) = check(&m, 4, Semantics::Exactly, JSatConfig::default());
         assert!(out.result.is_reachable());
-        assert!(e.jsat_stats().sat_calls > 0);
-        assert!(e.jsat_stats().max_depth >= 4);
+        assert!(stats.sat_calls > 0);
+        assert!(stats.max_depth >= 4);
         assert!(out.stats.peak_formula_lits > 0);
     }
 }

@@ -19,8 +19,9 @@
 //! paper's per-instance 300 s / 1 GB protocol, byte-accurate, plus a
 //! shared [`CancelToken`]), and [`Session::check_bound`] decides a
 //! *sequence* of bounds while engine state — solvers, learnt clauses,
-//! caches — persists between them. The legacy one-shot
-//! [`BoundedChecker`] remains as a thin veneer. Engines that find
+//! caches — persists between them. [`DeepeningPortfolio::sweep`] is
+//! the one loop that deepens the bound over such sessions — one engine
+//! inline, several raced per bound. Engines that find
 //! reachable targets produce replayable witness
 //! [`Trace`](sebmc_model::Trace)s (except the QBF back-ends, which
 //! decide validity only — as in 2005).
@@ -33,7 +34,7 @@
 //!
 //! let model = counter_with_reset(3); // 3-bit counter, target 7
 //! let mut jsat = JSat::default().start(&model, Semantics::Exactly, Budget::none());
-//! let mut unroll = UnrollSat::default().start(&model, Semantics::Exactly, Budget::none());
+//! let mut unroll = UnrollSat.start(&model, Semantics::Exactly, Budget::none());
 //! for k in 0..9 {
 //!     let a = jsat.check_bound(k).result;
 //!     let b = unroll.check_bound(k).result;
@@ -46,7 +47,6 @@
 pub mod engine;
 pub mod fingerprint;
 pub mod inc_unroll;
-pub mod incremental;
 pub mod induction;
 pub mod jsat;
 pub mod portfolio;
@@ -56,17 +56,15 @@ pub mod squaring;
 pub mod unroll;
 
 pub use engine::{
-    one_shot, BmcOutcome, BmcResult, BoundedChecker, Budget, CancelToken, Engine, RunStats,
-    Semantics, Session,
+    BmcOutcome, BmcResult, Budget, CancelToken, Engine, RunStats, Semantics, Session,
 };
 pub use fingerprint::model_fingerprint;
 pub use inc_unroll::IncrementalUnroll;
-pub use incremental::{find_shortest_witness, DeepeningResult};
 pub use induction::{k_induction, k_induction_run, InductionResult, InductionRun};
 pub use jsat::{JSat, JSatConfig, JSatSession, JSatStats};
 pub use portfolio::{
-    engine_panic_reason, first_decided, panic_message, portfolio_stats, run_portfolio,
-    truncate_panic_payload, DeepeningPortfolio, PortfolioBoundOutcome, PortfolioEntry,
+    engine_panic_reason, truncate_panic_payload, DeepeningPortfolio, PortfolioBoundOutcome,
+    PortfolioEntry, SweepProgress,
 };
 pub use qbf_enc::{encode_qbf_linear, QbfBackend, QbfEncoding, QbfLinear, QbfLinearSession};
 pub use reduce::{start_with_reduction, LiftingSession};

@@ -1,27 +1,29 @@
-//! Parallel engine portfolios with first-winner cancellation.
+//! Portfolio-level deepening: the one loop that drives engine sessions
+//! over bounds.
 //!
-//! Two harnesses live here:
+//! [`DeepeningPortfolio`] opens one *live* session per engine and
+//! decides bounds one at a time. With several engines each bound is
+//! raced, one scoped thread per session, on a fresh child
+//! [`CancelToken`]: the first decided verdict cancels that bound's
+//! losers *without killing their sessions* ([`Session::set_cancel`]
+//! re-arms them before the next bound), so the losers keep their solver
+//! state — learnt clauses, frames, failed-state caches — and stay
+//! competitive at deeper bounds. With a single engine there is nothing
+//! to race: its session runs inline on the caller's thread, keeps
+//! [`Budget::proof_out`], and a panic in it unwinds into the caller.
 //!
-//! * [`run_portfolio`] — the **whole-run** race: every engine opens a
-//!   fresh session on one `(model, k)` instance, the first decided
-//!   verdict cancels the rest. One race, then all sessions are gone.
-//! * [`DeepeningPortfolio`] — **portfolio-level deepening**: every
-//!   engine opens one *live* session, and each bound is raced
-//!   individually on a fresh child [`CancelToken`]. The first decided
-//!   verdict of a bound cancels that bound's losers *without killing
-//!   their sessions* ([`Session::set_cancel`] re-arms them before the
-//!   next bound), so the losers keep their solver state — learnt
-//!   clauses, frames, failed-state caches — and stay competitive at
-//!   deeper bounds. This is the per-bound sharing step beyond the
-//!   whole-run races: the service layer drives it over a job queue.
+//! [`DeepeningPortfolio::sweep`] is the paper's deepening loop over
+//! those sessions, recorded in a [`SweepProgress`] the caller keeps: a
+//! service job attempt, a batch retry that resumes at the first
+//! undecided bound, and `sebmc --deepen` all run it.
 //!
-//! Both harnesses race on a **child** token; the caller's own token
-//! (in the passed [`Budget`]) is only read, never fired, so the budget
-//! stays reusable. An external cancellation still propagates into the
-//! race. A panicking engine is caught and surfaced as
+//! A race runs on a **child** token; the caller's own token (in the
+//! passed [`Budget`]) is only read, never fired, so the budget stays
+//! reusable. An external cancellation still propagates into the race.
+//! A racing engine that panics is caught and surfaced as
 //! [`BmcResult::Unknown`] rather than taking the whole portfolio down,
 //! and cancelled losers report their partial [`RunStats`] (via
-//! [`PortfolioEntry::cumulative`]) so racing effort can be accounted
+//! [`PortfolioEntry::cumulative`]) so racing effort is accounted
 //! honestly.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,44 +32,34 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use sebmc_model::Model;
+use sebmc_proof::Certificate;
 
 use crate::engine::{
     BmcOutcome, BmcResult, Budget, CancelToken, Engine, RunStats, Semantics, Session,
 };
 
-/// How often the race harnesses poll for an external cancellation of
-/// the caller's budget while waiting on engine replies.
+/// How often a race polls for an external cancellation of the caller's
+/// budget while waiting on engine replies.
 const BRIDGE_POLL: Duration = Duration::from_millis(2);
 
-/// The outcome of one engine inside a portfolio run.
+/// The outcome of one engine at one bound of a portfolio.
 #[derive(Debug)]
 pub struct PortfolioEntry {
     /// Engine name.
     pub engine: &'static str,
-    /// The engine's outcome for the raced instance/bound. Cancelled
-    /// losers report `Unknown("cancelled")`; a panicking engine reports
+    /// The engine's outcome for the bound. Cancelled losers report
+    /// `Unknown("cancelled")`; a panicking racer reports
     /// `Unknown("engine panicked: …")`.
     pub outcome: BmcOutcome,
-    /// The engine session's cumulative stats *including* this race —
+    /// The engine session's cumulative stats *including* this bound —
     /// present even when the engine lost and was cancelled mid-solve,
     /// so the effort burnt by losers is never dropped from the
-    /// accounting ([`portfolio_stats`] sums it).
+    /// accounting ([`DeepeningPortfolio::cumulative_stats`] sums it).
     pub cumulative: RunStats,
 }
 
-/// Aggregates the racing effort of a portfolio honestly: every entry's
-/// cumulative stats — winners *and* cancelled losers — folded with
-/// [`RunStats::absorb`] (durations/effort summed, sizes/peaks maxed).
-pub fn portfolio_stats(entries: &[PortfolioEntry]) -> RunStats {
-    let mut total = RunStats::default();
-    for e in entries {
-        total.absorb(&e.cumulative);
-    }
-    total
-}
-
 /// Renders a panic payload (the argument of `panic!`) as text.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -105,117 +97,7 @@ pub fn truncate_panic_payload(payload: &(dyn std::any::Any + Send)) -> String {
     msg
 }
 
-/// Runs every engine on `(model, k, semantics)` concurrently and
-/// returns their outcomes in input order.
-///
-/// The race runs on a **child** token: the first engine to decide
-/// fires it, cancelling the rest, while the caller's own
-/// [`CancelToken`] is only ever *read* (a bridge propagates an
-/// external cancellation into the race), never fired — so the passed
-/// `budget` stays usable for subsequent runs. Engines that panic are
-/// reported as Unknown instead of propagating the panic; cancelled
-/// losers still surface their partial stats in
-/// [`PortfolioEntry::cumulative`].
-pub fn run_portfolio(
-    model: &Model,
-    k: usize,
-    semantics: Semantics,
-    engines: Vec<Box<dyn Engine + Send>>,
-    budget: Budget,
-) -> Vec<PortfolioEntry> {
-    let caller = budget.cancel_token();
-    let race = CancelToken::new();
-    thread::scope(|s| {
-        // Bridge: an external cancellation of the caller's budget must
-        // still stop the race. Polled coarsely; the bridge exits as
-        // soon as the race token fires (which the scope guarantees
-        // below).
-        {
-            let race = race.clone();
-            let caller = caller.clone();
-            s.spawn(move || {
-                while !race.is_cancelled() {
-                    if caller.is_cancelled() {
-                        race.cancel();
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            });
-        }
-        let handles: Vec<_> = engines
-            .into_iter()
-            .map(|engine| {
-                let mut budget = budget.clone().with_cancel(race.clone());
-                // Proof export is a single-session feature: N racing
-                // sessions must not fight over one output file.
-                budget.proof_out = None;
-                let race = race.clone();
-                s.spawn(move || {
-                    let name = Engine::name(engine.as_ref());
-                    let run = catch_unwind(AssertUnwindSafe(|| {
-                        let mut session = engine.start(model, semantics, budget);
-                        let outcome = session.check_bound(k);
-                        // Even a cancelled loser's session has exact
-                        // accumulated stats — keep them.
-                        let cumulative = session.cumulative_stats();
-                        (outcome, cumulative)
-                    }));
-                    let (outcome, cumulative) = match run {
-                        Ok((outcome, cumulative)) => {
-                            if !outcome.result.is_unknown() {
-                                // Decided: the rest of the portfolio can
-                                // stop working on this instance.
-                                race.cancel();
-                            }
-                            (outcome, cumulative)
-                        }
-                        Err(payload) => (
-                            BmcOutcome::new(
-                                BmcResult::Unknown(engine_panic_reason(name, payload.as_ref())),
-                                RunStats::default(),
-                            ),
-                            RunStats::default(),
-                        ),
-                    };
-                    PortfolioEntry {
-                        engine: name,
-                        outcome,
-                        cumulative,
-                    }
-                })
-            })
-            .collect();
-        let entries = handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(entry) => entry,
-                // The closure catches engine panics; a join error can
-                // only come from a panic inside our own bookkeeping.
-                Err(payload) => PortfolioEntry {
-                    engine: "unknown",
-                    outcome: BmcOutcome::new(
-                        BmcResult::Unknown(engine_panic_reason("unknown", payload.as_ref())),
-                        RunStats::default(),
-                    ),
-                    cumulative: RunStats::default(),
-                },
-            })
-            .collect();
-        // Release the bridge thread (idempotent if a winner already
-        // fired the race token).
-        race.cancel();
-        entries
-    })
-}
-
-/// Returns the first decided (non-Unknown) outcome of a portfolio run,
-/// if any, together with the engine that produced it.
-pub fn first_decided(entries: &[PortfolioEntry]) -> Option<&PortfolioEntry> {
-    entries.iter().find(|e| !e.outcome.result.is_unknown())
-}
-
-/// The raced outcome of one bound of a [`DeepeningPortfolio`].
+/// The outcome of one bound of a [`DeepeningPortfolio`].
 #[derive(Debug)]
 pub struct PortfolioBoundOutcome {
     /// Per-engine entries, in the portfolio's engine order. Losers
@@ -234,10 +116,7 @@ impl PortfolioBoundOutcome {
     /// The shared verdict of the bound: the winner's result, or the
     /// first entry's `Unknown` when nobody decided.
     pub fn verdict(&self) -> &BmcResult {
-        match self.winner {
-            Some(i) => &self.entries[i].outcome.result,
-            None => &self.entries[0].outcome.result,
-        }
+        &self.entries[self.winner.unwrap_or(0)].outcome.result
     }
 
     /// The winning entry, if any engine decided the bound.
@@ -246,45 +125,75 @@ impl PortfolioBoundOutcome {
     }
 }
 
-/// A command for one engine worker of a [`DeepeningPortfolio`].
-enum Cmd {
-    /// Race bound `k` under the given per-bound child token.
-    Check { k: usize, race: CancelToken },
-    /// Shut the worker down (drop its session, exit the thread).
-    Finish,
+/// What a [`DeepeningPortfolio::sweep`] has established so far.
+///
+/// The caller owns it, so it outlives the portfolio: a service retry
+/// opens a fresh portfolio and resumes the same progress at
+/// [`SweepProgress::next_bound`], keeping everything decided before
+/// the failure.
+#[derive(Debug, Default)]
+pub struct SweepProgress {
+    /// First bound the next sweep will look at.
+    pub next_bound: usize,
+    /// The reachable bound, once found.
+    pub bound: Option<usize>,
+    /// `(bound, engine)` for every decided bound: the single engine,
+    /// or the winner of the bound's race.
+    pub winners: Vec<(usize, &'static str)>,
+    /// Bounds decided.
+    pub checked: usize,
+    /// Bounds no engine supports (skipped, not failed).
+    pub skipped: usize,
+    /// The decided bounds' certificates folded together; a bound that
+    /// nobody decided folds every entry's partial certificate.
+    pub cert: Option<Certificate>,
+    /// Every entry's per-bound stats, absorbed as bounds finish: a
+    /// panic can only lose the in-flight bound's effort.
+    pub stats: RunStats,
 }
 
-/// One engine worker's reply to a [`Cmd::Check`].
-struct BoundReply {
-    idx: usize,
-    supported: bool,
-    outcome: BmcOutcome,
-    cumulative: RunStats,
+impl SweepProgress {
+    /// The deepest decided bound, if any.
+    pub fn last_decided(&self) -> Option<usize> {
+        self.winners.last().map(|(k, _)| *k)
+    }
 }
 
-/// One engine worker of a [`DeepeningPortfolio`]: a dedicated OS
-/// thread owning one live [`Session`].
-struct PortfolioWorker {
-    name: &'static str,
-    cmd: mpsc::Sender<Cmd>,
-    join: Option<thread::JoinHandle<()>>,
+/// The verdict of a clean deepening sweep that found nothing: a true
+/// `Unreachable` only when no bound was skipped.
+fn sweep_verdict(max_bound: usize, skipped: usize) -> BmcResult {
+    if skipped > 0 {
+        BmcResult::Unknown(format!(
+            "unreachable at every supported bound 0..={max_bound}, \
+             but {skipped} unsupported bounds were skipped"
+        ))
+    } else {
+        BmcResult::Unreachable
+    }
+}
+
+/// Checks bound `k` on one session, returning whether the engine
+/// supports it. An unsupported bound is skipped, not checked: no
+/// effort is burnt on (or accounted for) a bound the technique cannot
+/// decide.
+fn check_on(session: &mut dyn Session, k: usize) -> (bool, BmcOutcome) {
+    if !session.supports_bound(k) {
+        let reason = format!("bound {k} unsupported");
+        return (false, BmcOutcome::unknown(reason, RunStats::default()));
+    }
+    (true, session.check_bound(k))
 }
 
 /// Portfolio-level deepening: one live session per engine, every bound
-/// raced individually on a fresh child [`CancelToken`], the first
-/// decided verdict shared.
+/// decided by the first engine to decide it (see the module docs).
 ///
-/// Unlike [`run_portfolio`] (which drops all sessions after a single
-/// race), the losers of a bound keep their solver state — the next
-/// [`DeepeningPortfolio::check_bound`] re-arms every session with a
-/// new child token ([`Session::set_cancel`]) and races them again.
-/// An engine whose session panics is retired for the rest of the run
-/// (reported as `Unknown("engine panicked: …")` per bound); its last
-/// known cumulative stats stay in the accounting.
+/// An engine whose session panics in a race is retired for the rest of
+/// the run (reported as `Unknown("engine panicked: …")` per bound); its
+/// last known cumulative stats stay in the accounting.
 ///
 /// The caller's [`Budget`] token is only *read*: an external
-/// cancellation (or the budget deadline) aborts the current bound's
-/// race promptly, but the portfolio never fires the caller's token.
+/// cancellation (or the budget deadline) aborts the current bound
+/// promptly, but the portfolio never fires the caller's token.
 ///
 /// ```
 /// use sebmc::{Budget, DeepeningPortfolio, Engine, JSat, Semantics, UnrollSat};
@@ -292,7 +201,7 @@ struct PortfolioWorker {
 ///
 /// let model = shift_register(4);
 /// let engines: Vec<Box<dyn Engine + Send>> =
-///     vec![Box::new(UnrollSat::default()), Box::new(JSat::default())];
+///     vec![Box::new(UnrollSat), Box::new(JSat::default())];
 /// let mut p = DeepeningPortfolio::start(&model, Semantics::Exactly, engines, Budget::none());
 /// for k in 0..4 {
 ///     assert!(p.check_bound(k).verdict().is_unreachable());
@@ -300,22 +209,26 @@ struct PortfolioWorker {
 /// assert!(p.check_bound(4).verdict().is_reachable());
 /// ```
 pub struct DeepeningPortfolio {
-    workers: Vec<PortfolioWorker>,
-    results: mpsc::Receiver<BoundReply>,
+    names: Vec<&'static str>,
+    /// One live session per engine, or why it was retired (its start
+    /// or an earlier race panicked).
+    sessions: Vec<Result<Box<dyn Session>, String>>,
     budget: Budget,
     started: Instant,
-    /// Last known cumulative stats per engine, refreshed on every
-    /// reply (kept even after a worker's session panics).
+    /// Last known cumulative stats per engine, refreshed after every
+    /// bound (kept even after a racer's session panics).
     last_cumulative: Vec<RunStats>,
-    bounds_raced: usize,
 }
 
 impl DeepeningPortfolio {
-    /// Opens one live session per engine (each on its own thread) and
-    /// starts the shared budget clock.
+    /// Opens one live session per engine on the caller's thread and
+    /// starts the shared budget clock. Several engines race without
+    /// [`Budget::proof_out`] (N sessions cannot share one proof file),
+    /// and an engine whose start panics is retired, not fatal.
     ///
     /// # Panics
-    /// Panics if `engines` is empty.
+    /// Panics if `engines` is empty, or if the only engine's start
+    /// panics.
     pub fn start(
         model: &Model,
         semantics: Semantics,
@@ -323,116 +236,63 @@ impl DeepeningPortfolio {
         budget: Budget,
     ) -> Self {
         assert!(!engines.is_empty(), "a portfolio needs at least one engine");
-        let (tx, results) = mpsc::channel::<BoundReply>();
-        let n = engines.len();
-        let workers = engines
-            .into_iter()
-            .enumerate()
-            .map(|(idx, engine)| {
-                let name = Engine::name(engine.as_ref());
-                let (cmd_tx, cmd_rx) = mpsc::channel::<Cmd>();
-                let model = model.clone();
-                let mut budget = budget.clone();
-                // As in `run_portfolio`: one file, many sessions — no.
-                budget.proof_out = None;
-                let tx = tx.clone();
-                let join = thread::spawn(move || {
-                    worker_loop(idx, engine, model, semantics, budget, cmd_rx, tx);
-                });
-                PortfolioWorker {
-                    name,
-                    cmd: cmd_tx,
-                    join: Some(join),
-                }
-            })
+        let started = Instant::now();
+        let sessions: Vec<Result<Box<dyn Session>, String>> = if let [engine] = &engines[..] {
+            vec![Ok(engine.start(model, semantics, budget.clone()))]
+        } else {
+            let racing = Budget {
+                proof_out: None,
+                ..budget.clone()
+            };
+            engines
+                .iter()
+                .map(|engine| {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        engine.start(model, semantics, racing.clone())
+                    }))
+                    .map_err(|payload| engine_panic_reason(engine.name(), payload.as_ref()))
+                })
+                .collect()
+        };
+        let last_cumulative = sessions
+            .iter()
+            .map(|s| s.as_ref().map(|s| s.cumulative_stats()).unwrap_or_default())
             .collect();
         DeepeningPortfolio {
-            workers,
-            results,
+            names: engines.iter().map(|e| e.name()).collect(),
+            sessions,
             budget,
-            started: Instant::now(),
-            last_cumulative: vec![RunStats::default(); n],
-            bounds_raced: 0,
+            started,
+            last_cumulative,
         }
     }
 
-    /// Engine names, in portfolio order.
-    pub fn engine_names(&self) -> Vec<&'static str> {
-        self.workers.iter().map(|w| w.name).collect()
-    }
-
-    /// Number of `check_bound` races run so far.
-    pub fn bounds_raced(&self) -> usize {
-        self.bounds_raced
-    }
-
-    /// Races every live session on bound `k` under a fresh child token
-    /// and returns all entries plus the winner.
+    /// Decides bound `k` on every live session and returns all entries
+    /// plus the winner.
     ///
-    /// The first decided verdict fires the child token; losers abort at
+    /// A single engine checks the bound on the caller's thread. Several
+    /// engines race it, one thread each, on a fresh child token: the
+    /// first decided verdict fires the token, and the losers abort at
     /// their next safe point and *survive* into the next bound. If the
     /// caller's budget expires (deadline or external token) mid-race,
     /// the bound is aborted the same way.
     pub fn check_bound(&mut self, k: usize) -> PortfolioBoundOutcome {
-        self.bounds_raced += 1;
-        let race = CancelToken::new();
-        let n = self.workers.len();
-        let mut slots: Vec<Option<(bool, BmcOutcome)>> = (0..n).map(|_| None).collect();
-        // Only workers that actually received the command will reply;
-        // waiting on a dead worker's reply would hang the race forever.
-        let mut pending = 0usize;
-        for w in &self.workers {
-            if w.cmd
-                .send(Cmd::Check {
-                    k,
-                    race: race.clone(),
-                })
-                .is_ok()
-            {
-                pending += 1;
-            }
-        }
-        let mut winner: Option<usize> = None;
-        while pending > 0 {
-            match self.results.recv_timeout(BRIDGE_POLL) {
-                Ok(reply) => {
-                    self.last_cumulative[reply.idx] = reply.cumulative;
-                    if winner.is_none() && !reply.outcome.result.is_unknown() {
-                        winner = Some(reply.idx);
-                        // Decided: this bound's losers can stop.
-                        race.cancel();
-                    }
-                    slots[reply.idx] = Some((reply.supported, reply.outcome));
-                    pending -= 1;
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    // Bridge the caller's budget into the race: an
-                    // external cancellation or the shared deadline
-                    // aborts this bound promptly.
-                    if self.budget.expired(self.started) {
-                        race.cancel();
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        // Release any straggler (idempotent if already fired).
-        race.cancel();
-        let mut supported = false;
+        let (slots, winner) = if let [Ok(session)] = &mut self.sessions[..] {
+            let (supported, outcome) = check_on(session.as_mut(), k);
+            self.last_cumulative[0] = session.cumulative_stats();
+            let winner = (!outcome.result.is_unknown()).then_some(0);
+            (vec![(supported, outcome)], winner)
+        } else {
+            self.race(k)
+        };
+        let supported = slots.iter().any(|(sup, _)| *sup);
         let entries = slots
             .into_iter()
             .enumerate()
-            .map(|(idx, slot)| {
-                let (sup, outcome) = slot.unwrap_or((
-                    false,
-                    BmcOutcome::unknown("engine worker exited", RunStats::default()),
-                ));
-                supported |= sup;
-                PortfolioEntry {
-                    engine: self.workers[idx].name,
-                    outcome,
-                    cumulative: self.last_cumulative[idx].clone(),
-                }
+            .map(|(idx, (_, outcome))| PortfolioEntry {
+                engine: self.names[idx],
+                outcome,
+                cumulative: self.last_cumulative[idx].clone(),
             })
             .collect();
         PortfolioBoundOutcome {
@@ -442,20 +302,150 @@ impl DeepeningPortfolio {
         }
     }
 
-    /// Per-engine cumulative stats (engine name, session totals) as of
-    /// the last race each engine replied to.
-    pub fn engine_stats(&self) -> Vec<(&'static str, RunStats)> {
-        self.workers
+    /// Races bound `k` across the live sessions, one scoped thread
+    /// each, returning every engine's `(supported, outcome)` and the
+    /// winner.
+    fn race(&mut self, k: usize) -> (Vec<(bool, BmcOutcome)>, Option<usize>) {
+        let race = CancelToken::new();
+        let (tx, rx) = mpsc::channel();
+        let mut slots: Vec<(bool, BmcOutcome)> = self
+            .sessions
             .iter()
-            .zip(&self.last_cumulative)
-            .map(|(w, s)| (w.name, s.clone()))
+            .map(|s| {
+                let reason = s.as_ref().err().map_or("", String::as_str);
+                (false, BmcOutcome::unknown(reason, RunStats::default()))
+            })
+            .collect();
+        let mut winner = None;
+        let mut retired = Vec::new();
+        thread::scope(|scope| {
+            let mut pending = 0;
+            for (idx, slot) in self.sessions.iter_mut().enumerate() {
+                let Ok(session) = slot else { continue };
+                let (tx, race, name) = (tx.clone(), race.clone(), self.names[idx]);
+                pending += 1;
+                scope.spawn(move || {
+                    // A panic anywhere in the session retires the
+                    // engine instead of taking the race down.
+                    let run = catch_unwind(AssertUnwindSafe(|| {
+                        // Re-arm with this bound's child token: a
+                        // cancellation here must not outlive the bound.
+                        session.set_cancel(race);
+                        let (supported, outcome) = check_on(session.as_mut(), k);
+                        (supported, outcome, session.cumulative_stats())
+                    }));
+                    let run = run.map_err(|payload| engine_panic_reason(name, payload.as_ref()));
+                    let _ = tx.send((idx, run));
+                });
+            }
+            while pending > 0 {
+                match rx.recv_timeout(BRIDGE_POLL) {
+                    Ok((idx, Ok((supported, outcome, cumulative)))) => {
+                        if winner.is_none() && !outcome.result.is_unknown() {
+                            winner = Some(idx);
+                            // Decided: this bound's losers can stop.
+                            race.cancel();
+                        }
+                        self.last_cumulative[idx] = cumulative;
+                        slots[idx] = (supported, outcome);
+                        pending -= 1;
+                    }
+                    Ok((idx, Err(reason))) => {
+                        slots[idx].1 = BmcOutcome::unknown(reason.clone(), RunStats::default());
+                        retired.push((idx, reason));
+                        pending -= 1;
+                    }
+                    // Bridge the caller's budget into the race: an
+                    // external cancellation or the shared deadline
+                    // aborts this bound promptly.
+                    Err(_) => {
+                        if self.budget.expired(self.started) {
+                            race.cancel();
+                        }
+                    }
+                }
+            }
+        });
+        for (idx, reason) in retired {
+            self.sessions[idx] = Err(reason);
+        }
+        (slots, winner)
+    }
+
+    /// Deepens from `progress.next_bound` through `max_bound`, stopping
+    /// at the first reachable bound, a bound nobody decided, or the
+    /// budget, and records every bound in `progress`.
+    ///
+    /// The budget is checked before each bound, so an expired budget
+    /// never reaches an engine. Bounds no engine supports are skipped;
+    /// a clean sweep with skips is `Unknown`, not `Unreachable`.
+    ///
+    /// ```
+    /// use sebmc::{Budget, DeepeningPortfolio, Engine, Semantics, SweepProgress, UnrollSat};
+    /// use sebmc_model::builders::shift_register;
+    ///
+    /// let model = shift_register(4);
+    /// let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(UnrollSat)];
+    /// let mut p = DeepeningPortfolio::start(&model, Semantics::Exactly, engines, Budget::none());
+    /// let mut progress = SweepProgress::default();
+    /// assert!(p.sweep(&mut progress, 10).is_reachable());
+    /// assert_eq!(progress.bound, Some(4));
+    /// assert_eq!(p.cumulative_stats().bounds_checked, 5); // bounds 0..=4
+    /// ```
+    pub fn sweep(&mut self, progress: &mut SweepProgress, max_bound: usize) -> BmcResult {
+        for k in progress.next_bound..=max_bound {
+            if self.budget.expired(self.started) {
+                return BmcResult::Unknown(self.budget.unknown_reason());
+            }
+            let mut out = self.check_bound(k);
+            for e in &out.entries {
+                progress.stats.absorb(&e.outcome.stats);
+            }
+            if !out.supported {
+                progress.skipped += 1;
+                progress.next_bound = k + 1;
+                continue;
+            }
+            let Some(i) = out.winner else {
+                for e in &out.entries {
+                    Certificate::fold_into(&mut progress.cert, e.outcome.certificate.as_ref());
+                }
+                // A deadline that expired mid-race reaches the racers
+                // as a fired race token, so their entries all say
+                // "cancelled": report the budget's own reason instead.
+                return if self.budget.expired(self.started) && !self.budget.cancel.is_cancelled() {
+                    BmcResult::Unknown(self.budget.unknown_reason())
+                } else {
+                    out.verdict().clone()
+                };
+            };
+            let win = out.entries.swap_remove(i);
+            progress.checked += 1;
+            progress.next_bound = k + 1;
+            progress.winners.push((k, win.engine));
+            Certificate::fold_into(&mut progress.cert, win.outcome.certificate.as_ref());
+            if let BmcResult::Reachable(trace) = win.outcome.result {
+                progress.bound = Some(k);
+                return BmcResult::Reachable(trace);
+            }
+        }
+        sweep_verdict(max_bound, progress.skipped)
+    }
+
+    /// Per-engine cumulative stats (engine name, session totals) as of
+    /// the last bound each engine replied to.
+    pub fn engine_stats(&self) -> Vec<(&'static str, RunStats)> {
+        self.names
+            .iter()
+            .copied()
+            .zip(self.last_cumulative.iter().cloned())
             .collect()
     }
 
-    /// The portfolio's total racing effort: every engine's cumulative
-    /// stats folded with [`RunStats::absorb`] — durations and solver
-    /// effort *summed* across engines (losers included, so the cost of
-    /// racing is never hidden), sizes and peaks maxed.
+    /// The portfolio's total effort: every engine's cumulative stats
+    /// folded with [`RunStats::absorb`] — durations and solver effort
+    /// *summed* across engines (losers included, so the cost of racing
+    /// is never hidden), sizes and peaks maxed.
     pub fn cumulative_stats(&self) -> RunStats {
         let mut total = RunStats::default();
         for s in &self.last_cumulative {
@@ -465,135 +455,32 @@ impl DeepeningPortfolio {
     }
 }
 
-impl Drop for DeepeningPortfolio {
-    fn drop(&mut self) {
-        for w in &self.workers {
-            let _ = w.cmd.send(Cmd::Finish);
-        }
-        for w in &mut self.workers {
-            if let Some(j) = w.join.take() {
-                let _ = j.join();
-            }
-        }
-    }
-}
-
-/// Body of one engine worker thread: owns the live session, serves
-/// `Check` commands until `Finish` (or the portfolio is dropped).
-fn worker_loop(
-    idx: usize,
-    engine: Box<dyn Engine + Send>,
-    model: Model,
-    semantics: Semantics,
-    budget: Budget,
-    cmd_rx: mpsc::Receiver<Cmd>,
-    tx: mpsc::Sender<BoundReply>,
-) {
-    // Even `Engine::start` may panic; a dead session keeps replying
-    // Unknown so the race never hangs on a missing entry.
-    let name = Engine::name(engine.as_ref());
-    let mut panic_reason: Option<String> = None;
-    let mut session: Option<Box<dyn Session>> =
-        match catch_unwind(AssertUnwindSafe(|| engine.start(&model, semantics, budget))) {
-            Ok(s) => Some(s),
-            Err(payload) => {
-                panic_reason = Some(engine_panic_reason(name, payload.as_ref()));
-                None
-            }
-        };
-    let mut cumulative = RunStats::default();
-    while let Ok(cmd) = cmd_rx.recv() {
-        let (k, race) = match cmd {
-            Cmd::Finish => break,
-            Cmd::Check { k, race } => (k, race),
-        };
-        let reply = match session.as_mut() {
-            None => BoundReply {
-                idx,
-                supported: false,
-                outcome: BmcOutcome::unknown(
-                    panic_reason.as_deref().unwrap_or("engine retired"),
-                    RunStats::default(),
-                ),
-                cumulative: cumulative.clone(),
-            },
-            Some(s) => {
-                // Everything that touches the session runs inside the
-                // catch: a panic anywhere (supports_bound, set_cancel,
-                // check_bound, cumulative_stats) retires the engine
-                // instead of killing the worker thread — a dead worker
-                // would starve every later race of its reply.
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    let supported = s.supports_bound(k);
-                    if !supported {
-                        // Skipped, not raced: no effort is burnt on (or
-                        // accounted for) a bound the technique cannot
-                        // decide.
-                        let outcome = BmcOutcome::unknown(
-                            format!("bound {k} unsupported"),
-                            RunStats::default(),
-                        );
-                        return (supported, outcome, s.cumulative_stats());
-                    }
-                    // Re-arm with this bound's child token: a
-                    // cancellation here must not outlive the bound.
-                    s.set_cancel(race);
-                    let outcome = s.check_bound(k);
-                    (supported, outcome, s.cumulative_stats())
-                }));
-                match run {
-                    Ok((supported, outcome, cum)) => {
-                        cumulative = cum;
-                        BoundReply {
-                            idx,
-                            supported,
-                            outcome,
-                            cumulative: cumulative.clone(),
-                        }
-                    }
-                    Err(payload) => {
-                        // The session may be mid-mutation: retire it
-                        // but keep its last coherent stats.
-                        let reason = engine_panic_reason(name, payload.as_ref());
-                        panic_reason = Some(reason.clone());
-                        session = None;
-                        BoundReply {
-                            idx,
-                            supported: false,
-                            outcome: BmcOutcome::unknown(reason, RunStats::default()),
-                            cumulative: cumulative.clone(),
-                        }
-                    }
-                }
-            }
-        };
-        if tx.send(reply).is_err() {
-            break;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Budget, Session};
     use crate::jsat::JSat;
     use crate::qbf_enc::{QbfBackend, QbfLinear};
+    use crate::squaring::QbfSquaring;
     use crate::unroll::UnrollSat;
-    use sebmc_model::builders::token_ring;
+    use sebmc_model::builders::{shift_register, token_ring, traffic_light};
+    use std::sync::{Arc, Mutex};
+    use std::thread::ThreadId;
     use std::time::{Duration, Instant};
+
+    fn start(engines: Vec<Box<dyn Engine + Send>>, budget: Budget) -> DeepeningPortfolio {
+        DeepeningPortfolio::start(&token_ring(3), Semantics::Exactly, engines, budget)
+    }
 
     #[test]
     fn portfolio_runs_all_engines_and_agrees() {
-        let m = token_ring(3);
         let engines: Vec<Box<dyn Engine + Send>> = vec![
-            Box::new(UnrollSat::default()),
+            Box::new(UnrollSat),
             Box::new(JSat::default()),
             Box::new(QbfLinear::new(QbfBackend::Qdpll)),
         ];
-        let entries = run_portfolio(&m, 2, Semantics::Exactly, engines, Budget::none());
-        assert_eq!(entries.len(), 3);
-        for e in &entries {
+        let out = start(engines, Budget::none()).check_bound(2);
+        assert_eq!(out.entries.len(), 3);
+        for e in &out.entries {
             assert!(
                 e.outcome.result.is_reachable() || e.outcome.result.is_unknown(),
                 "{} disagrees: {}",
@@ -601,21 +488,8 @@ mod tests {
                 e.outcome.result
             );
         }
-        let winner = first_decided(&entries).expect("someone decides");
+        let winner = out.winning_entry().expect("someone decides");
         assert!(winner.outcome.result.is_reachable());
-    }
-
-    #[test]
-    fn first_decided_skips_unknowns() {
-        // The sleeper is listed first, gets cancelled by the winner,
-        // and must be skipped by `first_decided`.
-        let m = token_ring(3);
-        let engines: Vec<Box<dyn Engine + Send>> =
-            vec![Box::new(SlowEngine), Box::new(UnrollSat::default())];
-        let entries = run_portfolio(&m, 2, Semantics::Exactly, engines, Budget::none());
-        assert!(entries[0].outcome.result.is_unknown());
-        let w = first_decided(&entries).expect("unroll decides");
-        assert_eq!(w.engine, "sat-unroll");
     }
 
     /// A deliberately slow engine: sleeps in short slices, polling the
@@ -675,62 +549,62 @@ mod tests {
         }
     }
 
-    /// The acceptance check: with one fast decider and one 10 s
-    /// sleeper, the portfolio must return in roughly the fast engine's
-    /// time because the winner cancels the sleeper.
+    /// With one fast decider and one 10 s sleeper, a bound must take
+    /// roughly the fast engine's time because the winner cancels the
+    /// sleeper. The winner is the engine that decided, not the first
+    /// entry: the sleeper is listed first.
     #[test]
     fn winner_cancels_the_losers() {
-        let m = token_ring(3);
-        let engines: Vec<Box<dyn Engine + Send>> =
-            vec![Box::new(UnrollSat::default()), Box::new(SlowEngine)];
-        let start = Instant::now();
-        let entries = run_portfolio(&m, 2, Semantics::Exactly, engines, Budget::none());
-        let elapsed = start.elapsed();
+        let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(SlowEngine), Box::new(UnrollSat)];
+        let mut p = start(engines, Budget::none());
+        let begin = Instant::now();
+        let out = p.check_bound(2);
+        let elapsed = begin.elapsed();
         assert!(
             elapsed < Duration::from_secs(5),
-            "portfolio took {elapsed:?}, cancellation failed"
+            "race took {elapsed:?}, cancellation failed"
         );
-        assert!(entries[0].outcome.result.is_reachable());
         assert_eq!(
-            entries[1].outcome.result,
+            out.entries[0].outcome.result,
             BmcResult::Unknown("cancelled".into())
         );
+        assert_eq!(
+            out.winning_entry().expect("unroll decides").engine,
+            "sat-unroll"
+        );
+        assert!(out.verdict().is_reachable());
     }
 
     /// A cancelled loser's effort must stay visible: its cumulative
-    /// stats ride along in the entry and in `portfolio_stats`.
+    /// stats ride along in the entry and in the portfolio total.
     #[test]
     fn cancelled_losers_keep_their_partial_stats() {
-        let m = token_ring(3);
-        let engines: Vec<Box<dyn Engine + Send>> =
-            vec![Box::new(UnrollSat::default()), Box::new(SlowEngine)];
-        let entries = run_portfolio(&m, 2, Semantics::Exactly, engines, Budget::none());
-        let loser = &entries[1];
+        let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(UnrollSat), Box::new(SlowEngine)];
+        let mut p = start(engines, Budget::none());
+        let out = p.check_bound(2);
+        let loser = &out.entries[1];
         assert!(loser.outcome.result.is_unknown());
         assert!(
             loser.cumulative.duration > Duration::ZERO,
             "the loser's burnt wall-clock must be accounted"
         );
         assert_eq!(loser.cumulative.bounds_checked, 1);
-        let total = portfolio_stats(&entries);
+        let total = p.cumulative_stats();
         assert!(total.duration >= loser.cumulative.duration);
         assert_eq!(total.bounds_checked, 2, "both engines' checks counted");
     }
 
-    /// The race must run on a child token: the caller's budget (and
-    /// its clones) stay un-fired and reusable after a decided run.
+    /// A race runs on a child token: the caller's budget (and its
+    /// clones) stay un-fired and reusable after decided sweeps.
     #[test]
     fn portfolio_does_not_poison_the_callers_budget() {
-        let m = token_ring(3);
         let budget = Budget::none();
         for round in 0..2 {
             let engines: Vec<Box<dyn Engine + Send>> =
-                vec![Box::new(UnrollSat::default()), Box::new(JSat::default())];
-            let entries = run_portfolio(&m, 2, Semantics::Exactly, engines, budget.clone());
-            assert!(
-                first_decided(&entries).is_some(),
-                "round {round}: a decided verdict expected"
-            );
+                vec![Box::new(UnrollSat), Box::new(JSat::default())];
+            let mut p = start(engines, budget.clone());
+            let verdict = p.sweep(&mut SweepProgress::default(), 4);
+            assert!(verdict.is_reachable(), "round {round}: {verdict}");
             assert!(
                 !budget.cancel.is_cancelled(),
                 "round {round}: the caller's token must never be fired by the portfolio"
@@ -742,7 +616,6 @@ mod tests {
     /// portfolio (via the bridge into the race token).
     #[test]
     fn external_cancellation_stops_the_portfolio() {
-        let m = token_ring(3);
         let budget = Budget::none();
         let token = budget.cancel_token();
         let canceller = std::thread::spawn(move || {
@@ -750,20 +623,21 @@ mod tests {
             token.cancel();
         });
         let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(SlowEngine), Box::new(SlowEngine)];
-        let start = Instant::now();
-        let entries = run_portfolio(&m, 2, Semantics::Exactly, engines, budget);
-        let elapsed = start.elapsed();
+        let mut p = start(engines, budget);
+        let begin = Instant::now();
+        let mut progress = SweepProgress::default();
+        let verdict = p.sweep(&mut progress, 5);
+        let elapsed = begin.elapsed();
         canceller.join().unwrap();
         assert!(
             elapsed < Duration::from_secs(5),
             "external cancel took {elapsed:?} to stop the portfolio"
         );
-        for e in &entries {
-            assert!(e.outcome.result.is_unknown(), "{}", e.engine);
-        }
+        assert_eq!(verdict, BmcResult::Unknown("cancelled".into()));
+        assert_eq!(progress.checked, 0);
     }
 
-    /// A panicking engine must surface as Unknown, not crash the run.
+    /// An engine whose start panics.
     struct PanicEngine;
     impl Engine for PanicEngine {
         fn name(&self) -> &'static str {
@@ -779,13 +653,12 @@ mod tests {
         }
     }
 
+    /// A racer's panic surfaces as an attributable Unknown, not a crash.
     #[test]
     fn engine_panic_is_contained() {
-        let m = token_ring(3);
-        let engines: Vec<Box<dyn Engine + Send>> =
-            vec![Box::new(PanicEngine), Box::new(UnrollSat::default())];
-        let entries = run_portfolio(&m, 2, Semantics::Exactly, engines, Budget::none());
-        match &entries[0].outcome.result {
+        let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(PanicEngine), Box::new(UnrollSat)];
+        let out = start(engines, Budget::none()).check_bound(2);
+        match &out.entries[0].outcome.result {
             BmcResult::Unknown(reason) => {
                 assert!(
                     reason.starts_with("engine panicked:"),
@@ -798,9 +671,11 @@ mod tests {
             }
             other => panic!("expected Unknown, got {other}"),
         }
-        assert!(entries[1].outcome.result.is_reachable());
-        let w = first_decided(&entries).expect("unroll still decides");
-        assert_eq!(w.engine, "sat-unroll");
+        assert!(out.entries[1].outcome.result.is_reachable());
+        assert_eq!(
+            out.winning_entry().expect("unroll still decides").engine,
+            "sat-unroll"
+        );
     }
 
     #[test]
@@ -816,13 +691,11 @@ mod tests {
         assert!(reason.ends_with('…'));
     }
 
-    // ---- DeepeningPortfolio ----
-
     #[test]
     fn deepening_portfolio_shares_verdicts_per_bound() {
         let m = token_ring(4); // first reachable at bound 3
         let engines: Vec<Box<dyn Engine + Send>> =
-            vec![Box::new(UnrollSat::default()), Box::new(JSat::default())];
+            vec![Box::new(UnrollSat), Box::new(JSat::default())];
         let mut p = DeepeningPortfolio::start(&m, Semantics::Exactly, engines, Budget::none());
         for k in 0..3 {
             let out = p.check_bound(k);
@@ -837,7 +710,6 @@ mod tests {
         assert!(out.verdict().is_reachable());
         let w = out.winning_entry().expect("someone wins");
         assert!(!w.engine.is_empty());
-        assert_eq!(p.bounds_raced(), 4);
         let total = p.cumulative_stats();
         assert!(total.bounds_checked >= 4, "all racing effort accounted");
     }
@@ -846,15 +718,13 @@ mod tests {
     /// survive — solver state intact — and race again at bound k+1.
     #[test]
     fn cancelled_loser_survives_into_the_next_bound() {
-        let m = token_ring(3);
-        let engines: Vec<Box<dyn Engine + Send>> =
-            vec![Box::new(UnrollSat::default()), Box::new(SlowEngine)];
-        let mut p = DeepeningPortfolio::start(&m, Semantics::Exactly, engines, Budget::none());
+        let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(UnrollSat), Box::new(SlowEngine)];
+        let mut p = start(engines, Budget::none());
         for k in [2usize, 2, 2] {
-            let start = Instant::now();
+            let begin = Instant::now();
             let out = p.check_bound(k);
             assert!(
-                start.elapsed() < Duration::from_secs(5),
+                begin.elapsed() < Duration::from_secs(5),
                 "per-bound race did not cancel the sleeper"
             );
             assert!(out.verdict().is_reachable());
@@ -873,7 +743,6 @@ mod tests {
 
     #[test]
     fn deepening_portfolio_reports_unsupported_bounds() {
-        use crate::squaring::QbfSquaring;
         let m = token_ring(3);
         let engines: Vec<Box<dyn Engine + Send>> =
             vec![Box::new(QbfSquaring::new(QbfBackend::Expansion))];
@@ -887,38 +756,235 @@ mod tests {
 
     #[test]
     fn deepening_portfolio_contains_session_panics() {
-        let m = token_ring(3);
+        // The first engine call of the race panics, in whichever racer
+        // makes it; that racer is retired and the other one decides.
+        let budget = Budget {
+            fault: "panic@engine:1".parse().expect("fault plan"),
+            ..Budget::default()
+        };
         let engines: Vec<Box<dyn Engine + Send>> =
-            vec![Box::new(PanicEngine), Box::new(UnrollSat::default())];
-        let mut p = DeepeningPortfolio::start(&m, Semantics::Exactly, engines, Budget::none());
-        for k in [2usize, 2] {
-            let out = p.check_bound(k);
-            assert!(out.verdict().is_reachable(), "unroll still decides");
-            match &out.entries[0].outcome.result {
-                BmcResult::Unknown(r) => assert!(r.starts_with("engine panicked:"), "{r}"),
-                other => panic!("expected Unknown, got {other}"),
-            }
+            vec![Box::new(JSat::default()), Box::new(UnrollSat)];
+        let mut p = start(engines, budget);
+        let mut retired = None;
+        for _ in 0..2 {
+            let out = p.check_bound(2);
+            assert!(out.verdict().is_reachable(), "the survivor still decides");
+            let panicked: Vec<&str> = out
+                .entries
+                .iter()
+                .filter(|e| matches!(&e.outcome.result, BmcResult::Unknown(r) if r.starts_with("engine panicked:")))
+                .map(|e| e.engine)
+                .collect();
+            assert_eq!(panicked.len(), 1, "{:?}", out.entries);
+            assert_eq!(
+                *retired.get_or_insert(panicked[0]),
+                panicked[0],
+                "retired for good"
+            );
         }
     }
 
     #[test]
     fn deepening_portfolio_external_cancel_aborts_the_bound() {
-        let m = token_ring(3);
         let budget = Budget::none();
         let token = budget.cancel_token();
         let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(SlowEngine), Box::new(SlowEngine)];
-        let mut p = DeepeningPortfolio::start(&m, Semantics::Exactly, engines, budget);
+        let mut p = start(engines, budget);
         let canceller = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(50));
             token.cancel();
         });
-        let start = Instant::now();
+        let begin = Instant::now();
         let out = p.check_bound(2);
         canceller.join().unwrap();
         assert!(
-            start.elapsed() < Duration::from_secs(5),
+            begin.elapsed() < Duration::from_secs(5),
             "external cancel did not abort the raced bound"
         );
         assert!(out.verdict().is_unknown());
+    }
+
+    // ---- sweep ----
+
+    /// Sweeps one engine over `model` from bound 0.
+    fn sweep_one(
+        engine: Box<dyn Engine + Send>,
+        model: &Model,
+        max_bound: usize,
+        budget: Budget,
+    ) -> (BmcResult, SweepProgress) {
+        let mut p = DeepeningPortfolio::start(model, Semantics::Exactly, vec![engine], budget);
+        let mut progress = SweepProgress::default();
+        let verdict = p.sweep(&mut progress, max_bound);
+        (verdict, progress)
+    }
+
+    #[test]
+    fn finds_minimal_bound_with_unroll() {
+        let (verdict, progress) =
+            sweep_one(Box::new(UnrollSat), &shift_register(4), 10, Budget::none());
+        assert!(verdict.is_reachable());
+        assert_eq!(progress.bound, Some(4));
+        assert_eq!(progress.checked, 5, "bounds 0..=4");
+    }
+
+    #[test]
+    fn finds_minimal_bound_with_jsat() {
+        let (verdict, progress) = sweep_one(
+            Box::new(JSat::default()),
+            &shift_register(4),
+            10,
+            Budget::none(),
+        );
+        assert_eq!(verdict.witness().expect("jsat gives witnesses").len(), 4);
+        assert_eq!(progress.bound, Some(4));
+        assert_eq!(progress.stats.bounds_checked, 5);
+    }
+
+    #[test]
+    fn exhausts_bounds_on_unsat_instance() {
+        let (verdict, progress) =
+            sweep_one(Box::new(UnrollSat), &traffic_light(), 6, Budget::none());
+        assert_eq!(verdict, BmcResult::Unreachable);
+        assert_eq!(progress.bound, None);
+        assert_eq!(progress.checked, 7);
+        assert_eq!(progress.next_bound, 7);
+    }
+
+    /// An expired budget stops the sweep before any engine call.
+    #[test]
+    fn global_timeout_stops_early() {
+        let (verdict, progress) = sweep_one(
+            Box::new(UnrollSat),
+            &traffic_light(),
+            1000,
+            Budget::with_timeout(Duration::ZERO),
+        );
+        assert_eq!(verdict, BmcResult::Unknown("budget exhausted".into()));
+        assert_eq!(progress.stats.bounds_checked, 0);
+    }
+
+    #[test]
+    fn cancellation_stops_the_loop() {
+        let budget = Budget::none();
+        budget.cancel.cancel();
+        let (verdict, progress) =
+            sweep_one(Box::new(JSat::default()), &traffic_light(), 1000, budget);
+        assert_eq!(verdict, BmcResult::Unknown("cancelled".into()));
+        assert_eq!(progress.checked, 0);
+    }
+
+    /// An engine whose sessions record, per bound, the bound and the
+    /// thread that checked it.
+    struct RecordingEngine(Arc<Mutex<Vec<(usize, ThreadId)>>>);
+    struct RecordingSession(Arc<Mutex<Vec<(usize, ThreadId)>>>);
+
+    impl Engine for RecordingEngine {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn start(
+            &self,
+            _model: &Model,
+            _semantics: Semantics,
+            _budget: Budget,
+        ) -> Box<dyn Session> {
+            Box::new(RecordingSession(Arc::clone(&self.0)))
+        }
+    }
+
+    impl Session for RecordingSession {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn semantics(&self) -> Semantics {
+            Semantics::Exactly
+        }
+        fn check_bound(&mut self, k: usize) -> BmcOutcome {
+            self.0
+                .lock()
+                .unwrap()
+                .push((k, std::thread::current().id()));
+            BmcOutcome::new(BmcResult::Unreachable, RunStats::default())
+        }
+        fn set_cancel(&mut self, _token: CancelToken) {}
+        fn cumulative_stats(&self) -> RunStats {
+            RunStats::default()
+        }
+    }
+
+    /// A retry resumes where the previous sweep stopped: bounds below
+    /// `next_bound` are not re-checked and their winners are kept.
+    #[test]
+    fn sweep_resumes_at_next_bound_and_keeps_earlier_winners() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let engine = RecordingEngine(Arc::clone(&log));
+        let mut p = start(vec![Box::new(engine)], Budget::none());
+        let mut progress = SweepProgress {
+            next_bound: 2,
+            winners: vec![(0, "earlier"), (1, "earlier")],
+            checked: 2,
+            ..SweepProgress::default()
+        };
+        assert_eq!(p.sweep(&mut progress, 4), BmcResult::Unreachable);
+        let bounds: Vec<usize> = log.lock().unwrap().iter().map(|(k, _)| *k).collect();
+        assert_eq!(bounds, vec![2, 3, 4]);
+        assert_eq!(
+            progress.winners,
+            vec![
+                (0, "earlier"),
+                (1, "earlier"),
+                (2, "recorder"),
+                (3, "recorder"),
+                (4, "recorder")
+            ]
+        );
+        assert_eq!((progress.checked, progress.next_bound), (5, 5));
+    }
+
+    #[test]
+    fn sweep_skips_unsupported_bounds() {
+        let (verdict, progress) = sweep_one(
+            Box::new(QbfSquaring::new(QbfBackend::Expansion)),
+            &traffic_light(),
+            5,
+            Budget::none(),
+        );
+        // Bounds 0, 1, 2 and 4 are decided; 3 and 5 are not powers of two.
+        assert_eq!((progress.checked, progress.skipped), (4, 2));
+        assert_eq!(
+            verdict,
+            BmcResult::Unknown(
+                "unreachable at every supported bound 0..=5, \
+                 but 2 unsupported bounds were skipped"
+                    .into()
+            )
+        );
+    }
+
+    #[test]
+    fn one_engine_runs_on_the_callers_thread() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let engine = RecordingEngine(Arc::clone(&log));
+        let mut p = start(vec![Box::new(engine)], Budget::none());
+        p.sweep(&mut SweepProgress::default(), 2);
+        let here = std::thread::current().id();
+        let log = log.lock().unwrap();
+        assert_eq!(log.len(), 3);
+        assert!(log.iter().all(|(_, id)| *id == here), "{log:?}");
+    }
+
+    /// One engine gets no panic containment: the panic is the caller's.
+    #[test]
+    fn one_engine_panic_unwinds_into_the_caller() {
+        let budget = Budget {
+            fault: "panic@engine:2".parse().expect("fault plan"),
+            ..Budget::default()
+        };
+        let mut p = start(vec![Box::new(UnrollSat)], budget);
+        let mut progress = SweepProgress::default();
+        let run = catch_unwind(AssertUnwindSafe(|| p.sweep(&mut progress, 5)));
+        assert!(run.is_err(), "the injected panic must reach the caller");
+        assert_eq!(progress.checked, 1, "bound 0 was decided before the panic");
     }
 }

@@ -19,9 +19,7 @@ use sebmc_logic::{tseitin, Aig, AigRef, Cnf, Lit, Var, VarAlloc};
 use sebmc_model::Model;
 use sebmc_qbf::{ExpansionLimits, ExpansionSolver, QbfFormula, QbfResult, QdpllSolver, Quantifier};
 
-use crate::engine::{
-    BmcOutcome, BmcResult, BoundedChecker, Budget, Engine, RunStats, Semantics, Session,
-};
+use crate::engine::{BmcOutcome, BmcResult, Budget, Engine, RunStats, Semantics, Session};
 
 /// Which general-purpose QBF solver an engine uses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -195,34 +193,26 @@ pub(crate) fn solve_qbf(
 /// (paper §2), preserving the single-`TR` property.
 ///
 /// ```
-/// use sebmc::{BoundedChecker, QbfBackend, QbfLinear, Semantics};
+/// use sebmc::{Budget, Engine, QbfBackend, QbfLinear, Semantics};
 /// use sebmc_model::builders::token_ring;
 ///
 /// let model = token_ring(3);
-/// let mut engine = QbfLinear::new(QbfBackend::Qdpll);
-/// let out = engine.check(&model, 2, Semantics::Exactly);
+/// let engine = QbfLinear::new(QbfBackend::Qdpll);
+/// let out = engine
+///     .start(&model, Semantics::Exactly, Budget::none())
+///     .check_bound(2);
 /// assert!(out.result.is_reachable());
 /// ```
 #[derive(Debug)]
 pub struct QbfLinear {
     /// Which QBF solver to run.
     pub backend: QbfBackend,
-    /// Default budget for one-shot [`BoundedChecker::check`] calls.
-    pub budget: Budget,
 }
 
 impl QbfLinear {
-    /// Creates the engine with unlimited budgets.
+    /// Creates the engine on the given back-end.
     pub fn new(backend: QbfBackend) -> Self {
-        QbfLinear {
-            backend,
-            budget: Budget::none(),
-        }
-    }
-
-    /// Creates the engine with the given default budget.
-    pub fn with_budget(backend: QbfBackend, budget: Budget) -> Self {
-        QbfLinear { backend, budget }
+        QbfLinear { backend }
     }
 }
 
@@ -327,20 +317,6 @@ impl Engine for QbfLinear {
             Box::new(QbfLinearSession::new(backend, m, sem, b))
         })
     }
-
-    fn default_budget(&self) -> Budget {
-        self.budget.clone()
-    }
-}
-
-impl BoundedChecker for QbfLinear {
-    fn name(&self) -> &'static str {
-        Engine::name(self)
-    }
-
-    fn check(&mut self, model: &Model, k: usize, semantics: Semantics) -> BmcOutcome {
-        crate::engine::one_shot(self, model, k, semantics)
-    }
 }
 
 #[cfg(test)]
@@ -348,6 +324,13 @@ mod tests {
     use super::*;
     use sebmc_model::builders::{johnson_counter, lfsr, token_ring, traffic_light};
     use sebmc_model::explicit;
+
+    /// Decides one bound on a fresh session.
+    fn check(engine: &dyn Engine, model: &Model, k: usize, semantics: Semantics) -> BmcOutcome {
+        engine
+            .start(model, semantics, Budget::none())
+            .check_bound(k)
+    }
 
     #[test]
     fn constant_universal_count_and_linear_growth() {
@@ -384,9 +367,9 @@ mod tests {
     #[test]
     fn qdpll_backend_matches_oracle_on_tiny_models() {
         let m = token_ring(3);
-        let mut e = QbfLinear::new(QbfBackend::Qdpll);
+        let e = QbfLinear::new(QbfBackend::Qdpll);
         for k in 0..4 {
-            let got = e.check(&m, k, Semantics::Exactly).result;
+            let got = check(&e, &m, k, Semantics::Exactly).result;
             let expect = explicit::reachable_in_exactly(&m, k);
             assert_eq!(got.is_reachable(), expect, "bound {k}");
             assert!(!got.is_unknown());
@@ -396,9 +379,9 @@ mod tests {
     #[test]
     fn expansion_backend_matches_oracle_on_tiny_models() {
         let m = token_ring(3);
-        let mut e = QbfLinear::new(QbfBackend::Expansion);
+        let e = QbfLinear::new(QbfBackend::Expansion);
         for k in 0..4 {
-            let got = e.check(&m, k, Semantics::Exactly).result;
+            let got = check(&e, &m, k, Semantics::Exactly).result;
             let expect = explicit::reachable_in_exactly(&m, k);
             assert_eq!(got.is_reachable(), expect, "bound {k}");
         }
@@ -407,19 +390,19 @@ mod tests {
     #[test]
     fn within_semantics_via_self_loops() {
         let m = lfsr(3, 4);
-        let mut e = QbfLinear::new(QbfBackend::Expansion);
+        let e = QbfLinear::new(QbfBackend::Expansion);
         // Needle at exactly 4: within-5 must still be reachable.
-        assert!(e.check(&m, 5, Semantics::Within).result.is_reachable());
-        assert!(e.check(&m, 3, Semantics::Within).result.is_unreachable());
+        assert!(check(&e, &m, 5, Semantics::Within).result.is_reachable());
+        assert!(check(&e, &m, 3, Semantics::Within).result.is_unreachable());
     }
 
     #[test]
     fn unsat_family_unreachable() {
         let m = traffic_light();
-        let mut e = QbfLinear::new(QbfBackend::Qdpll);
+        let e = QbfLinear::new(QbfBackend::Qdpll);
         for k in 0..3 {
             assert!(
-                e.check(&m, k, Semantics::Exactly).result.is_unreachable(),
+                check(&e, &m, k, Semantics::Exactly).result.is_unreachable(),
                 "bound {k}"
             );
         }
@@ -428,11 +411,11 @@ mod tests {
     #[test]
     fn tight_timeout_gives_unknown() {
         let m = sebmc_model::builders::random_fsm(10, 2, 3);
-        let mut e = QbfLinear::with_budget(
-            QbfBackend::Qdpll,
-            Budget::with_timeout(std::time::Duration::from_nanos(1)),
-        );
-        assert!(e.check(&m, 8, Semantics::Exactly).result.is_unknown());
+        let budget = Budget::with_timeout(std::time::Duration::from_nanos(1));
+        let out = QbfLinear::new(QbfBackend::Qdpll)
+            .start(&m, Semantics::Exactly, budget)
+            .check_bound(8);
+        assert!(out.result.is_unknown());
     }
 
     #[test]

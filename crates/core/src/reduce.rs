@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn reduced_session_lifts_witnesses_to_the_original_model() {
         let model = builders::round_robin_arbiter(4);
-        let engine = UnrollSat::default();
+        let engine = UnrollSat;
         let mut session = engine.start(&model, Semantics::Within, Budget::none());
         // Deepen until the grant fires; the witness must have the
         // *original* widths and pass the original checker.
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn irreducible_model_keeps_zero_counters() {
         let model = builders::counter_with_reset(4);
-        let engine = UnrollSat::default();
+        let engine = UnrollSat;
         let mut session = engine.start(&model, Semantics::Within, Budget::none());
         let out = session.check_bound(3);
         assert_eq!(out.stats.coi_latches, 0);
@@ -192,10 +192,10 @@ mod tests {
     fn verdicts_agree_with_unreduced_oracle_on_reducible_models() {
         for model in [builders::round_robin_arbiter(4), builders::fifo(3)] {
             for k in 0..6 {
-                let reduced = UnrollSat::default()
+                let reduced = UnrollSat
                     .start(&model, Semantics::Within, Budget::none())
                     .check_bound(k);
-                let oracle = UnrollSat::default()
+                let oracle = UnrollSat
                     .start(
                         &model,
                         Semantics::Within,

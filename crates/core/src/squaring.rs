@@ -19,9 +19,7 @@ use sebmc_logic::{tseitin, Aig, AigRef, Cnf, Lit, Var, VarAlloc};
 use sebmc_model::Model;
 use sebmc_qbf::{QbfFormula, QbfResult, Quantifier};
 
-use crate::engine::{
-    BmcOutcome, BmcResult, BoundedChecker, Budget, Engine, RunStats, Semantics, Session,
-};
+use crate::engine::{BmcOutcome, BmcResult, Budget, Engine, RunStats, Semantics, Session};
 use crate::qbf_enc::{import_map, import_tr, solve_qbf, QbfBackend, QbfEncoding};
 
 /// Encodes "a target state is reachable in exactly `k` steps" by
@@ -154,33 +152,24 @@ pub fn encode_qbf_squaring(model: &Model, k: usize) -> QbfEncoding {
 ///   within-1, within-2, within-4, …
 ///
 /// ```
-/// use sebmc::{BoundedChecker, QbfBackend, QbfSquaring, Semantics};
+/// use sebmc::{Budget, Engine, QbfBackend, QbfSquaring, Semantics};
 /// use sebmc_model::builders::johnson_counter;
 ///
 /// let model = johnson_counter(2); // all-ones at exactly 2 steps
-/// let mut engine = QbfSquaring::new(QbfBackend::Expansion);
-/// assert!(engine.check(&model, 2, Semantics::Exactly).result.is_reachable());
+/// let engine = QbfSquaring::new(QbfBackend::Expansion);
+/// let mut session = engine.start(&model, Semantics::Exactly, Budget::none());
+/// assert!(session.check_bound(2).result.is_reachable());
 /// ```
 #[derive(Debug)]
 pub struct QbfSquaring {
     /// Which QBF solver to run.
     pub backend: QbfBackend,
-    /// Default budget for one-shot [`BoundedChecker::check`] calls.
-    pub budget: Budget,
 }
 
 impl QbfSquaring {
-    /// Creates the engine with unlimited budgets.
+    /// Creates the engine on the given back-end.
     pub fn new(backend: QbfBackend) -> Self {
-        QbfSquaring {
-            backend,
-            budget: Budget::none(),
-        }
-    }
-
-    /// Creates the engine with the given default budget.
-    pub fn with_budget(backend: QbfBackend, budget: Budget) -> Self {
-        QbfSquaring { backend, budget }
+        QbfSquaring { backend }
     }
 }
 
@@ -335,20 +324,6 @@ impl Engine for QbfSquaring {
             Box::new(QbfSquaringSession::new(backend, m, sem, b))
         })
     }
-
-    fn default_budget(&self) -> Budget {
-        self.budget.clone()
-    }
-}
-
-impl BoundedChecker for QbfSquaring {
-    fn name(&self) -> &'static str {
-        Engine::name(self)
-    }
-
-    fn check(&mut self, model: &Model, k: usize, semantics: Semantics) -> BmcOutcome {
-        crate::engine::one_shot(self, model, k, semantics)
-    }
 }
 
 #[cfg(test)]
@@ -356,6 +331,13 @@ mod tests {
     use super::*;
     use sebmc_model::builders::{johnson_counter, lfsr, token_ring, traffic_light};
     use sebmc_model::explicit;
+
+    /// Decides one bound on a fresh session.
+    fn check(engine: &dyn Engine, model: &Model, k: usize, semantics: Semantics) -> BmcOutcome {
+        engine
+            .start(model, semantics, Budget::none())
+            .check_bound(k)
+    }
 
     #[test]
     fn alternations_grow_logarithmically() {
@@ -387,17 +369,17 @@ mod tests {
     #[test]
     fn base_case_matches_oracle() {
         let m = token_ring(3);
-        let mut e = QbfSquaring::new(QbfBackend::Expansion);
-        let got = e.check(&m, 1, Semantics::Exactly).result;
+        let e = QbfSquaring::new(QbfBackend::Expansion);
+        let got = check(&e, &m, 1, Semantics::Exactly).result;
         assert_eq!(got.is_reachable(), explicit::reachable_in_exactly(&m, 1));
     }
 
     #[test]
     fn squared_bounds_match_oracle_tiny() {
         let m = token_ring(3);
-        let mut e = QbfSquaring::new(QbfBackend::Expansion);
+        let e = QbfSquaring::new(QbfBackend::Expansion);
         for k in [1usize, 2, 4] {
-            let got = e.check(&m, k, Semantics::Exactly).result;
+            let got = check(&e, &m, k, Semantics::Exactly).result;
             let expect = explicit::reachable_in_exactly(&m, k);
             assert_eq!(got.is_reachable(), expect, "bound {k}");
             assert!(!got.is_unknown(), "bound {k}");
@@ -408,16 +390,16 @@ mod tests {
     fn johnson_at_power_of_two() {
         // Johnson(2): 00 → 10 → 11 → 01 → 00 …; all-ones at exactly 2.
         let m = johnson_counter(2);
-        let mut e = QbfSquaring::new(QbfBackend::Expansion);
-        assert!(e.check(&m, 2, Semantics::Exactly).result.is_reachable());
-        assert!(e.check(&m, 4, Semantics::Exactly).result.is_unreachable());
+        let e = QbfSquaring::new(QbfBackend::Expansion);
+        assert!(check(&e, &m, 2, Semantics::Exactly).result.is_reachable());
+        assert!(check(&e, &m, 4, Semantics::Exactly).result.is_unreachable());
     }
 
     #[test]
     fn non_power_of_two_exact_is_unknown() {
         let m = token_ring(3);
-        let mut e = QbfSquaring::new(QbfBackend::Expansion);
-        let out = e.check(&m, 5, Semantics::Exactly);
+        let e = QbfSquaring::new(QbfBackend::Expansion);
+        let out = check(&e, &m, 5, Semantics::Exactly);
         assert!(out.result.is_unknown());
         assert!(matches!(
             out.result,
@@ -428,18 +410,18 @@ mod tests {
     #[test]
     fn within_power_of_two_uses_self_loops() {
         let m = lfsr(3, 4); // needle at exactly 4
-        let mut e = QbfSquaring::new(QbfBackend::Expansion);
-        assert!(e.check(&m, 4, Semantics::Within).result.is_reachable());
-        assert!(e.check(&m, 2, Semantics::Within).result.is_unreachable());
+        let e = QbfSquaring::new(QbfBackend::Expansion);
+        assert!(check(&e, &m, 4, Semantics::Within).result.is_reachable());
+        assert!(check(&e, &m, 2, Semantics::Within).result.is_unreachable());
         // Non-power-of-two within bounds are outside the technique.
-        assert!(e.check(&m, 5, Semantics::Within).result.is_unknown());
+        assert!(check(&e, &m, 5, Semantics::Within).result.is_unknown());
     }
 
     #[test]
     fn bound_zero_initial_intersection() {
         let m = traffic_light();
-        let mut e = QbfSquaring::new(QbfBackend::Qdpll);
-        assert!(e.check(&m, 0, Semantics::Exactly).result.is_unreachable());
-        assert!(e.check(&m, 0, Semantics::Within).result.is_unreachable());
+        let e = QbfSquaring::new(QbfBackend::Qdpll);
+        assert!(check(&e, &m, 0, Semantics::Exactly).result.is_unreachable());
+        assert!(check(&e, &m, 0, Semantics::Within).result.is_unreachable());
     }
 }

@@ -11,7 +11,7 @@
 use sebmc_logic::{tseitin, Cnf, Lit, VarAlloc};
 use sebmc_model::{Model, Trace};
 
-use crate::engine::{BmcOutcome, BoundedChecker, Budget, Engine, Semantics, Session};
+use crate::engine::{Budget, Engine, Semantics, Session};
 use crate::inc_unroll::IncrementalUnroll;
 
 /// The unrolled CNF together with the variable maps needed to decode
@@ -156,27 +156,16 @@ pub fn encode_unrolled(model: &Model, k: usize, semantics: Semantics) -> Unrolle
 /// [`encode_unrolled`] for the paper's formula-size experiments.
 ///
 /// ```
-/// use sebmc::{BoundedChecker, Semantics, UnrollSat};
+/// use sebmc::{Budget, Engine, Semantics, UnrollSat};
 /// use sebmc_model::builders::shift_register;
 ///
 /// let model = shift_register(4);
-/// let mut engine = UnrollSat::default();
-/// assert!(engine.check(&model, 4, Semantics::Exactly).result.is_reachable());
-/// assert!(engine.check(&model, 3, Semantics::Exactly).result.is_unreachable());
+/// let mut session = UnrollSat.start(&model, Semantics::Exactly, Budget::none());
+/// assert!(session.check_bound(3).result.is_unreachable());
+/// assert!(session.check_bound(4).result.is_reachable());
 /// ```
 #[derive(Debug, Default)]
-pub struct UnrollSat {
-    /// Default budget for one-shot [`BoundedChecker::check`] calls (the
-    /// session path takes an explicit [`Budget`]).
-    pub budget: Budget,
-}
-
-impl UnrollSat {
-    /// Creates the engine with the given default budget.
-    pub fn with_budget(budget: Budget) -> Self {
-        UnrollSat { budget }
-    }
-}
+pub struct UnrollSat;
 
 impl Engine for UnrollSat {
     fn name(&self) -> &'static str {
@@ -188,36 +177,30 @@ impl Engine for UnrollSat {
             Box::new(IncrementalUnroll::with_budget(m, sem, b))
         })
     }
-
-    fn default_budget(&self) -> Budget {
-        self.budget.clone()
-    }
-}
-
-impl BoundedChecker for UnrollSat {
-    fn name(&self) -> &'static str {
-        Engine::name(self)
-    }
-
-    fn check(&mut self, model: &Model, k: usize, semantics: Semantics) -> BmcOutcome {
-        crate::engine::one_shot(self, model, k, semantics)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::BmcOutcome;
     use sebmc_model::builders::{
         counter_with_reset, johnson_counter, lfsr, shift_register, traffic_light,
     };
     use sebmc_model::explicit;
 
+    /// Decides one bound on a fresh session.
+    fn check(engine: &dyn Engine, model: &Model, k: usize, semantics: Semantics) -> BmcOutcome {
+        engine
+            .start(model, semantics, Budget::none())
+            .check_bound(k)
+    }
+
     #[test]
     fn counter_exact_bounds_match_oracle() {
         let m = counter_with_reset(3);
-        let mut e = UnrollSat::default();
+        let e = UnrollSat;
         for k in 0..10 {
-            let got = e.check(&m, k, Semantics::Exactly).result.is_reachable();
+            let got = check(&e, &m, k, Semantics::Exactly).result.is_reachable();
             let expect = explicit::reachable_in_exactly(&m, k);
             assert_eq!(got, expect, "bound {k}");
         }
@@ -226,9 +209,9 @@ mod tests {
     #[test]
     fn counter_within_bounds_match_oracle() {
         let m = counter_with_reset(3);
-        let mut e = UnrollSat::default();
+        let e = UnrollSat;
         for k in 0..10 {
-            let got = e.check(&m, k, Semantics::Within).result.is_reachable();
+            let got = check(&e, &m, k, Semantics::Within).result.is_reachable();
             assert_eq!(got, explicit::reachable_within(&m, k), "bound {k}");
         }
     }
@@ -236,13 +219,13 @@ mod tests {
     #[test]
     fn witnesses_validate_and_have_right_length() {
         let m = shift_register(5);
-        let mut e = UnrollSat::default();
-        let out = e.check(&m, 7, Semantics::Exactly);
+        let e = UnrollSat;
+        let out = check(&e, &m, 7, Semantics::Exactly);
         let trace = out.result.witness().expect("witness").clone();
         assert_eq!(trace.len(), 7);
         assert_eq!(m.check_trace(&trace), Ok(()));
 
-        let out = e.check(&m, 7, Semantics::Within);
+        let out = check(&e, &m, 7, Semantics::Within);
         let trace = out.result.witness().expect("witness").clone();
         assert!(trace.len() <= 7, "within-witness no longer than the bound");
         assert!(
@@ -261,10 +244,10 @@ mod tests {
     #[test]
     fn unsat_family_is_unreachable() {
         let m = traffic_light();
-        let mut e = UnrollSat::default();
+        let e = UnrollSat;
         for k in 0..8 {
             assert!(
-                e.check(&m, k, Semantics::Within).result.is_unreachable(),
+                check(&e, &m, k, Semantics::Within).result.is_unreachable(),
                 "bound {k}"
             );
         }
@@ -273,20 +256,20 @@ mod tests {
     #[test]
     fn autonomous_needle_is_exact() {
         let m = lfsr(4, 6);
-        let mut e = UnrollSat::default();
-        assert!(e.check(&m, 6, Semantics::Exactly).result.is_reachable());
-        assert!(e.check(&m, 5, Semantics::Exactly).result.is_unreachable());
-        assert!(e.check(&m, 7, Semantics::Exactly).result.is_unreachable());
-        assert!(e.check(&m, 7, Semantics::Within).result.is_reachable());
+        let e = UnrollSat;
+        assert!(check(&e, &m, 6, Semantics::Exactly).result.is_reachable());
+        assert!(check(&e, &m, 5, Semantics::Exactly).result.is_unreachable());
+        assert!(check(&e, &m, 7, Semantics::Exactly).result.is_unreachable());
+        assert!(check(&e, &m, 7, Semantics::Within).result.is_reachable());
     }
 
     #[test]
     fn k_zero_handled() {
         // Johnson counter: initial state (all zeros) is not the target.
         let m = johnson_counter(4);
-        let mut e = UnrollSat::default();
-        assert!(e.check(&m, 0, Semantics::Exactly).result.is_unreachable());
-        assert!(e.check(&m, 0, Semantics::Within).result.is_unreachable());
+        let e = UnrollSat;
+        assert!(check(&e, &m, 0, Semantics::Exactly).result.is_unreachable());
+        assert!(check(&e, &m, 0, Semantics::Within).result.is_unreachable());
     }
 
     #[test]
@@ -306,17 +289,18 @@ mod tests {
         // A SAT instance that needs real decisions (input choices), so
         // level-0 propagation cannot decide it before the deadline hits.
         let m = shift_register(16);
-        let mut e =
-            UnrollSat::with_budget(Budget::with_timeout(std::time::Duration::from_nanos(1)));
-        let out = e.check(&m, 16, Semantics::Exactly);
+        let budget = Budget::with_timeout(std::time::Duration::from_nanos(1));
+        let out = UnrollSat
+            .start(&m, Semantics::Exactly, budget)
+            .check_bound(16);
         assert!(out.result.is_unknown(), "got {}", out.result);
     }
 
     #[test]
     fn stats_are_populated() {
         let m = shift_register(4);
-        let mut e = UnrollSat::default();
-        let out = e.check(&m, 4, Semantics::Exactly);
+        let e = UnrollSat;
+        let out = check(&e, &m, 4, Semantics::Exactly);
         assert!(out.stats.encode_clauses > 0);
         assert!(out.stats.encode_lits > 0);
         assert!(out.stats.peak_formula_lits > 0);

@@ -11,8 +11,15 @@
 //! (bounds, millisecond budgets, byte counts of reports) fits `f64`'s
 //! 53-bit exact-integer range, and [`Json::as_u64`] refuses lossy
 //! conversions rather than rounding.
+//!
+//! The parser recurses once per nested array or object, so nesting is
+//! capped at 128 levels: a hostile frame of a few hundred thousand `[`
+//! is an error, not a stack overflow that aborts the process.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts.
+const MAX_DEPTH: usize = 128;
 
 /// One JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -36,7 +43,11 @@ impl Json {
     /// (a protocol frame is exactly one value per line).
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -168,6 +179,8 @@ pub fn obj(fields: Vec<(&str, Json)>) -> Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -205,8 +218,12 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -219,6 +236,14 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    /// Parses one array or object one nesting level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -402,6 +427,12 @@ mod tests {
         for bad in ["{", "[1,", "\"open", "{\"a\"1}", "tru", "1 2", "{'a':1}"] {
             assert!(Json::parse(bad).is_err(), "{bad} should fail");
         }
+        // Nesting is capped: MAX_DEPTH levels parse, one more is an error.
+        let nest = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -1,9 +1,6 @@
 //! The long-lived service handle: workers that outlive any one batch.
 //!
-//! PR 6's [`CheckService::run`](crate::CheckService::run) consumed the
-//! service — submit everything, run, get one report, workers gone.
-//! That shape cannot back a daemon. [`ServiceHandle`] inverts it: the
-//! worker pool and the cancellation bridge start once
+//! The worker pool and the cancellation bridge start once
 //! ([`ServiceHandle::start`]) and stay alive across jobs; submissions
 //! ([`ServiceHandle::submit`]) return immediately with a job id;
 //! finished reports are picked up as they land
@@ -11,9 +8,10 @@
 //! the pool is torn down exactly once, by an explicit
 //! [`ServiceHandle::shutdown`] that either drains the queue
 //! ([`ShutdownMode::Graceful`]) or cancels it ([`ShutdownMode::Now`]).
-//! Either way the PR 4 invariant stands: **every accepted job ends in
-//! exactly one [`JobReport`]** — shutdown returns the reports nobody
-//! collected.
+//! Either way **every accepted job ends in exactly one [`JobReport`]**
+//! — shutdown returns the reports nobody collected. Batch mode
+//! ([`ServiceHandle::run_batch`]) and the `sebmc serve` daemon are both
+//! this one pool.
 //!
 //! Scheduling is the priority/deadline/fairness/aging order of the
 //! [queue module](crate::queue); admission keeps PR 6's
@@ -37,7 +35,7 @@ use sebmc::model_fingerprint;
 use crate::cache::{CacheKey, ResultCache};
 use crate::job::{Job, RetryPolicy};
 use crate::queue::{JobQueue, PendingJob};
-use crate::report::JobReport;
+use crate::report::{JobReport, ServiceReport};
 use crate::{abort_report, lock_unpoisoned, process_job, BridgeSlot, MemGovernor, ServiceConfig};
 
 /// Why a submission was refused (the job is handed back untouched
@@ -205,6 +203,38 @@ impl ServiceHandle {
             workers: Mutex::new(pool),
             bridge: Mutex::new(Some(bridge)),
         }
+    }
+
+    /// Runs `jobs` as one batch and returns the aggregate report, in
+    /// submission order (a job's id is its index in `jobs`).
+    ///
+    /// The handle starts paused, so the scheduler and the memory
+    /// governor see the whole batch before the first pickup; then the
+    /// workers are released and the handle shuts down gracefully once
+    /// every report is in.
+    pub fn run_batch(config: ServiceConfig, jobs: Vec<Job>) -> ServiceReport {
+        let workers = config.workers.max(1);
+        let run_start = Instant::now();
+        let handle = ServiceHandle::start_paused(config);
+        let n_jobs = jobs.len();
+        for job in jobs {
+            handle
+                .submit(job)
+                .expect("a fresh handle accepts submissions");
+        }
+        handle.resume();
+        let mut reports: Vec<JobReport> = (0..n_jobs)
+            .map(|_| {
+                handle
+                    .next_report(None)
+                    .expect("every submitted job produces a report")
+            })
+            .collect();
+        let (queue_high_water, queue_pops) = handle.queue_telemetry();
+        handle.shutdown(ShutdownMode::Graceful);
+        reports.sort_by_key(|r| r.job_id);
+        ServiceReport::new(workers, run_start.elapsed(), reports)
+            .with_queue_telemetry(queue_high_water, queue_pops)
     }
 
     /// Releases a paused handle's workers.

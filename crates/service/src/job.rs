@@ -84,7 +84,7 @@ impl EngineKind {
     pub fn build(&self) -> Box<dyn Engine + Send> {
         match self {
             EngineKind::Jsat => Box::new(JSat::default()),
-            EngineKind::Unroll => Box::new(UnrollSat::default()),
+            EngineKind::Unroll => Box::new(UnrollSat),
             EngineKind::QbfLinear => Box::new(QbfLinear::new(QbfBackend::Qdpll)),
             EngineKind::QbfSquaring => Box::new(QbfSquaring::new(QbfBackend::Expansion)),
         }

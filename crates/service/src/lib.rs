@@ -3,13 +3,13 @@
 //! The paper's space-efficient encodings pay off at scale when *many*
 //! instances and bounds are checked without re-encoding. This crate is
 //! the driver that amortizes that state: a queue of [`Job`]s served by
-//! a fixed pool of [`std::thread::scope`] workers, one live engine
-//! session (or a [`DeepeningPortfolio`] of
-//! sessions) per job, deepened bound-by-bound.
+//! the long-lived worker pool of a [`ServiceHandle`], each job attempt
+//! one [`DeepeningPortfolio::sweep`] over live engine sessions,
+//! deepened bound-by-bound.
 //!
 //! # Job lifecycle
 //!
-//! 1. **Submit** — [`CheckService::submit`] enqueues a [`Job`] and
+//! 1. **Submit** — [`ServiceHandle::submit`] enqueues a [`Job`] and
 //!    returns its id; the queue-wait clock starts.
 //! 2. **Admit** — when a worker picks the job up, admission control
 //!    lowers the service's byte cap onto the job's budget:
@@ -23,9 +23,9 @@
 //!    persistently blocked queue sheds the youngest running job — see
 //!    *Degradation* below.
 //! 3. **Run** — one engine means one deepening [`Session`](sebmc::Session)
-//!    over bounds `0..=max_bound`; several engines mean
-//!    **portfolio-level deepening**: every bound is raced across the
-//!    live sessions on a child
+//!    over bounds `0..=max_bound`, on the worker's own thread; several
+//!    engines mean **portfolio-level deepening**: every bound is raced
+//!    across the live sessions on a child
 //!    [`CancelToken`], the first decided verdict
 //!    is shared and the losers — solver state intact — race again at
 //!    the next bound. Bounds no engine supports are skipped, not
@@ -41,7 +41,7 @@
 //!    `max_bound`, or `Unknown` (budget exhausted, cancelled, service
 //!    cancelled, shed, quarantined, or unsupported-bound skips).
 //!    Cancelled and budget-exhausted jobs are *reported*, never
-//!    dropped. [`CheckService::run`] returns a [`ServiceReport`]
+//!    dropped. [`ServiceHandle::run_batch`] returns a [`ServiceReport`]
 //!    aggregating all jobs (peaks maxed, effort summed, queue/solve
 //!    wall-clock split).
 //!
@@ -90,16 +90,11 @@
 //! # Example
 //!
 //! ```
-//! use sebmc_service::{CheckService, EngineKind, Job, ServiceConfig};
+//! use sebmc_service::{EngineKind, Job, ServiceConfig, ServiceHandle};
 //! use sebmc_model::builders::token_ring;
 //!
-//! let mut svc = CheckService::new(ServiceConfig::with_workers(2));
-//! svc.submit(Job::new(
-//!     token_ring(4),
-//!     vec![EngineKind::Jsat, EngineKind::Unroll],
-//!     6,
-//! ));
-//! let report = svc.run();
+//! let job = Job::new(token_ring(4), vec![EngineKind::Jsat, EngineKind::Unroll], 6);
+//! let report = ServiceHandle::run_batch(ServiceConfig::with_workers(2), vec![job]);
 //! assert_eq!(report.jobs.len(), 1);
 //! assert!(report.jobs[0].verdict.is_reachable());
 //! assert_eq!(report.jobs[0].bound, Some(3));
@@ -138,7 +133,7 @@ use std::time::{Duration, Instant};
 use crate::queue::PendingJob;
 
 use sebmc::{
-    truncate_panic_payload, BmcResult, CancelToken, Certificate, DeepeningPortfolio, RunStats,
+    truncate_panic_payload, BmcResult, CancelToken, DeepeningPortfolio, RunStats, SweepProgress,
 };
 use sebmc_logic::fault::{FaultSite, FaultVerdict};
 use sebmc_model::Trace;
@@ -164,7 +159,7 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Static configuration of a [`CheckService`].
+/// Static configuration of a [`ServiceHandle`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Worker threads in the pool (clamped to at least 1).
@@ -450,83 +445,6 @@ impl MemGovernor {
     }
 }
 
-/// The batch-mode face of the checking service: collect jobs, then
-/// [`CheckService::run`] them all to one [`ServiceReport`].
-///
-/// Since PR 9 this is a thin **compatibility wrapper** over
-/// [`ServiceHandle`] — submission, scheduling, admission, supervision
-/// and reporting all happen on the handle's long-lived worker pool, so
-/// there is exactly one execution path whether the service runs a
-/// batch, is driven programmatically, or serves a socket (`sebmc
-/// serve`). New code that wants to keep workers alive across jobs,
-/// stream results as they finish, or shut down gracefully should use
-/// [`ServiceHandle`] directly; `run(self)` remains for the one-shot
-/// "submit everything, wait for everything" shape.
-pub struct CheckService {
-    config: ServiceConfig,
-    jobs: Vec<(Job, Instant)>,
-}
-
-impl CheckService {
-    /// An empty service with the given configuration.
-    pub fn new(config: ServiceConfig) -> Self {
-        CheckService {
-            config,
-            jobs: Vec::new(),
-        }
-    }
-
-    /// Enqueues a job and returns its id (its index in
-    /// [`ServiceReport::jobs`]). The queue-wait clock starts now.
-    pub fn submit(&mut self, job: Job) -> usize {
-        self.jobs.push((job, Instant::now()));
-        self.jobs.len() - 1
-    }
-
-    /// Number of jobs submitted so far.
-    pub fn queued(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Drains the queue on the worker pool and returns the aggregate
-    /// report. Blocks until every job is finished (or cancelled —
-    /// cancelled jobs still get reports).
-    ///
-    /// Implementation: a paused [`ServiceHandle`] is started, every
-    /// collected job is submitted (with its original submission
-    /// timestamp, so queue-wait accounting is unchanged), the workers
-    /// are released, and the handle is gracefully shut down once every
-    /// report is in. Starting paused guarantees the whole batch is
-    /// visible to the scheduler and the memory governor before the
-    /// first pickup, exactly like the pre-handle implementation.
-    pub fn run(self) -> ServiceReport {
-        let CheckService { config, jobs } = self;
-        let workers = config.workers.max(1);
-        let run_start = Instant::now();
-        let handle = ServiceHandle::start_paused(config);
-        let n_jobs = jobs.len();
-        for (job, submitted) in jobs {
-            handle
-                .submit_at(job, 0, submitted)
-                .expect("a fresh handle accepts submissions");
-        }
-        handle.resume();
-        let mut reports = Vec::with_capacity(n_jobs);
-        for _ in 0..n_jobs {
-            reports.push(
-                handle
-                    .next_report(None)
-                    .expect("every submitted job produces a report"),
-            );
-        }
-        let (queue_high_water, queue_pops) = handle.queue_telemetry();
-        handle.shutdown(ShutdownMode::Graceful);
-        reports.sort_by_key(|r| r.job_id);
-        ServiceReport::new(workers, run_start.elapsed(), reports)
-            .with_queue_telemetry(queue_high_water, queue_pops)
-    }
-}
-
 /// A report for a job that never solved anything (cancelled while
 /// queued or deferred, or lost to a service-layer panic): solve
 /// wall-clock is zero by construction.
@@ -585,31 +503,6 @@ fn aborted(q: &PendingJob, reason: &str, queue_wait: Duration, deferrals: usize)
     )
 }
 
-/// Mutable accumulators of one job's deepening sweep. Lives *outside*
-/// the per-attempt panic containment, so everything decided before a
-/// failure survives into the retry: the sweep resumes at
-/// [`SweepProgress::next_bound`], never at bound 0.
-#[derive(Default)]
-struct SweepProgress {
-    /// First bound the next attempt will look at.
-    next_bound: usize,
-    /// The reachable bound, once found.
-    bound: Option<usize>,
-    winners: Vec<(usize, &'static str)>,
-    checked: usize,
-    skipped: usize,
-    cert: Option<Certificate>,
-    /// Per-bound outcome stats absorbed as bounds finish: a panic can
-    /// only lose the in-flight bound's effort, not the whole attempt's.
-    stats: RunStats,
-}
-
-impl SweepProgress {
-    fn last_decided(&self) -> Option<usize> {
-        self.winners.last().map(|(k, _)| *k)
-    }
-}
-
 /// Sanitizes a job name into a filename fragment.
 fn sanitize_name(name: &str) -> String {
     name.chars()
@@ -630,19 +523,6 @@ fn write_witness(dir: &Path, id: usize, name: &str, trace: &Trace) -> std::io::R
 /// The DRAT export path for a job under the service proof directory.
 fn proof_file_path(dir: &Path, id: usize, name: &str) -> PathBuf {
     dir.join(format!("job{id:03}_{}.drat", sanitize_name(name)))
-}
-
-/// The verdict of a clean deepening sweep that found nothing: a true
-/// `Unreachable` only when no bound was skipped.
-fn sweep_verdict(max_bound: usize, skipped: usize) -> BmcResult {
-    if skipped > 0 {
-        BmcResult::Unknown(format!(
-            "unreachable at every supported bound 0..={max_bound}, \
-             but {skipped} unsupported bounds were skipped"
-        ))
-    } else {
-        BmcResult::Unreachable
-    }
 }
 
 /// How one attempt's outcome steers the supervisor.
@@ -776,6 +656,8 @@ pub(crate) fn process_job(
         _ => None,
     };
 
+    // Outside the per-attempt panic containment: a retry resumes the
+    // sweep at `progress.next_bound`, keeping every decided bound.
     let mut progress = SweepProgress::default();
     (
         progress.stats.latches_swept,
@@ -872,11 +754,9 @@ pub(crate) fn process_job(
             if budget.fault.hit(FaultSite::Service, Some(&*flag)) == FaultVerdict::Oom {
                 return BmcResult::Unknown("budget exhausted".into());
             }
-            if engines.len() == 1 {
-                run_attempt_single(engines[0], &job, &budget, &mut progress, attempt_start)
-            } else {
-                run_attempt_portfolio(&engines, &job, &budget, &mut progress, attempt_start)
-            }
+            let built = engines.iter().map(EngineKind::build).collect();
+            DeepeningPortfolio::start(&job.model, job.semantics, built, budget.clone())
+                .sweep(&mut progress, job.max_bound)
         }));
         *lock_unpoisoned(slot) = None;
         let attempt_elapsed = attempt_start.elapsed();
@@ -1103,109 +983,6 @@ fn classify_unknown(
     AttemptClass::Final(BmcResult::Unknown(reason))
 }
 
-/// One attempt of a single-engine job: a fresh deepening session,
-/// swept from the first undecided bound.
-fn run_attempt_single(
-    kind: EngineKind,
-    job: &Job,
-    budget: &sebmc::Budget,
-    progress: &mut SweepProgress,
-    attempt_start: Instant,
-) -> BmcResult {
-    let mut session = kind
-        .build()
-        .start(&job.model, job.semantics, budget.clone());
-    for k in progress.next_bound..=job.max_bound {
-        if budget.expired(attempt_start) {
-            return BmcResult::Unknown(budget.unknown_reason());
-        }
-        if !session.supports_bound(k) {
-            progress.skipped += 1;
-            progress.next_bound = k + 1;
-            continue;
-        }
-        let out = session.check_bound(k);
-        progress.stats.absorb(&out.stats);
-        Certificate::fold_into(&mut progress.cert, out.certificate.as_ref());
-        match out.result {
-            BmcResult::Reachable(t) => {
-                progress.checked += 1;
-                progress.bound = Some(k);
-                progress.winners.push((k, session.name()));
-                progress.next_bound = k + 1;
-                return BmcResult::Reachable(t);
-            }
-            BmcResult::Unreachable => {
-                progress.checked += 1;
-                progress.winners.push((k, session.name()));
-                progress.next_bound = k + 1;
-            }
-            BmcResult::Unknown(r) => return BmcResult::Unknown(r),
-        }
-    }
-    sweep_verdict(job.max_bound, progress.skipped)
-}
-
-/// One attempt of a portfolio job: fresh live sessions, every bound
-/// raced from the first undecided one.
-fn run_attempt_portfolio(
-    engines: &[EngineKind],
-    job: &Job,
-    budget: &sebmc::Budget,
-    progress: &mut SweepProgress,
-    attempt_start: Instant,
-) -> BmcResult {
-    let built = engines.iter().map(job::EngineKind::build).collect();
-    let mut p = DeepeningPortfolio::start(&job.model, job.semantics, built, budget.clone());
-    for k in progress.next_bound..=job.max_bound {
-        if budget.expired(attempt_start) {
-            return BmcResult::Unknown(budget.unknown_reason());
-        }
-        let out = p.check_bound(k);
-        for e in &out.entries {
-            progress.stats.absorb(&e.outcome.stats);
-        }
-        if !out.supported {
-            progress.skipped += 1;
-            progress.next_bound = k + 1;
-            continue;
-        }
-        match out.winner {
-            Some(i) => {
-                progress.checked += 1;
-                progress.winners.push((k, out.entries[i].engine));
-                // The job's certificate is the chain of race winners'
-                // per-bound certificates.
-                Certificate::fold_into(
-                    &mut progress.cert,
-                    out.entries[i].outcome.certificate.as_ref(),
-                );
-                match &out.entries[i].outcome.result {
-                    BmcResult::Reachable(t) => {
-                        progress.bound = Some(k);
-                        progress.next_bound = k + 1;
-                        return BmcResult::Reachable(t.clone());
-                    }
-                    _ => progress.next_bound = k + 1,
-                }
-            }
-            // No engine decided: budget/cancellation (or every engine
-            // retired). A deadline that expired mid-race reaches the
-            // sessions as a fired *race* token, so their entries all
-            // say "cancelled" — report the job-level reason ("budget
-            // exhausted") instead.
-            None => {
-                return if budget.expired(attempt_start) && !budget.cancel.is_cancelled() {
-                    BmcResult::Unknown(budget.unknown_reason())
-                } else {
-                    out.verdict().clone()
-                };
-            }
-        }
-    }
-    sweep_verdict(job.max_bound, progress.skipped)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1214,9 +991,8 @@ mod tests {
 
     #[test]
     fn single_engine_job_deepens_to_the_first_reachable_bound() {
-        let mut svc = CheckService::new(ServiceConfig::with_workers(1));
-        svc.submit(Job::new(shift_register(4), vec![EngineKind::Jsat], 8));
-        let r = svc.run();
+        let jobs = vec![Job::new(shift_register(4), vec![EngineKind::Jsat], 8)];
+        let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
         assert_eq!(r.jobs.len(), 1);
         let j = &r.jobs[0];
         assert!(j.verdict.is_reachable());
@@ -1232,13 +1008,12 @@ mod tests {
 
     #[test]
     fn portfolio_job_races_bounds_and_reports_winners() {
-        let mut svc = CheckService::new(ServiceConfig::with_workers(1));
-        svc.submit(Job::new(
+        let jobs = vec![Job::new(
             token_ring(4),
             vec![EngineKind::Jsat, EngineKind::Unroll],
             6,
-        ));
-        let r = svc.run();
+        )];
+        let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
         let j = &r.jobs[0];
         assert!(j.verdict.is_reachable(), "{}", j.verdict);
         assert_eq!(j.bound, Some(3));
@@ -1253,38 +1028,36 @@ mod tests {
 
     #[test]
     fn unreachable_sweep_is_reported_as_unreachable() {
-        let mut svc = CheckService::new(ServiceConfig::with_workers(2));
-        svc.submit(Job::new(traffic_light(), vec![EngineKind::Unroll], 5));
-        let r = svc.run();
+        let jobs = vec![Job::new(traffic_light(), vec![EngineKind::Unroll], 5)];
+        let r = ServiceHandle::run_batch(ServiceConfig::with_workers(2), jobs);
         assert!(r.jobs[0].verdict.is_unreachable());
         assert_eq!(r.unreachable, 1);
     }
 
     #[test]
     fn admission_control_takes_the_min_of_job_and_service_caps() {
-        let mut svc = CheckService::new(ServiceConfig::with_workers(1).with_max_job_bytes(10_000));
-        svc.submit(
+        let jobs = vec![
             Job::new(shift_register(4), vec![EngineKind::Unroll], 3)
                 .with_budget(Budget::with_memory_bytes(50_000)),
-        );
-        svc.submit(
             Job::new(shift_register(4), vec![EngineKind::Unroll], 3)
                 .with_budget(Budget::with_memory_bytes(5_000)),
+        ];
+        let r = ServiceHandle::run_batch(
+            ServiceConfig::with_workers(1).with_max_job_bytes(10_000),
+            jobs,
         );
-        let r = svc.run();
         assert_eq!(r.jobs[0].byte_cap, Some(10_000), "service cap tightens");
         assert_eq!(r.jobs[1].byte_cap, Some(5_000), "job cap kept when tighter");
     }
 
     #[test]
     fn budget_exhausted_jobs_are_reported_unknown_not_dropped() {
-        let mut svc = CheckService::new(ServiceConfig::with_workers(1));
-        // A byte cap far too small to encode bound 50.
-        svc.submit(
+        let jobs = vec![
+            // A byte cap far too small to encode bound 50.
             Job::new(shift_register(16), vec![EngineKind::Unroll], 50)
                 .with_budget(Budget::with_memory_bytes(256)),
-        );
-        let r = svc.run();
+        ];
+        let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
         assert_eq!(r.jobs.len(), 1);
         assert!(r.jobs[0].verdict.is_unknown(), "{}", r.jobs[0].verdict);
         assert_eq!(r.unknown, 1);
@@ -1292,13 +1065,13 @@ mod tests {
 
     #[test]
     fn per_job_cancellation_before_start_skips_the_job() {
-        let mut svc = CheckService::new(ServiceConfig::with_workers(1));
+        let mut jobs = Vec::new();
         let job = Job::new(shift_register(4), vec![EngineKind::Jsat], 6);
         let token = job.budget.cancel_token();
         token.cancel();
-        svc.submit(job);
-        svc.submit(Job::new(token_ring(3), vec![EngineKind::Jsat], 4));
-        let r = svc.run();
+        jobs.push(job);
+        jobs.push(Job::new(token_ring(3), vec![EngineKind::Jsat], 4));
+        let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
         assert_eq!(
             r.jobs[0].verdict,
             BmcResult::Unknown("cancelled".into()),
@@ -1312,9 +1085,8 @@ mod tests {
     fn service_cancellation_fails_the_remaining_queue() {
         let config = ServiceConfig::with_workers(1);
         config.cancel.cancel();
-        let mut svc = CheckService::new(config);
-        svc.submit(Job::new(token_ring(3), vec![EngineKind::Jsat], 4));
-        let r = svc.run();
+        let jobs = vec![Job::new(token_ring(3), vec![EngineKind::Jsat], 4)];
+        let r = ServiceHandle::run_batch(config, jobs);
         assert_eq!(
             r.jobs[0].verdict,
             BmcResult::Unknown("service cancelled".into())
@@ -1327,10 +1099,12 @@ mod tests {
     #[test]
     fn witness_streaming_replaces_the_in_memory_trace() {
         let dir = std::env::temp_dir().join(format!("sebmc-wit-{}", std::process::id()));
-        let mut svc = CheckService::new(ServiceConfig::with_workers(1).with_witness_dir(&dir));
-        svc.submit(Job::new(shift_register(4), vec![EngineKind::Unroll], 6));
-        svc.submit(Job::new(traffic_light(), vec![EngineKind::Unroll], 3));
-        let r = svc.run();
+        let jobs = vec![
+            Job::new(shift_register(4), vec![EngineKind::Unroll], 6),
+            Job::new(traffic_light(), vec![EngineKind::Unroll], 3),
+        ];
+        let r =
+            ServiceHandle::run_batch(ServiceConfig::with_workers(1).with_witness_dir(&dir), jobs);
         let j = &r.jobs[0];
         assert_eq!(j.verdict, BmcResult::Reachable(None), "trace dropped");
         assert_eq!(j.bound, Some(4));
@@ -1358,15 +1132,16 @@ mod tests {
     #[test]
     fn proof_export_keeps_drat_files_for_unreachable_jobs() {
         let dir = std::env::temp_dir().join(format!("sebmc-drat-{}", std::process::id()));
-        let mut svc = CheckService::new(ServiceConfig::with_workers(1).with_proof_dir(&dir));
-        svc.submit(Job::new(traffic_light(), vec![EngineKind::Unroll], 4));
-        svc.submit(Job::new(shift_register(4), vec![EngineKind::Unroll], 6));
-        svc.submit(Job::new(
-            traffic_light(),
-            vec![EngineKind::Unroll, EngineKind::Jsat],
-            3,
-        ));
-        let r = svc.run();
+        let jobs = vec![
+            Job::new(traffic_light(), vec![EngineKind::Unroll], 4),
+            Job::new(shift_register(4), vec![EngineKind::Unroll], 6),
+            Job::new(
+                traffic_light(),
+                vec![EngineKind::Unroll, EngineKind::Jsat],
+                3,
+            ),
+        ];
+        let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1).with_proof_dir(&dir), jobs);
         let unsat = &r.jobs[0];
         assert!(unsat.verdict.is_unreachable());
         let p = unsat.proof_path.as_ref().expect("proof path reported");
@@ -1391,12 +1166,9 @@ mod tests {
     #[test]
     fn certify_and_proof_export_compose() {
         let dir = std::env::temp_dir().join(format!("sebmc-drat-tee-{}", std::process::id()));
-        let mut svc = CheckService::new(ServiceConfig::with_workers(1).with_proof_dir(&dir));
-        svc.submit(
-            Job::new(traffic_light(), vec![EngineKind::Unroll], 4)
-                .with_budget(Budget::none().with_certify(true)),
-        );
-        let r = svc.run();
+        let jobs = vec![Job::new(traffic_light(), vec![EngineKind::Unroll], 4)
+            .with_budget(Budget::none().with_certify(true))];
+        let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1).with_proof_dir(&dir), jobs);
         let j = &r.jobs[0];
         assert!(j.verdict.is_unreachable());
         assert!(j.certificate.as_ref().unwrap().fully_certified());
@@ -1409,20 +1181,20 @@ mod tests {
     /// certificate and the aggregate counts them.
     #[test]
     fn certified_jobs_carry_certificates() {
-        let mut svc = CheckService::new(ServiceConfig::with_workers(1));
+        let mut jobs = Vec::new();
         let budget = Budget::none().with_certify(true);
-        svc.submit(
+        jobs.push(
             Job::new(traffic_light(), vec![EngineKind::Unroll], 4).with_budget(budget.clone()),
         );
-        svc.submit(
+        jobs.push(
             Job::new(shift_register(4), vec![EngineKind::Jsat], 6).with_budget(budget.clone()),
         );
         // A portfolio job: the winners' chain certifies the verdict.
-        svc.submit(
+        jobs.push(
             Job::new(token_ring(4), vec![EngineKind::Jsat, EngineKind::Unroll], 6)
                 .with_budget(budget),
         );
-        let r = svc.run();
+        let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
         for j in &r.jobs {
             let cert = j.certificate.as_ref().expect("certificate present");
             assert!(
@@ -1440,11 +1212,11 @@ mod tests {
 
     #[test]
     fn report_json_smoke() {
-        let mut svc = CheckService::new(ServiceConfig::with_workers(2));
+        let mut jobs = Vec::new();
         for job in suite_jobs(true, &[EngineKind::Jsat], 2, &Budget::none()) {
-            svc.submit(job);
+            jobs.push(job);
         }
-        let r = svc.run();
+        let r = ServiceHandle::run_batch(ServiceConfig::with_workers(2), jobs);
         assert_eq!(r.jobs.len(), 13);
         let json = r.to_json();
         assert!(json.contains("\"jobs_total\":13"));

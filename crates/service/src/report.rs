@@ -33,7 +33,7 @@ pub struct FailureReport {
 /// Outcome and accounting of one job.
 #[derive(Clone, Debug)]
 pub struct JobReport {
-    /// The id handed out by `CheckService::submit`.
+    /// The id handed out by [`crate::ServiceHandle::submit`].
     pub job_id: usize,
     /// The job's label.
     pub name: String,
@@ -123,8 +123,8 @@ impl JobReport {
     }
 }
 
-/// Aggregate of one `CheckService::run`: every job's report plus the
-/// service-level accounting.
+/// Aggregate of one [`crate::ServiceHandle::run_batch`]: every job's
+/// report plus the service-level accounting.
 #[derive(Clone, Debug)]
 pub struct ServiceReport {
     /// Worker threads the pool ran with.

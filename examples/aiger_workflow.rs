@@ -12,7 +12,7 @@
 //! ```
 
 use sebmc_repro::aiger;
-use sebmc_repro::bmc::{find_shortest_witness, Budget, DeepeningResult, JSat};
+use sebmc_repro::bmc::{Budget, DeepeningPortfolio, JSat, Semantics, SweepProgress};
 use sebmc_repro::model::builders::round_robin_arbiter;
 
 fn main() {
@@ -47,22 +47,19 @@ fn main() {
     let back = aiger::aiger_to_model(&parsed_bin, "arbiter-from-aiger").expect("convert");
 
     println!("running iterative-deepening BMC (one jSAT session) on the re-imported circuit…");
-    match find_shortest_witness(&JSat::default(), &back, 16, Budget::none()) {
-        DeepeningResult::FoundAt {
-            bound,
-            outcome,
-            total,
-        } => {
-            let trace = outcome.result.witness().expect("jsat yields witnesses");
-            println!("  grant to the last client first reachable at bound {bound}");
-            println!(
-                "  session totals: {} bounds, {} solver conflicts, peak {} B",
-                total.bounds_checked, total.solver_effort, total.peak_formula_bytes
-            );
-            println!("  witness (packed states): {:?}", trace.packed_states());
-            back.check_trace(trace).expect("witness replays");
-            println!("  witness replayed through the simulator: OK");
-        }
-        other => panic!("expected a witness, got {other:?}"),
-    }
+    let engines = vec![Box::new(JSat::default()) as _];
+    let mut sweep = DeepeningPortfolio::start(&back, Semantics::Exactly, engines, Budget::none());
+    let mut progress = SweepProgress::default();
+    let verdict = sweep.sweep(&mut progress, 16);
+    let trace = verdict.witness().expect("jsat yields a witness");
+    let bound = progress.bound.expect("reachable");
+    let total = sweep.cumulative_stats();
+    println!("  grant to the last client first reachable at bound {bound}");
+    println!(
+        "  session totals: {} bounds, {} solver conflicts, peak {} B",
+        total.bounds_checked, total.solver_effort, total.peak_formula_bytes
+    );
+    println!("  witness (packed states): {:?}", trace.packed_states());
+    back.check_trace(trace).expect("witness replays");
+    println!("  witness replayed through the simulator: OK");
 }

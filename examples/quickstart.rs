@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use sebmc_repro::bmc::{
-    BoundedChecker, Budget, JSat, QbfBackend, QbfLinear, QbfSquaring, Semantics, UnrollSat,
+    Budget, Engine, JSat, QbfBackend, QbfLinear, QbfSquaring, Semantics, UnrollSat,
 };
 use sebmc_repro::model::builders::counter_with_reset;
 
@@ -33,17 +33,20 @@ fn main() {
         ..Budget::default()
     };
 
-    let mut engines: Vec<Box<dyn BoundedChecker>> = vec![
-        Box::new(UnrollSat::with_budget(budget.clone())),
-        Box::new(JSat::with_budget(budget.clone())),
-        Box::new(QbfLinear::with_budget(QbfBackend::Qdpll, budget.clone())),
-        Box::new(QbfSquaring::with_budget(QbfBackend::Expansion, budget)),
+    let engines: Vec<Box<dyn Engine>> = vec![
+        Box::new(UnrollSat),
+        Box::new(JSat::default()),
+        Box::new(QbfLinear::new(QbfBackend::Qdpll)),
+        Box::new(QbfSquaring::new(QbfBackend::Expansion)),
     ];
 
     for k in [8usize, 15, 16] {
         println!("bound k = {k} (exactly-k semantics):");
-        for engine in &mut engines {
-            let out = engine.check(&model, k, Semantics::Exactly);
+        for engine in &engines {
+            // A fresh session per question: each gets the whole budget.
+            let out = engine
+                .start(&model, Semantics::Exactly, budget.clone())
+                .check_bound(k);
             println!(
                 "  {:<22} -> {:<22} [{:>8.1?}, formula {} lits, effort {}]",
                 engine.name(),

@@ -12,32 +12,28 @@
 //! ```
 
 use sebmc_repro::bmc::Budget;
-use sebmc_repro::service::{suite_jobs, CheckService, EngineKind, Job, ServiceConfig};
+use sebmc_repro::service::{suite_jobs, EngineKind, Job, ServiceConfig, ServiceHandle};
 
 fn main() {
-    let mut svc =
-        CheckService::new(ServiceConfig::with_workers(2).with_max_job_bytes(64 * 1024 * 1024));
-
     // Single-engine jobs: one live jSAT session per model, deepened
     // bound-by-bound.
-    for job in suite_jobs(true, &[EngineKind::Jsat], 6, &Budget::none()) {
-        svc.submit(job);
-    }
+    let mut jobs = suite_jobs(true, &[EngineKind::Jsat], 6, &Budget::none());
     // Portfolio jobs: each bound raced across live jsat + unroll
     // sessions; the first decided verdict cancels that bound's loser,
     // whose session survives into the next bound.
-    for job in suite_jobs(
-        true,
-        &[EngineKind::Jsat, EngineKind::Unroll],
-        6,
-        &Budget::none(),
-    ) {
-        let name = format!("{}-portfolio", job.name);
-        svc.submit(Job { name, ..job });
-    }
+    let portfolio = [EngineKind::Jsat, EngineKind::Unroll];
+    jobs.extend(
+        suite_jobs(true, &portfolio, 6, &Budget::none())
+            .into_iter()
+            .map(|job| Job {
+                name: format!("{}-portfolio", job.name),
+                ..job
+            }),
+    );
 
-    println!("submitted {} jobs; running…\n", svc.queued());
-    let report = svc.run();
+    println!("submitting {} jobs; running…\n", jobs.len());
+    let config = ServiceConfig::with_workers(2).with_max_job_bytes(64 * 1024 * 1024);
+    let report = ServiceHandle::run_batch(config, jobs);
 
     println!(
         "{:<28} {:<12} {:>7} {:>10} {:>10}  winners",

@@ -17,7 +17,7 @@
 //! ```
 
 use sebmc_repro::bmc::{
-    encode_qbf_linear, encode_qbf_squaring, encode_unrolled, BoundedChecker, JSat, Semantics,
+    encode_qbf_linear, encode_qbf_squaring, encode_unrolled, Budget, Engine, JSat, Semantics,
 };
 use sebmc_repro::model::builders::gray_counter;
 
@@ -35,7 +35,17 @@ fn main() {
     );
     println!("{}", "-".repeat(92));
 
-    let mut jsat = JSat::default();
+    // jSAT's static formula (4) is bound-independent: its size is in
+    // the run stats of any one bound (unreduced, like the encodings).
+    let unreduced = Budget {
+        reduce: false,
+        ..Budget::default()
+    };
+    let jsat_lits = JSat::default()
+        .start(&model, Semantics::Exactly, unreduced)
+        .check_bound(1)
+        .stats
+        .encode_lits;
     for k in 1..=32usize {
         let unrolled = encode_unrolled(&model, k, Semantics::Exactly);
         let linear = encode_qbf_linear(&model, k);
@@ -49,9 +59,6 @@ fn main() {
         } else {
             ("-".into(), "-".into(), "-".into())
         };
-        // jSAT's static formula size is in its run stats; use bound 1
-        // mechanics (the formula is bound-independent).
-        let js = jsat.check(&model, k.min(3), Semantics::Exactly).stats;
         println!(
             "{:>5} | {:>12} | {:>12} {:>6} | {:>12} {:>6} {:>6} | {:>12}",
             k,
@@ -61,7 +68,7 @@ fn main() {
             sq_lits,
             sq_univ,
             sq_alt,
-            js.encode_lits,
+            jsat_lits,
         );
     }
     println!(

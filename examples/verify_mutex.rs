@@ -39,7 +39,7 @@ fn main() {
     // the failed-state cache persist for jSAT, frames and learnt
     // clauses persist for the incremental unroller.
     let mut jsat = JSat::default().start(&model, Semantics::Exactly, Budget::none());
-    let mut unroll = UnrollSat::default().start(&model, Semantics::Exactly, Budget::none());
+    let mut unroll = UnrollSat.start(&model, Semantics::Exactly, Budget::none());
     let mut all_safe = true;
     for k in 0..=horizon {
         let a = jsat.check_bound(k);

@@ -133,15 +133,15 @@ use std::time::Duration;
 
 use sebmc_repro::aiger;
 use sebmc_repro::bmc::{
-    k_induction_run, BmcOutcome, BmcResult, Budget, Certificate, Engine, InductionResult, JSat,
-    QbfBackend, QbfLinear, QbfSquaring, RunStats, Semantics, UnrollSat,
+    k_induction_run, BmcResult, Budget, Certificate, DeepeningPortfolio, InductionResult, RunStats,
+    Semantics, SweepProgress,
 };
 use sebmc_repro::logic::fault::FaultPlan;
 use sebmc_repro::logic::json::Json;
 use sebmc_repro::model::{Model, Trace};
 use sebmc_repro::service::{
-    cert_json, json_escape, parse_job_file, serve_on, stats_json, suite_jobs, CheckService,
-    EngineKind, JobSpec, ServeOptions, ServiceConfig, WireClient,
+    cert_json, json_escape, parse_job_file, serve_on, stats_json, suite_jobs, EngineKind, JobSpec,
+    ServeOptions, ServiceConfig, ServiceHandle, WireClient,
 };
 
 struct Options {
@@ -316,21 +316,21 @@ fn exit_for(result: &BmcResult) -> ExitCode {
     }
 }
 
-/// Reports one engine outcome in the selected output format. `cert`
-/// is the session-cumulative certificate (folded across bounds under
+/// Reports one verdict in the selected output format. `cert` is the
+/// session-cumulative certificate (folded across bounds under
 /// `--deepen`).
 fn report(
     opts: &Options,
     model: &Model,
     bound: usize,
-    out: &BmcOutcome,
+    result: &BmcResult,
     total: &RunStats,
     cert: Option<&Certificate>,
 ) -> ExitCode {
     if !opts.quiet {
         eprintln!(
             "sebmc: {} in {:?} (formula {} lits, peak {} B, effort {})",
-            out.result,
+            result,
             total.duration,
             total.encode_lits,
             total.peak_formula_bytes,
@@ -354,12 +354,12 @@ fn report(
         }
     }
     if opts.json {
-        let (verdict, reason) = match &out.result {
+        let (verdict, reason) = match result {
             BmcResult::Reachable(_) => ("reachable", None),
             BmcResult::Unreachable => ("unreachable", None),
             BmcResult::Unknown(why) => ("unknown", Some(why.as_str())),
         };
-        let decided_bound = match &out.result {
+        let decided_bound = match result {
             BmcResult::Unknown(_) => None,
             _ => Some(bound),
         };
@@ -372,15 +372,15 @@ fn report(
             total,
             cert,
         );
-        return exit_for(&out.result);
+        return exit_for(result);
     }
-    match &out.result {
+    match result {
         BmcResult::Reachable(Some(trace)) => print_witness(model, trace),
         BmcResult::Reachable(None) => println!("1"),
         BmcResult::Unreachable => println!("0"),
         BmcResult::Unknown(_) => println!("2"),
     }
-    exit_for(&out.result)
+    exit_for(result)
 }
 
 fn run_k_induction(opts: &Options, model: &Model) -> ExitCode {
@@ -625,11 +625,7 @@ fn run_batch(args: Vec<String>) -> ExitCode {
     // The certificate contract holds however certification was
     // requested — the --certify flag or a job-file `certify` option.
     let certify = certify || jobs.iter().any(|j| j.budget.certify);
-    let mut svc = CheckService::new(config);
-    for job in jobs {
-        svc.submit(job);
-    }
-    let report = svc.run();
+    let report = ServiceHandle::run_batch(config, jobs);
     if !quiet {
         for j in &report.jobs {
             let (verdict, reason) = j.verdict_parts();
@@ -1076,74 +1072,46 @@ fn main() -> ExitCode {
         return run_k_induction(&opts, &model);
     }
 
-    let engine: Box<dyn Engine> = match opts.engine.as_str() {
-        "jsat" => Box::new(JSat::default()),
-        "unroll" => Box::new(UnrollSat::default()),
-        "qbf-linear" => Box::new(QbfLinear::new(QbfBackend::Qdpll)),
-        "qbf-squaring" => Box::new(QbfSquaring::new(QbfBackend::Expansion)),
-        other => {
-            eprintln!("sebmc: unknown engine '{other}'");
+    let engine = match EngineKind::parse(&opts.engine) {
+        Ok(kind) => kind.build(),
+        Err(e) => {
+            eprintln!("sebmc: {e}");
             return ExitCode::from(2);
         }
     };
 
     if opts.deepen {
-        // One session, bounds 0..=K: solver state persists per bound,
-        // and per-bound certificates fold into one session summary.
-        let mut session = engine.start(&model, opts.semantics, opts.budget.clone());
-        let mut skipped = 0usize;
-        let mut cert: Option<Certificate> = None;
-        for k in 0..=opts.bound {
-            // An unsupported bound (iterative squaring only checks
-            // powers of two) is not a budget failure: keep deepening
-            // at the bounds the engine does support.
-            if !session.supports_bound(k) {
-                skipped += 1;
-                continue;
-            }
-            let out = session.check_bound(k);
-            Certificate::fold_into(&mut cert, out.certificate.as_ref());
-            match out.result {
-                BmcResult::Unreachable => continue,
-                _ => {
-                    let total = session.cumulative_stats();
-                    if !opts.quiet && out.result.is_reachable() {
-                        eprintln!("sebmc: first reachable at bound {k}");
-                    }
-                    retain_proof(&opts, &out.result);
-                    return report(&opts, &model, k, &out, &total, cert.as_ref());
-                }
-            }
-        }
-        let total = session.cumulative_stats();
-        // Skipped (unsupported) bounds were not decided, so a clean
-        // sweep with skips is Unknown, not Unreachable.
-        let result = if skipped > 0 {
-            BmcResult::Unknown(format!(
-                "unreachable at every supported bound 0..={}, \
-                 but {skipped} unsupported bounds were skipped",
-                opts.bound
-            ))
-        } else {
-            BmcResult::Unreachable
-        };
+        // Bounds 0..=K on one live session: solver state persists per
+        // bound, and per-bound certificates fold into one summary.
+        let mut p =
+            DeepeningPortfolio::start(&model, opts.semantics, vec![engine], opts.budget.clone());
+        let mut progress = SweepProgress::default();
+        let result = p.sweep(&mut progress, opts.bound);
         if !opts.quiet {
-            eprintln!("sebmc: {result} (deepened 0..={})", opts.bound);
+            if let Some(k) = progress.bound {
+                eprintln!("sebmc: first reachable at bound {k}");
+            }
         }
-        let out = BmcOutcome::new(result, total.clone());
-        retain_proof(&opts, &out.result);
-        report(&opts, &model, opts.bound, &out, &total, cert.as_ref())
+        retain_proof(&opts, &result);
+        let bound = progress.bound.unwrap_or(opts.bound);
+        report(
+            &opts,
+            &model,
+            bound,
+            &result,
+            &p.cumulative_stats(),
+            progress.cert.as_ref(),
+        )
     } else {
         let mut session = engine.start(&model, opts.semantics, opts.budget.clone());
         let out = session.check_bound(opts.bound);
-        let total = session.cumulative_stats();
         retain_proof(&opts, &out.result);
         report(
             &opts,
             &model,
             opts.bound,
-            &out,
-            &total,
+            &out.result,
+            &session.cumulative_stats(),
             out.certificate.as_ref(),
         )
     }

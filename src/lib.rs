@@ -22,11 +22,13 @@
 //! * [`bmc`] — the paper's contribution: the three bounded-reachability
 //!   encodings and the special-purpose jSAT decision procedure, behind
 //!   a session-based incremental engine API
-//!   ([`Engine`](bmc::Engine)/[`Session`](bmc::Session)/[`Budget`](bmc::Budget)).
+//!   ([`Engine`](bmc::Engine)/[`Session`](bmc::Session)/[`Budget`](bmc::Budget)),
+//!   deepened bound by bound by one loop
+//!   ([`DeepeningPortfolio::sweep`](bmc::DeepeningPortfolio::sweep)).
 //! * [`service`] — the multi-worker checking service: a job queue over
 //!   engine sessions with portfolio-level deepening, per-job/service
 //!   cancellation and byte-budget admission control
-//!   ([`CheckService`](service::CheckService)/[`Job`](service::Job)/[`ServiceReport`](service::ServiceReport)).
+//!   ([`ServiceHandle`](service::ServiceHandle)/[`Job`](service::Job)/[`ServiceReport`](service::ServiceReport)).
 //! * [`telemetry`] — observability: the lock-free metrics registry,
 //!   structured JSONL tracing, and solver progress introspection
 //!   ([`Telemetry`](telemetry::Telemetry)/[`MetricsRegistry`](telemetry::MetricsRegistry)/[`ProgressSink`](telemetry::ProgressSink)).

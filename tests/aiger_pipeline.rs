@@ -3,7 +3,7 @@
 //! the same verdicts on the round-tripped model.
 
 use sebmc_repro::aiger;
-use sebmc_repro::bmc::{BoundedChecker, JSat, Semantics, UnrollSat};
+use sebmc_repro::bmc::{Budget, Engine, JSat, Semantics, UnrollSat};
 use sebmc_repro::model::{explicit, suite13_small};
 
 #[test]
@@ -35,27 +35,21 @@ fn verdicts_preserved_through_aiger() {
     for model in suite13_small() {
         let file = aiger::model_to_aiger(&model).expect("export");
         let back = aiger::aiger_to_model(&file, model.name()).expect("import");
-        let mut unroll = UnrollSat::default();
-        let mut jsat = JSat::default();
+        let engines: [&dyn Engine; 2] = [&UnrollSat, &JSat::default()];
         for k in 0..5 {
             let expect = explicit::reachable_in_exactly(&model, k);
-            assert_eq!(
-                unroll
-                    .check(&back, k, Semantics::Exactly)
-                    .result
-                    .is_reachable(),
-                expect,
-                "unroll on round-tripped {} at bound {k}",
-                model.name()
-            );
-            assert_eq!(
-                jsat.check(&back, k, Semantics::Exactly)
-                    .result
-                    .is_reachable(),
-                expect,
-                "jsat on round-tripped {} at bound {k}",
-                model.name()
-            );
+            for engine in engines {
+                let out = engine
+                    .start(&back, Semantics::Exactly, Budget::none())
+                    .check_bound(k);
+                assert_eq!(
+                    out.result.is_reachable(),
+                    expect,
+                    "{} on round-tripped {} at bound {k}",
+                    engine.name(),
+                    model.name()
+                );
+            }
         }
     }
 }

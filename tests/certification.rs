@@ -7,15 +7,13 @@
 //! checks are both covered, plus seeded random models so the sweep is
 //! not limited to the hand-built families.
 
-use sebmc_repro::bmc::{
-    one_shot, BmcResult, Budget, Certificate, Engine, JSat, Semantics, UnrollSat,
-};
+use sebmc_repro::bmc::{BmcResult, Budget, Certificate, Engine, JSat, Semantics, UnrollSat};
 use sebmc_repro::model::{builders, explicit, suite, Model};
 
 const MAX_BOUND: usize = 5;
 
 fn engines() -> Vec<Box<dyn Engine>> {
-    vec![Box::new(JSat::default()), Box::new(UnrollSat::default())]
+    vec![Box::new(JSat::default()), Box::new(UnrollSat)]
 }
 
 fn oracle(model: &Model, k: usize, semantics: Semantics) -> bool {
@@ -104,7 +102,7 @@ fn suite_sweep_certifies_both_polarities_in_sessions() {
 fn one_shot_checks_are_certified_too() {
     for model in suite::suite13_small() {
         for engine in engines() {
-            let budget = engine.default_budget().with_certify(true);
+            let budget = Budget::none().with_certify(true);
             for k in [0, 2, 4] {
                 let out = engine
                     .start(&model, Semantics::Exactly, budget.clone())
@@ -150,13 +148,15 @@ fn seeded_random_models_certify() {
     }
 }
 
-/// `one_shot` through the convenience helper keeps certificates off by
-/// default — certification is strictly opt-in.
+/// A default budget keeps certificates off — certification is
+/// strictly opt-in.
 #[test]
 fn certification_is_opt_in() {
     let model = builders::traffic_light();
     for engine in engines() {
-        let out = one_shot(engine.as_ref(), &model, 3, Semantics::Exactly);
+        let out = engine
+            .start(&model, Semantics::Exactly, Budget::default())
+            .check_bound(3);
         assert!(out.result.is_unreachable());
         assert!(out.certificate.is_none(), "{}", engine.name());
         assert_eq!(out.stats.peak_proof_bytes, 0);

@@ -226,10 +226,12 @@ fn malformed_frames_get_protocol_errors_not_disconnects() {
         read_frame(&mut reader).get("op").and_then(Json::as_str),
         Some("hello")
     );
+    let deep = "[".repeat(200_000);
     for (bad, expect_in_message) in [
         ("this is not json", "bad frame"),
         ("{\"op\":\"frobnicate\"}", "unknown op"),
         ("{\"model\":\"suite:ring_4\"}", "missing"),
+        (deep.as_str(), "bad frame"),
     ] {
         stream.write_all(bad.as_bytes()).expect("write");
         stream.write_all(b"\n").expect("write");

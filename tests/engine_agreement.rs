@@ -6,7 +6,7 @@
 //! must produce traces that replay through the concrete simulator.
 
 use sebmc_repro::bmc::{
-    BoundedChecker, Budget, JSat, QbfBackend, QbfLinear, QbfSquaring, Semantics, UnrollSat,
+    BmcOutcome, Budget, Engine, JSat, QbfBackend, QbfLinear, QbfSquaring, Semantics, UnrollSat,
 };
 use sebmc_repro::model::{explicit, suite13_small, Model};
 use std::time::Duration;
@@ -20,15 +20,29 @@ fn oracle(model: &Model, k: usize, semantics: Semantics) -> bool {
     }
 }
 
+/// Decides one bound on a fresh session under `budget`.
+fn check(
+    engine: &dyn Engine,
+    budget: &Budget,
+    model: &Model,
+    k: usize,
+    semantics: Semantics,
+) -> BmcOutcome {
+    engine
+        .start(model, semantics, budget.clone())
+        .check_bound(k)
+}
+
 fn assert_engine_matches_oracle(
-    engine: &mut dyn BoundedChecker,
+    engine: &dyn Engine,
+    budget: &Budget,
     semantics: Semantics,
     bounds: impl Iterator<Item = usize> + Clone,
     skip_unknown: bool,
 ) {
     for model in suite13_small() {
         for k in bounds.clone() {
-            let out = engine.check(&model, k, semantics);
+            let out = check(engine, budget, &model, k, semantics);
             if out.result.is_unknown() {
                 assert!(
                     skip_unknown,
@@ -65,26 +79,35 @@ fn assert_engine_matches_oracle(
 
 #[test]
 fn unroll_sat_matches_oracle_exactly() {
-    let mut e = UnrollSat::default();
-    assert_engine_matches_oracle(&mut e, Semantics::Exactly, 0..=MAX_BOUND, false);
+    let none = Budget::none();
+    assert_engine_matches_oracle(&UnrollSat, &none, Semantics::Exactly, 0..=MAX_BOUND, false);
 }
 
 #[test]
 fn unroll_sat_matches_oracle_within() {
-    let mut e = UnrollSat::default();
-    assert_engine_matches_oracle(&mut e, Semantics::Within, 0..=MAX_BOUND, false);
+    let none = Budget::none();
+    assert_engine_matches_oracle(&UnrollSat, &none, Semantics::Within, 0..=MAX_BOUND, false);
 }
 
 #[test]
 fn jsat_matches_oracle_exactly() {
-    let mut e = JSat::default();
-    assert_engine_matches_oracle(&mut e, Semantics::Exactly, 0..=MAX_BOUND, false);
+    let (e, none) = (JSat::default(), Budget::none());
+    assert_engine_matches_oracle(&e, &none, Semantics::Exactly, 0..=MAX_BOUND, false);
 }
 
 #[test]
 fn jsat_matches_oracle_within() {
-    let mut e = JSat::default();
-    assert_engine_matches_oracle(&mut e, Semantics::Within, 0..=MAX_BOUND, false);
+    let (e, none) = (JSat::default(), Budget::none());
+    assert_engine_matches_oracle(&e, &none, Semantics::Within, 0..=MAX_BOUND, false);
+}
+
+/// 300 ms and 8 MB per check.
+fn small_budget() -> Budget {
+    Budget {
+        timeout: Some(Duration::from_millis(300)),
+        max_formula_bytes: Some(8_000_000),
+        ..Budget::default()
+    }
 }
 
 /// The general-purpose QBF engines are *sound but weak* (the paper's
@@ -92,39 +115,24 @@ fn jsat_matches_oracle_within() {
 /// must match the oracle.
 #[test]
 fn qbf_linear_qdpll_sound_under_budget() {
-    let mut e = QbfLinear::with_budget(
-        QbfBackend::Qdpll,
-        Budget::with_timeout(Duration::from_millis(300)),
-    );
-    assert_engine_matches_oracle(&mut e, Semantics::Exactly, 0..=3, true);
+    let e = QbfLinear::new(QbfBackend::Qdpll);
+    let budget = Budget::with_timeout(Duration::from_millis(300));
+    assert_engine_matches_oracle(&e, &budget, Semantics::Exactly, 0..=3, true);
 }
 
 #[test]
 fn qbf_linear_expansion_sound_under_budget() {
-    let mut e = QbfLinear::with_budget(
-        QbfBackend::Expansion,
-        Budget {
-            timeout: Some(Duration::from_millis(300)),
-            max_formula_bytes: Some(8_000_000),
-            ..Budget::default()
-        },
-    );
-    assert_engine_matches_oracle(&mut e, Semantics::Exactly, 0..=3, true);
+    let e = QbfLinear::new(QbfBackend::Expansion);
+    assert_engine_matches_oracle(&e, &small_budget(), Semantics::Exactly, 0..=3, true);
 }
 
 #[test]
 fn qbf_squaring_sound_under_budget() {
-    let mut e = QbfSquaring::with_budget(
-        QbfBackend::Expansion,
-        Budget {
-            timeout: Some(Duration::from_millis(300)),
-            max_formula_bytes: Some(8_000_000),
-            ..Budget::default()
-        },
-    );
+    let e = QbfSquaring::new(QbfBackend::Expansion);
+    let budget = small_budget();
     for k in [1usize, 2, 4] {
         for model in suite13_small() {
-            let out = e.check(&model, k, Semantics::Exactly);
+            let out = check(&e, &budget, &model, k, Semantics::Exactly);
             if out.result.is_unknown() {
                 continue;
             }
@@ -143,12 +151,11 @@ fn qbf_squaring_sound_under_budget() {
 /// without ground truth).
 #[test]
 fn jsat_and_unroll_agree_on_larger_bounds() {
-    let mut jsat = JSat::default();
-    let mut unroll = UnrollSat::default();
+    let none = Budget::none();
     for model in suite13_small() {
         for k in [8usize, 10] {
-            let a = jsat.check(&model, k, Semantics::Exactly).result;
-            let b = unroll.check(&model, k, Semantics::Exactly).result;
+            let a = check(&JSat::default(), &none, &model, k, Semantics::Exactly).result;
+            let b = check(&UnrollSat, &none, &model, k, Semantics::Exactly).result;
             assert!(
                 a.agrees_with(&b),
                 "jsat={a} vs unroll={b} on {} at bound {k}",

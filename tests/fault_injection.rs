@@ -10,7 +10,7 @@ use std::time::Duration;
 use sebmc_repro::bmc::{BmcResult, Budget};
 use sebmc_repro::logic::fault::FaultPlan;
 use sebmc_repro::model::builders::{shift_register, token_ring, traffic_light};
-use sebmc_repro::service::{CheckService, EngineKind, Job, RetryPolicy, ServiceConfig};
+use sebmc_repro::service::{EngineKind, Job, RetryPolicy, ServiceConfig, ServiceHandle};
 
 fn plan(spec: &str) -> FaultPlan {
     spec.parse().expect("valid fault plan")
@@ -36,16 +36,15 @@ fn retries(n: u32) -> RetryPolicy {
 /// are untouched.
 #[test]
 fn injected_engine_panic_is_retried_and_resumes_at_last_decided_bound() {
-    let mut svc = CheckService::new(ServiceConfig::with_workers(2));
-    // Engine safe point fires once per check_bound: hits 1 and 2 decide
-    // bounds 0 and 1; hit 3 panics at bound 2's entry.
-    svc.submit(
+    let jobs = vec![
+        // Engine safe point fires once per check_bound: hits 1 and 2 decide
+        // bounds 0 and 1; hit 3 panics at bound 2's entry.
         Job::new(shift_register(4), vec![EngineKind::Unroll], 8)
             .with_budget(budget_with_fault("panic@engine:3"))
             .with_retry(retries(2)),
-    );
-    svc.submit(Job::new(token_ring(3), vec![EngineKind::Jsat], 4));
-    let r = svc.run();
+        Job::new(token_ring(3), vec![EngineKind::Jsat], 4),
+    ];
+    let r = ServiceHandle::run_batch(ServiceConfig::with_workers(2), jobs);
     assert_eq!(r.jobs.len(), 2, "no job lost to the injected panic");
     let j = &r.jobs[0];
     assert!(j.verdict.is_reachable(), "retry recovered: {}", j.verdict);
@@ -79,13 +78,10 @@ fn retries_never_exceed_the_original_budget() {
     let original = Duration::from_secs(5);
     let mut budget = Budget::with_timeout(original);
     budget.fault = plan("panic@engine:1,panic@engine:2");
-    let mut svc = CheckService::new(ServiceConfig::with_workers(1));
-    svc.submit(
-        Job::new(shift_register(3), vec![EngineKind::Unroll], 6)
-            .with_budget(budget)
-            .with_retry(retries(3)),
-    );
-    let r = svc.run();
+    let jobs = vec![Job::new(shift_register(3), vec![EngineKind::Unroll], 6)
+        .with_budget(budget)
+        .with_retry(retries(3))];
+    let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
     let j = &r.jobs[0];
     assert!(j.verdict.is_reachable(), "{}", j.verdict);
     assert_eq!(j.attempts, 3, "two injected crashes, then success");
@@ -104,16 +100,15 @@ fn retries_never_exceed_the_original_budget() {
 /// and the rest of the queue keeps draining.
 #[test]
 fn exhausted_retries_quarantine_the_job() {
-    let mut svc = CheckService::new(ServiceConfig::with_workers(1));
-    svc.submit(
+    let jobs = vec![
         Job::new(shift_register(4), vec![EngineKind::Unroll], 8)
             .with_budget(budget_with_fault(
                 "panic@engine:1,panic@engine:2,panic@engine:3",
             ))
             .with_retry(retries(2)),
-    );
-    svc.submit(Job::new(traffic_light(), vec![EngineKind::Unroll], 3));
-    let r = svc.run();
+        Job::new(traffic_light(), vec![EngineKind::Unroll], 3),
+    ];
+    let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
     let j = &r.jobs[0];
     assert!(j.quarantined);
     assert_eq!(j.attempts, 3, "all attempts consumed");
@@ -133,13 +128,10 @@ fn exhausted_retries_quarantine_the_job() {
 /// unlike a real cancellation, which is final.
 #[test]
 fn spurious_cancellation_is_retried_real_cancellation_is_final() {
-    let mut svc = CheckService::new(ServiceConfig::with_workers(1));
-    svc.submit(
-        Job::new(shift_register(3), vec![EngineKind::Unroll], 6)
-            .with_budget(budget_with_fault("cancel@engine:2"))
-            .with_retry(retries(2)),
-    );
-    let r = svc.run();
+    let jobs = vec![Job::new(shift_register(3), vec![EngineKind::Unroll], 6)
+        .with_budget(budget_with_fault("cancel@engine:2"))
+        .with_retry(retries(2))];
+    let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
     let j = &r.jobs[0];
     assert!(j.verdict.is_reachable(), "{}", j.verdict);
     assert_eq!(j.attempts, 2);
@@ -151,13 +143,10 @@ fn spurious_cancellation_is_retried_real_cancellation_is_final() {
 /// retryable failure: no retry can un-exhaust a memory budget.
 #[test]
 fn injected_oom_is_reported_as_budget_exhausted_without_retries() {
-    let mut svc = CheckService::new(ServiceConfig::with_workers(1));
-    svc.submit(
-        Job::new(shift_register(4), vec![EngineKind::Unroll], 8)
-            .with_budget(budget_with_fault("oom@solver:5"))
-            .with_retry(retries(3)),
-    );
-    let r = svc.run();
+    let jobs = vec![Job::new(shift_register(4), vec![EngineKind::Unroll], 8)
+        .with_budget(budget_with_fault("oom@solver:5"))
+        .with_retry(retries(3))];
+    let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
     let j = &r.jobs[0];
     assert_eq!(j.verdict, BmcResult::Unknown("budget exhausted".into()));
     assert_eq!(j.attempts, 1, "oom is final, not retried");
@@ -172,20 +161,17 @@ fn injected_oom_is_reported_as_budget_exhausted_without_retries() {
 #[test]
 fn memory_pressure_sheds_the_youngest_running_job() {
     let config = ServiceConfig::with_workers(2).with_max_total_bytes(10_000);
-    let mut svc = CheckService::new(config);
-    // Victim: uncapped (reserves the whole aggregate budget), stalled
-    // at its first engine safe point by a 10 s injected delay. The
-    // delay polls its cancel token, so the shed interrupts it promptly.
-    svc.submit(
+    let jobs = vec![
+        // Victim: uncapped (reserves the whole aggregate budget), stalled
+        // at its first engine safe point by a 10 s injected delay. The
+        // delay polls its cancel token, so the shed interrupts it promptly.
         Job::new(shift_register(4), vec![EngineKind::Unroll], 6)
             .with_budget(budget_with_fault("delay@engine:1:10000")),
-    );
-    // Contender: capped, but nothing is free until the victim is shed.
-    svc.submit(
+        // Contender: capped, but nothing is free until the victim is shed.
         Job::new(token_ring(3), vec![EngineKind::Jsat], 4)
             .with_budget(Budget::with_memory_bytes(8_000)),
-    );
-    let r = svc.run();
+    ];
+    let r = ServiceHandle::run_batch(config, jobs);
     assert_eq!(r.jobs.len(), 2);
     assert_eq!(
         r.jobs[0].verdict,
@@ -207,21 +193,21 @@ fn memory_pressure_sheds_the_youngest_running_job() {
 #[test]
 fn blocked_portfolio_job_is_downgraded_to_a_single_engine() {
     let config = ServiceConfig::with_workers(2).with_max_total_bytes(10_000);
-    let mut svc = CheckService::new(config);
+    let mut jobs = Vec::new();
     // Holder: capped at 7000 bytes, stalled ~300 ms at its first
     // engine safe point — long enough to force the contender through
     // the downgrade ladder (25 deferrals × 2 ms), short enough to
     // finish normally afterwards.
     let mut holder = Budget::with_memory_bytes(7_000);
     holder.fault = plan("delay@engine:1:300");
-    svc.submit(Job::new(traffic_light(), vec![EngineKind::Unroll], 3).with_budget(holder));
+    jobs.push(Job::new(traffic_light(), vec![EngineKind::Unroll], 3).with_budget(holder));
     // Contender: two engines × 3000 bytes = 6000 > the 3000 free;
     // downgraded to one engine it fits.
-    svc.submit(
+    jobs.push(
         Job::new(token_ring(3), vec![EngineKind::Jsat, EngineKind::Unroll], 4)
             .with_budget(Budget::with_memory_bytes(3_000)),
     );
-    let r = svc.run();
+    let r = ServiceHandle::run_batch(config, jobs);
     assert!(r.jobs[0].verdict.is_unreachable(), "{}", r.jobs[0].verdict);
     let j = &r.jobs[1];
     assert!(j.downgraded, "portfolio shrank under pressure");
@@ -237,15 +223,15 @@ fn blocked_portfolio_job_is_downgraded_to_a_single_engine() {
 fn job_cancelled_while_queued_reports_wait_and_zero_solve_time() {
     // One worker, and a slow-ish first job so the second is still
     // queued when its token fires.
-    let mut svc = CheckService::new(ServiceConfig::with_workers(1));
+    let mut jobs = Vec::new();
     let mut first = Budget::none();
     first.fault = plan("delay@engine:1:150");
-    svc.submit(Job::new(traffic_light(), vec![EngineKind::Unroll], 3).with_budget(first));
+    jobs.push(Job::new(traffic_light(), vec![EngineKind::Unroll], 3).with_budget(first));
     let victim = Job::new(shift_register(4), vec![EngineKind::Unroll], 6);
     let token = victim.budget.cancel_token();
-    svc.submit(victim);
+    jobs.push(victim);
     token.cancel();
-    let r = svc.run();
+    let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
     assert!(r.jobs[0].verdict.is_unreachable(), "{}", r.jobs[0].verdict);
     let j = &r.jobs[1];
     assert_eq!(j.verdict, BmcResult::Unknown("cancelled".into()));
@@ -266,19 +252,19 @@ fn job_cancelled_while_queued_reports_wait_and_zero_solve_time() {
 fn service_cancellation_reports_queued_jobs_with_zero_solve_time() {
     let config = ServiceConfig::with_workers(1);
     let service_token = config.cancel.clone();
-    let mut svc = CheckService::new(config);
+    let mut jobs = Vec::new();
     let mut first = Budget::none();
     first.fault = plan("delay@engine:1:10000");
-    svc.submit(Job::new(traffic_light(), vec![EngineKind::Unroll], 3).with_budget(first));
-    svc.submit(Job::new(shift_register(4), vec![EngineKind::Unroll], 6));
-    svc.submit(Job::new(token_ring(3), vec![EngineKind::Jsat], 4));
+    jobs.push(Job::new(traffic_light(), vec![EngineKind::Unroll], 3).with_budget(first));
+    jobs.push(Job::new(shift_register(4), vec![EngineKind::Unroll], 6));
+    jobs.push(Job::new(token_ring(3), vec![EngineKind::Jsat], 4));
     // Fire the kill switch shortly after the service starts chewing on
     // the stalled first job.
     let killer = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(100));
         service_token.cancel();
     });
-    let r = svc.run();
+    let r = ServiceHandle::run_batch(config, jobs);
     killer.join().unwrap();
     assert_eq!(r.jobs.len(), 3, "every job reported");
     // The running job was interrupted at a safe point.
@@ -311,7 +297,7 @@ fn seeded_fault_matrix_never_loses_a_job() {
     for seed in seeds {
         let plan = FaultPlan::seeded(seed);
         let spec = plan.to_string();
-        let mut svc = CheckService::new(ServiceConfig::with_workers(2));
+        let mut jobs = Vec::new();
         let models: Vec<(Job, &str)> = vec![
             (
                 Job::new(shift_register(4), vec![EngineKind::Unroll], 6),
@@ -335,9 +321,9 @@ fn seeded_fault_matrix_never_loses_a_job() {
                 jitter_seed: seed,
                 ..RetryPolicy::with_retries(2)
             });
-            svc.submit(job);
+            jobs.push(job);
         }
-        let r = svc.run();
+        let r = ServiceHandle::run_batch(ServiceConfig::with_workers(2), jobs);
         assert_eq!(
             r.jobs.len(),
             n,
@@ -374,18 +360,18 @@ fn seeded_fault_matrix_never_loses_a_job() {
 fn proof_export_survives_a_crash_mid_write() {
     use sebmc_repro::proof::{decode_stream, DratDecoder, TAG_ADD, TAG_DELETE};
     let dir = std::env::temp_dir().join(format!("sebmc-drat-crash-{}", std::process::id()));
-    let mut svc = CheckService::new(ServiceConfig::with_workers(1).with_proof_dir(&dir));
+    let mut jobs = Vec::new();
     // Engine safe point fires once per check_bound: hits 1 and 2
     // decide bounds 0 and 1 (writing proof records along the way);
     // hit 3 panics at bound 2's entry, mid-stream.
     let mut budget = budget_with_fault("panic@engine:3");
     budget.certify = true;
-    svc.submit(
+    jobs.push(
         Job::new(traffic_light(), vec![EngineKind::Unroll], 4)
             .with_budget(budget)
             .with_retry(retries(2)),
     );
-    let r = svc.run();
+    let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1).with_proof_dir(&dir), jobs);
     let j = &r.jobs[0];
     assert!(j.verdict.is_unreachable(), "retry recovered: {}", j.verdict);
     assert_eq!(j.attempts, 2, "one crash, one clean retry");
@@ -430,12 +416,9 @@ fn proof_export_survives_a_crash_mid_write() {
 #[test]
 fn exhausted_retries_leave_no_partial_proof_file() {
     let dir = std::env::temp_dir().join(format!("sebmc-drat-crash-gone-{}", std::process::id()));
-    let mut svc = CheckService::new(ServiceConfig::with_workers(1).with_proof_dir(&dir));
-    svc.submit(
-        Job::new(traffic_light(), vec![EngineKind::Unroll], 4)
-            .with_budget(budget_with_fault("panic@engine:3,panic@engine:1")),
-    );
-    let r = svc.run();
+    let jobs = vec![Job::new(traffic_light(), vec![EngineKind::Unroll], 4)
+        .with_budget(budget_with_fault("panic@engine:3,panic@engine:1"))];
+    let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1).with_proof_dir(&dir), jobs);
     let j = &r.jobs[0];
     assert!(j.verdict.is_unknown(), "no retries: {}", j.verdict);
     assert!(j.proof_path.is_none());

@@ -3,15 +3,23 @@
 //! The full-scale runs live in `crates/bench` (see EXPERIMENTS.md).
 
 use sebmc_repro::bmc::{
-    encode_qbf_linear, encode_qbf_squaring, encode_unrolled, BoundedChecker, Budget, JSat,
-    QbfBackend, QbfLinear, Semantics, UnrollSat,
+    encode_qbf_linear, encode_qbf_squaring, encode_unrolled, Budget, Engine, JSat, QbfBackend,
+    QbfLinear, Semantics, UnrollSat,
 };
-use sebmc_repro::model::{builders, suite13_small};
+use sebmc_repro::model::{builders, suite13_small, Model};
 use std::time::Duration;
+
+/// The paper's raw encodings: no static model reduction.
+fn unreduced() -> Budget {
+    Budget {
+        reduce: false,
+        ..Budget::default()
+    }
+}
 
 /// Builds a model in the paper's regime: a transition relation far
 /// larger than the state width (`|TR| ≫ n`), as in industrial designs.
-fn dense_model() -> sebmc_repro::model::Model {
+fn dense_model() -> Model {
     use sebmc_repro::model::ModelBuilder;
     let mut b = ModelBuilder::new("dense");
     let s = b.state_vars(6, "s");
@@ -114,29 +122,24 @@ fn solver_ordering_matches_paper_shape() {
     let budget = Budget {
         timeout: Some(Duration::from_millis(150)),
         max_formula_bytes: Some(8_000_000),
-        ..Budget::default()
+        ..unreduced()
     };
-    let mut sat = UnrollSat::with_budget(budget.clone());
-    let mut jsat = JSat::with_budget(budget.clone());
-    let mut qbf = QbfLinear::with_budget(QbfBackend::Qdpll, budget);
+    let solves = |engine: &dyn Engine, model: &Model, k: usize| {
+        !engine
+            .start(model, Semantics::Exactly, budget.clone())
+            .check_bound(k)
+            .result
+            .is_unknown()
+    };
+    let qbf = QbfLinear::new(QbfBackend::Qdpll);
 
     let (mut sat_solved, mut jsat_solved, mut qbf_solved, mut total) = (0, 0, 0, 0);
     for model in suite13_small() {
         for k in 1..=6 {
             total += 1;
-            if !sat.check(&model, k, Semantics::Exactly).result.is_unknown() {
-                sat_solved += 1;
-            }
-            if !jsat
-                .check(&model, k, Semantics::Exactly)
-                .result
-                .is_unknown()
-            {
-                jsat_solved += 1;
-            }
-            if !qbf.check(&model, k, Semantics::Exactly).result.is_unknown() {
-                qbf_solved += 1;
-            }
+            sat_solved += usize::from(solves(&UnrollSat, &model, k));
+            jsat_solved += usize::from(solves(&JSat::default(), &model, k));
+            qbf_solved += usize::from(solves(&qbf, &model, k));
         }
     }
     assert!(
@@ -156,10 +159,13 @@ fn solver_ordering_matches_paper_shape() {
 fn jsat_memory_beats_unroll_at_large_bounds() {
     let model = builders::fifo(2);
     let k = 24;
-    let mut jsat = JSat::default();
-    let mut unroll = UnrollSat::default();
-    let js = jsat.check(&model, k, Semantics::Exactly).stats;
-    let us = unroll.check(&model, k, Semantics::Exactly).stats;
+    let stats = |engine: &dyn Engine| {
+        engine
+            .start(&model, Semantics::Exactly, unreduced())
+            .check_bound(k)
+            .stats
+    };
+    let (js, us) = (stats(&JSat::default()), stats(&UnrollSat));
     assert!(
         js.encode_lits < us.encode_lits / 4,
         "jSAT static formula ({}) must be far below the unrolled formula ({})",

@@ -10,10 +10,10 @@ use sebmc_repro::bmc::{
     Semantics, Session, UnrollSat,
 };
 use sebmc_repro::model::{builders::token_ring, explicit, suite::suite13_small, Model};
-use sebmc_repro::service::{CheckService, EngineKind, Job, ServiceConfig};
+use sebmc_repro::service::{EngineKind, Job, ServiceConfig, ServiceHandle};
 
 fn jsat_unroll() -> Vec<Box<dyn Engine + Send>> {
-    vec![Box::new(JSat::default()), Box::new(UnrollSat::default())]
+    vec![Box::new(JSat::default()), Box::new(UnrollSat)]
 }
 
 /// Every decided per-bound verdict — the winner's *and* every decided
@@ -127,8 +127,7 @@ impl Session for SlowSession {
 #[test]
 fn losers_are_cancelled_promptly_and_survive_across_bounds() {
     let model = token_ring(4);
-    let engines: Vec<Box<dyn Engine + Send>> =
-        vec![Box::new(UnrollSat::default()), Box::new(SlowEngine)];
+    let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(UnrollSat), Box::new(SlowEngine)];
     let mut p = DeepeningPortfolio::start(&model, Semantics::Exactly, engines, Budget::none());
     for k in 0..3usize {
         let start = Instant::now();
@@ -159,13 +158,12 @@ fn losers_are_cancelled_promptly_and_survive_across_bounds() {
 /// bounds it decided (the cancelled losers' work rides along).
 #[test]
 fn job_reports_count_the_losers_racing_effort() {
-    let mut svc = CheckService::new(ServiceConfig::with_workers(1));
-    svc.submit(Job::new(
+    let jobs = vec![Job::new(
         token_ring(4),
         vec![EngineKind::Jsat, EngineKind::Unroll],
         6,
-    ));
-    let r = svc.run();
+    )];
+    let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
     let j = &r.jobs[0];
     assert!(j.verdict.is_reachable());
     assert_eq!(j.bound, Some(3));

@@ -7,7 +7,9 @@
 //! property. Dependency-free property style — the case number printed
 //! on failure reproduces the model.
 
-use sebmc_repro::bmc::{BoundedChecker, JSat, QbfBackend, QbfLinear, Semantics, UnrollSat};
+use sebmc_repro::bmc::{
+    BmcOutcome, Budget, Engine, JSat, QbfBackend, QbfLinear, Semantics, UnrollSat,
+};
 use sebmc_repro::logic::rng::SplitMix64;
 use sebmc_repro::logic::AigRef;
 use sebmc_repro::model::{explicit, Model, ModelBuilder};
@@ -70,28 +72,33 @@ fn sweep(seed: u64, cases: u64, check: impl Fn(&Model, usize)) {
     }
 }
 
+/// Decides one bound on a fresh, unbudgeted session.
+fn check(engine: &dyn Engine, model: &Model, k: usize, semantics: Semantics) -> BmcOutcome {
+    engine
+        .start(model, semantics, Budget::none())
+        .check_bound(k)
+}
+
 #[test]
 fn unroll_and_jsat_match_oracle_on_random_models() {
     sweep(0x40D3, 48, |model, k| {
         let expect_exact = explicit::reachable_in_exactly(model, k);
         let expect_within = explicit::reachable_within(model, k);
 
-        let mut unroll = UnrollSat::default();
-        let out = unroll.check(model, k, Semantics::Exactly);
+        let out = check(&UnrollSat, model, k, Semantics::Exactly);
         assert_eq!(out.result.is_reachable(), expect_exact);
         if let Some(t) = out.result.witness() {
             assert_eq!(model.check_trace(t), Ok(()));
         }
-        let out = unroll.check(model, k, Semantics::Within);
+        let out = check(&UnrollSat, model, k, Semantics::Within);
         assert_eq!(out.result.is_reachable(), expect_within);
 
-        let mut jsat = JSat::default();
-        let out = jsat.check(model, k, Semantics::Exactly);
+        let out = check(&JSat::default(), model, k, Semantics::Exactly);
         assert_eq!(out.result.is_reachable(), expect_exact);
         if let Some(t) = out.result.witness() {
             assert_eq!(model.check_trace(t), Ok(()));
         }
-        let out = jsat.check(model, k, Semantics::Within);
+        let out = check(&JSat::default(), model, k, Semantics::Within);
         assert_eq!(out.result.is_reachable(), expect_within);
     });
 }
@@ -101,8 +108,8 @@ fn qdpll_matches_oracle_on_tiny_random_models() {
     sweep(0x0D33, 48, |model, k| {
         let k = k.min(2);
         // Unbudgeted QDPLL on tiny bounds must terminate and be correct.
-        let mut qbf = QbfLinear::new(QbfBackend::Qdpll);
-        let out = qbf.check(model, k, Semantics::Exactly);
+        let qbf = QbfLinear::new(QbfBackend::Qdpll);
+        let out = check(&qbf, model, k, Semantics::Exactly);
         assert!(!out.result.is_unknown());
         assert_eq!(
             out.result.is_reachable(),
@@ -118,9 +125,9 @@ fn aiger_round_trip_preserves_engine_verdicts() {
         let text = sebmc_repro::aiger::to_ascii_string(&file);
         let parsed = sebmc_repro::aiger::parse_ascii(&text).expect("round trip");
         let back = sebmc_repro::aiger::aiger_to_model(&parsed, "back").expect("convert");
-        let mut e = UnrollSat::default();
-        let a = e.check(model, k, Semantics::Exactly).result.is_reachable();
-        let b = e.check(&back, k, Semantics::Exactly).result.is_reachable();
+        let a = check(&UnrollSat, model, k, Semantics::Exactly).result;
+        let b = check(&UnrollSat, &back, k, Semantics::Exactly).result;
+        let (a, b) = (a.is_reachable(), b.is_reachable());
         assert_eq!(a, b, "verdict changed across AIGER round-trip");
     });
 }

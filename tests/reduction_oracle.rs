@@ -33,11 +33,7 @@ use std::time::Duration;
 fn engines() -> Vec<(&'static str, Box<dyn Engine>, Option<Duration>)> {
     let leash = Some(Duration::from_millis(300));
     vec![
-        (
-            "unroll",
-            Box::new(UnrollSat::default()) as Box<dyn Engine>,
-            None,
-        ),
+        ("unroll", Box::new(UnrollSat) as Box<dyn Engine>, None),
         ("jsat", Box::new(JSat::default()), None),
         (
             "qbf-linear",
@@ -196,8 +192,8 @@ fn reduction_strictly_shrinks_peak_formula_bytes_on_reducible_suite_models() {
         (builders::round_robin_arbiter(8), 8),
         (builders::fifo(3), 6),
     ] {
-        let mut reduced = UnrollSat::default().start(&model, Semantics::Within, budget(true, None));
-        let mut oracle = UnrollSat::default().start(&model, Semantics::Within, budget(false, None));
+        let mut reduced = UnrollSat.start(&model, Semantics::Within, budget(true, None));
+        let mut oracle = UnrollSat.start(&model, Semantics::Within, budget(false, None));
         let mut r_peak = 0usize;
         let mut o_peak = 0usize;
         for k in 0..=max_bound {

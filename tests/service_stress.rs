@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use sebmc_repro::bmc::{BmcResult, Budget};
 use sebmc_repro::logic::rng::SplitMix64;
 use sebmc_repro::model::{builders, explicit, suite::suite13_small};
-use sebmc_repro::service::{CheckService, EngineKind, Job, ServiceConfig};
+use sebmc_repro::service::{EngineKind, Job, ServiceConfig, ServiceHandle};
 
 /// Random mixes of models, engine selections, bounds and byte caps,
 /// drained on a 3-worker pool. Every job is reported (budget-starved
@@ -19,7 +19,7 @@ fn seeded_random_job_mixes_report_every_job_with_oracle_verdicts() {
     let models = suite13_small();
     let mut rng = SplitMix64::new(2005);
     for round in 0..3 {
-        let mut svc = CheckService::new(ServiceConfig::with_workers(3));
+        let mut jobs = Vec::new();
         let n_jobs = 6 + rng.below(5); // 6..=10
         let mut specs = Vec::new();
         for _ in 0..n_jobs {
@@ -41,9 +41,9 @@ fn seeded_random_job_mixes_report_every_job_with_oracle_verdicts() {
                 Budget::none()
             };
             specs.push((model.clone(), max_bound, starved));
-            svc.submit(Job::new(model, engines, max_bound).with_budget(budget));
+            jobs.push(Job::new(model, engines, max_bound).with_budget(budget));
         }
-        let report = svc.run();
+        let report = ServiceHandle::run_batch(ServiceConfig::with_workers(3), jobs);
         assert_eq!(
             report.jobs.len(),
             n_jobs,
@@ -96,19 +96,19 @@ fn seeded_random_job_mixes_report_every_job_with_oracle_verdicts() {
 /// leaves its siblings untouched.
 #[test]
 fn mid_run_job_cancellation_is_prompt_and_isolated() {
-    let mut svc = CheckService::new(ServiceConfig::with_workers(1));
+    let mut jobs = Vec::new();
     // A genuinely long job: jsat on fifo(3) to bound 10 runs for
     // >100 ms even in release builds.
     let victim = Job::new(builders::fifo(3), vec![EngineKind::Jsat], 10);
     let token = victim.budget.cancel_token();
-    svc.submit(victim);
-    svc.submit(Job::new(builders::token_ring(3), vec![EngineKind::Jsat], 4));
+    jobs.push(victim);
+    jobs.push(Job::new(builders::token_ring(3), vec![EngineKind::Jsat], 4));
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(25));
         token.cancel();
     });
     let start = Instant::now();
-    let report = svc.run();
+    let report = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
     canceller.join().unwrap();
     assert!(
         start.elapsed() < Duration::from_secs(20),
@@ -134,17 +134,16 @@ fn mid_run_job_cancellation_is_prompt_and_isolated() {
 fn mid_run_service_cancellation_reports_the_whole_queue() {
     let config = ServiceConfig::with_workers(1);
     let service_token = config.cancel.clone();
-    let mut svc = CheckService::new(config);
-    svc.submit(Job::new(builders::fifo(3), vec![EngineKind::Jsat], 10));
+    let mut jobs = vec![Job::new(builders::fifo(3), vec![EngineKind::Jsat], 10)];
     for _ in 0..4 {
-        svc.submit(Job::new(builders::token_ring(3), vec![EngineKind::Jsat], 4));
+        jobs.push(Job::new(builders::token_ring(3), vec![EngineKind::Jsat], 4));
     }
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(25));
         service_token.cancel();
     });
     let start = Instant::now();
-    let report = svc.run();
+    let report = ServiceHandle::run_batch(config, jobs);
     canceller.join().unwrap();
     assert!(
         start.elapsed() < Duration::from_secs(20),
@@ -171,20 +170,19 @@ fn mid_run_service_cancellation_reports_the_whole_queue() {
 /// hang.
 #[test]
 fn budget_exhausted_portfolio_jobs_surface_as_unknown() {
-    let mut svc = CheckService::new(ServiceConfig::with_workers(2));
-    // Two unrolling sessions race: both hit the byte cap while
-    // *encoding* (deterministically — jSAT's constant formula might
-    // never trip a byte cap and is no starvation subject).
-    svc.submit(
+    let jobs = vec![
+        // Two unrolling sessions race: both hit the byte cap while
+        // *encoding* (deterministically — jSAT's constant formula might
+        // never trip a byte cap and is no starvation subject).
         Job::new(
             builders::shift_register(16),
             vec![EngineKind::Unroll, EngineKind::Unroll],
             40,
         )
         .with_budget(Budget::with_memory_bytes(128)),
-    );
-    svc.submit(Job::new(builders::token_ring(3), vec![EngineKind::Jsat], 4));
-    let report = svc.run();
+        Job::new(builders::token_ring(3), vec![EngineKind::Jsat], 4),
+    ];
+    let report = ServiceHandle::run_batch(ServiceConfig::with_workers(2), jobs);
     assert_eq!(report.jobs.len(), 2);
     match &report.jobs[0].verdict {
         BmcResult::Unknown(reason) => {

@@ -5,8 +5,8 @@
 use std::time::{Duration, Instant};
 
 use sebmc_repro::bmc::{
-    find_shortest_witness, Budget, DeepeningResult, Engine, JSat, QbfBackend, QbfLinear,
-    QbfSquaring, Semantics, UnrollSat,
+    BmcResult, Budget, DeepeningPortfolio, Engine, JSat, QbfBackend, QbfLinear, QbfSquaring,
+    Semantics, SweepProgress, UnrollSat,
 };
 use sebmc_repro::model::builders::{counter_with_enable, shift_register, token_ring};
 use sebmc_repro::model::{explicit, suite13_small};
@@ -16,7 +16,7 @@ use sebmc_repro::model::{explicit, suite13_small};
 #[test]
 fn pre_fired_token_returns_unknown_immediately() {
     let engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(UnrollSat::default()),
+        Box::new(UnrollSat),
         Box::new(JSat::default()),
         Box::new(QbfLinear::new(QbfBackend::Qdpll)),
         Box::new(QbfSquaring::new(QbfBackend::Expansion)),
@@ -75,7 +75,7 @@ fn assert_cancels_mid_run(engine: &dyn Engine, model: &sebmc_repro::model::Model
 fn unroll_cancels_mid_run() {
     // Exactly-100 on a 14-bit enable-counter: UNSAT but far beyond the
     // CDCL solver's quick reach.
-    assert_cancels_mid_run(&UnrollSat::default(), &counter_with_enable(14), 100);
+    assert_cancels_mid_run(&UnrollSat, &counter_with_enable(14), 100);
 }
 
 #[test]
@@ -98,22 +98,17 @@ fn qbf_squaring_cancels_mid_run() {
     assert_cancels_mid_run(&QbfSquaring::new(QbfBackend::Qdpll), &shift_register(6), 4);
 }
 
-/// `find_shortest_witness` over a session must observe cancellation
-/// between bounds too.
+/// A deepening sweep over a session must observe cancellation between
+/// bounds too.
 #[test]
 fn deepening_observes_cancellation() {
     let budget = Budget::none();
     budget.cancel.cancel();
-    let r = find_shortest_witness(
-        &UnrollSat::default(),
-        &counter_with_enable(8),
-        1_000,
-        budget,
-    );
-    match r {
-        DeepeningResult::GaveUpAt { reason, .. } => assert_eq!(reason, "cancelled"),
-        other => panic!("expected GaveUpAt, got {other:?}"),
-    }
+    let model = counter_with_enable(8);
+    let engines = vec![Box::new(UnrollSat) as _];
+    let mut p = DeepeningPortfolio::start(&model, Semantics::Exactly, engines, budget);
+    let verdict = p.sweep(&mut SweepProgress::default(), 1_000);
+    assert_eq!(verdict, BmcResult::Unknown("cancelled".into()));
 }
 
 /// Session sweeps must give exactly the verdicts of fresh one-shot
@@ -122,8 +117,7 @@ fn deepening_observes_cancellation() {
 /// must never leak into a verdict.
 #[test]
 fn session_verdicts_match_oneshot_across_suite() {
-    let engines: Vec<Box<dyn Engine>> =
-        vec![Box::new(UnrollSat::default()), Box::new(JSat::default())];
+    let engines: Vec<Box<dyn Engine>> = vec![Box::new(UnrollSat), Box::new(JSat::default())];
     for engine in &engines {
         for semantics in [Semantics::Exactly, Semantics::Within] {
             for model in suite13_small() {
@@ -175,7 +169,7 @@ fn deepening_session_reuses_solver_state() {
     let model = token_ring(4);
     let max_k = 8;
 
-    let mut session = UnrollSat::default().start(&model, Semantics::Exactly, Budget::none());
+    let mut session = UnrollSat.start(&model, Semantics::Exactly, Budget::none());
     for k in 0..=max_k {
         let out = session.check_bound(k);
         assert!(!out.result.is_unknown());
@@ -185,7 +179,7 @@ fn deepening_session_reuses_solver_state() {
     let mut oneshot_lits = 0usize;
     let mut oneshot_conflicts = 0u64;
     for k in 0..=max_k {
-        let out = UnrollSat::default()
+        let out = UnrollSat
             .start(&model, Semantics::Exactly, Budget::none())
             .check_bound(k);
         oneshot_lits += out.stats.encode_lits;

@@ -9,7 +9,7 @@ use std::time::Duration;
 use sebmc_repro::bmc::Budget;
 use sebmc_repro::logic::json::Json;
 use sebmc_repro::model::builders::shift_register;
-use sebmc_repro::service::{CheckService, EngineKind, Job, RetryPolicy, ServiceConfig};
+use sebmc_repro::service::{EngineKind, Job, RetryPolicy, ServiceConfig, ServiceHandle};
 use sebmc_repro::telemetry::Telemetry;
 
 /// Collects the `"ev"` field and full object of every trace line.
@@ -40,14 +40,13 @@ fn trace_file_covers_every_attempt_of_a_retried_job() {
     let telemetry =
         Arc::new(Telemetry::with_trace_file(&trace_path).expect("open trace file for writing"));
 
-    let mut svc =
-        CheckService::new(ServiceConfig::with_workers(1).with_telemetry(Arc::clone(&telemetry)));
+    let mut jobs = Vec::new();
     // Engine safe point fires once per check_bound: hits 1 and 2
     // decide bounds 0 and 1, hit 3 panics at bound 2 — attempt 1
     // fails, attempt 2 resumes and finishes.
     let mut budget = Budget::none();
     budget.fault = "panic@engine:3".parse().expect("fault plan");
-    svc.submit(
+    jobs.push(
         Job::new(shift_register(4), vec![EngineKind::Unroll], 8)
             .with_budget(budget)
             .with_retry(RetryPolicy {
@@ -55,7 +54,10 @@ fn trace_file_covers_every_attempt_of_a_retried_job() {
                 ..RetryPolicy::with_retries(2)
             }),
     );
-    let report = svc.run();
+    let report = ServiceHandle::run_batch(
+        ServiceConfig::with_workers(1).with_telemetry(Arc::clone(&telemetry)),
+        jobs,
+    );
     let job = &report.jobs[0];
     assert_eq!(job.attempts, 2, "one crash, one clean retry");
     assert!(job.verdict.is_reachable(), "{}", job.verdict);
