@@ -308,6 +308,7 @@ impl DeepeningPortfolio {
     fn race(&mut self, k: usize) -> (Vec<(bool, BmcOutcome)>, Option<usize>) {
         let race = CancelToken::new();
         let (tx, rx) = mpsc::channel();
+        // A retired engine reports why; every live one replies below.
         let mut slots: Vec<(bool, BmcOutcome)> = self
             .sessions
             .iter()

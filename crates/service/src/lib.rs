@@ -1065,12 +1065,9 @@ mod tests {
 
     #[test]
     fn per_job_cancellation_before_start_skips_the_job() {
-        let mut jobs = Vec::new();
         let job = Job::new(shift_register(4), vec![EngineKind::Jsat], 6);
-        let token = job.budget.cancel_token();
-        token.cancel();
-        jobs.push(job);
-        jobs.push(Job::new(token_ring(3), vec![EngineKind::Jsat], 4));
+        job.budget.cancel_token().cancel();
+        let jobs = vec![job, Job::new(token_ring(3), vec![EngineKind::Jsat], 4)];
         let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
         assert_eq!(
             r.jobs[0].verdict,
@@ -1181,19 +1178,14 @@ mod tests {
     /// certificate and the aggregate counts them.
     #[test]
     fn certified_jobs_carry_certificates() {
-        let mut jobs = Vec::new();
         let budget = Budget::none().with_certify(true);
-        jobs.push(
+        let jobs = vec![
             Job::new(traffic_light(), vec![EngineKind::Unroll], 4).with_budget(budget.clone()),
-        );
-        jobs.push(
             Job::new(shift_register(4), vec![EngineKind::Jsat], 6).with_budget(budget.clone()),
-        );
-        // A portfolio job: the winners' chain certifies the verdict.
-        jobs.push(
+            // A portfolio job: the winners' chain certifies the verdict.
             Job::new(token_ring(4), vec![EngineKind::Jsat, EngineKind::Unroll], 6)
                 .with_budget(budget),
-        );
+        ];
         let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
         for j in &r.jobs {
             let cert = j.certificate.as_ref().expect("certificate present");
@@ -1212,10 +1204,7 @@ mod tests {
 
     #[test]
     fn report_json_smoke() {
-        let mut jobs = Vec::new();
-        for job in suite_jobs(true, &[EngineKind::Jsat], 2, &Budget::none()) {
-            jobs.push(job);
-        }
+        let jobs = suite_jobs(true, &[EngineKind::Jsat], 2, &Budget::none());
         let r = ServiceHandle::run_batch(ServiceConfig::with_workers(2), jobs);
         assert_eq!(r.jobs.len(), 13);
         let json = r.to_json();

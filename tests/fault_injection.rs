@@ -193,20 +193,19 @@ fn memory_pressure_sheds_the_youngest_running_job() {
 #[test]
 fn blocked_portfolio_job_is_downgraded_to_a_single_engine() {
     let config = ServiceConfig::with_workers(2).with_max_total_bytes(10_000);
-    let mut jobs = Vec::new();
     // Holder: capped at 7000 bytes, stalled ~300 ms at its first
     // engine safe point — long enough to force the contender through
     // the downgrade ladder (25 deferrals × 2 ms), short enough to
     // finish normally afterwards.
     let mut holder = Budget::with_memory_bytes(7_000);
     holder.fault = plan("delay@engine:1:300");
-    jobs.push(Job::new(traffic_light(), vec![EngineKind::Unroll], 3).with_budget(holder));
-    // Contender: two engines × 3000 bytes = 6000 > the 3000 free;
-    // downgraded to one engine it fits.
-    jobs.push(
+    let jobs = vec![
+        Job::new(traffic_light(), vec![EngineKind::Unroll], 3).with_budget(holder),
+        // Contender: two engines × 3000 bytes = 6000 > the 3000 free;
+        // downgraded to one engine it fits.
         Job::new(token_ring(3), vec![EngineKind::Jsat, EngineKind::Unroll], 4)
             .with_budget(Budget::with_memory_bytes(3_000)),
-    );
+    ];
     let r = ServiceHandle::run_batch(config, jobs);
     assert!(r.jobs[0].verdict.is_unreachable(), "{}", r.jobs[0].verdict);
     let j = &r.jobs[1];
@@ -223,14 +222,14 @@ fn blocked_portfolio_job_is_downgraded_to_a_single_engine() {
 fn job_cancelled_while_queued_reports_wait_and_zero_solve_time() {
     // One worker, and a slow-ish first job so the second is still
     // queued when its token fires.
-    let mut jobs = Vec::new();
     let mut first = Budget::none();
     first.fault = plan("delay@engine:1:150");
-    jobs.push(Job::new(traffic_light(), vec![EngineKind::Unroll], 3).with_budget(first));
     let victim = Job::new(shift_register(4), vec![EngineKind::Unroll], 6);
-    let token = victim.budget.cancel_token();
-    jobs.push(victim);
-    token.cancel();
+    victim.budget.cancel_token().cancel();
+    let jobs = vec![
+        Job::new(traffic_light(), vec![EngineKind::Unroll], 3).with_budget(first),
+        victim,
+    ];
     let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1), jobs);
     assert!(r.jobs[0].verdict.is_unreachable(), "{}", r.jobs[0].verdict);
     let j = &r.jobs[1];
@@ -252,12 +251,13 @@ fn job_cancelled_while_queued_reports_wait_and_zero_solve_time() {
 fn service_cancellation_reports_queued_jobs_with_zero_solve_time() {
     let config = ServiceConfig::with_workers(1);
     let service_token = config.cancel.clone();
-    let mut jobs = Vec::new();
     let mut first = Budget::none();
     first.fault = plan("delay@engine:1:10000");
-    jobs.push(Job::new(traffic_light(), vec![EngineKind::Unroll], 3).with_budget(first));
-    jobs.push(Job::new(shift_register(4), vec![EngineKind::Unroll], 6));
-    jobs.push(Job::new(token_ring(3), vec![EngineKind::Jsat], 4));
+    let jobs = vec![
+        Job::new(traffic_light(), vec![EngineKind::Unroll], 3).with_budget(first),
+        Job::new(shift_register(4), vec![EngineKind::Unroll], 6),
+        Job::new(token_ring(3), vec![EngineKind::Jsat], 4),
+    ];
     // Fire the kill switch shortly after the service starts chewing on
     // the stalled first job.
     let killer = std::thread::spawn(move || {
@@ -297,7 +297,6 @@ fn seeded_fault_matrix_never_loses_a_job() {
     for seed in seeds {
         let plan = FaultPlan::seeded(seed);
         let spec = plan.to_string();
-        let mut jobs = Vec::new();
         let models: Vec<(Job, &str)> = vec![
             (
                 Job::new(shift_register(4), vec![EngineKind::Unroll], 6),
@@ -310,6 +309,7 @@ fn seeded_fault_matrix_never_loses_a_job() {
             (Job::new(traffic_light(), vec![EngineKind::Unroll], 3), "tl"),
         ];
         let n = models.len();
+        let mut jobs = Vec::new();
         for (mut job, _) in models {
             // Each job arms its own copy: independent hit counters.
             job.budget.fault = plan.fresh_copy();
@@ -360,17 +360,14 @@ fn seeded_fault_matrix_never_loses_a_job() {
 fn proof_export_survives_a_crash_mid_write() {
     use sebmc_repro::proof::{decode_stream, DratDecoder, TAG_ADD, TAG_DELETE};
     let dir = std::env::temp_dir().join(format!("sebmc-drat-crash-{}", std::process::id()));
-    let mut jobs = Vec::new();
     // Engine safe point fires once per check_bound: hits 1 and 2
     // decide bounds 0 and 1 (writing proof records along the way);
     // hit 3 panics at bound 2's entry, mid-stream.
     let mut budget = budget_with_fault("panic@engine:3");
     budget.certify = true;
-    jobs.push(
-        Job::new(traffic_light(), vec![EngineKind::Unroll], 4)
-            .with_budget(budget)
-            .with_retry(retries(2)),
-    );
+    let jobs = vec![Job::new(traffic_light(), vec![EngineKind::Unroll], 4)
+        .with_budget(budget)
+        .with_retry(retries(2))];
     let r = ServiceHandle::run_batch(ServiceConfig::with_workers(1).with_proof_dir(&dir), jobs);
     let j = &r.jobs[0];
     assert!(j.verdict.is_unreachable(), "retry recovered: {}", j.verdict);

@@ -96,13 +96,14 @@ fn seeded_random_job_mixes_report_every_job_with_oracle_verdicts() {
 /// leaves its siblings untouched.
 #[test]
 fn mid_run_job_cancellation_is_prompt_and_isolated() {
-    let mut jobs = Vec::new();
     // A genuinely long job: jsat on fifo(3) to bound 10 runs for
     // >100 ms even in release builds.
     let victim = Job::new(builders::fifo(3), vec![EngineKind::Jsat], 10);
     let token = victim.budget.cancel_token();
-    jobs.push(victim);
-    jobs.push(Job::new(builders::token_ring(3), vec![EngineKind::Jsat], 4));
+    let jobs = vec![
+        victim,
+        Job::new(builders::token_ring(3), vec![EngineKind::Jsat], 4),
+    ];
     let canceller = std::thread::spawn(move || {
         std::thread::sleep(Duration::from_millis(25));
         token.cancel();

@@ -40,20 +40,17 @@ fn trace_file_covers_every_attempt_of_a_retried_job() {
     let telemetry =
         Arc::new(Telemetry::with_trace_file(&trace_path).expect("open trace file for writing"));
 
-    let mut jobs = Vec::new();
     // Engine safe point fires once per check_bound: hits 1 and 2
     // decide bounds 0 and 1, hit 3 panics at bound 2 — attempt 1
     // fails, attempt 2 resumes and finishes.
     let mut budget = Budget::none();
     budget.fault = "panic@engine:3".parse().expect("fault plan");
-    jobs.push(
-        Job::new(shift_register(4), vec![EngineKind::Unroll], 8)
-            .with_budget(budget)
-            .with_retry(RetryPolicy {
-                backoff: Duration::from_millis(1),
-                ..RetryPolicy::with_retries(2)
-            }),
-    );
+    let jobs = vec![Job::new(shift_register(4), vec![EngineKind::Unroll], 8)
+        .with_budget(budget)
+        .with_retry(RetryPolicy {
+            backoff: Duration::from_millis(1),
+            ..RetryPolicy::with_retries(2)
+        })];
     let report = ServiceHandle::run_batch(
         ServiceConfig::with_workers(1).with_telemetry(Arc::clone(&telemetry)),
         jobs,
