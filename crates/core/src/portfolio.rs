@@ -552,11 +552,10 @@ mod tests {
 
     /// With one fast decider and one 10 s sleeper, a bound must take
     /// roughly the fast engine's time because the winner cancels the
-    /// sleeper. The winner is the engine that decided, not the first
-    /// entry: the sleeper is listed first.
+    /// sleeper.
     #[test]
     fn winner_cancels_the_losers() {
-        let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(SlowEngine), Box::new(UnrollSat)];
+        let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(UnrollSat), Box::new(SlowEngine)];
         let mut p = start(engines, Budget::none());
         let begin = Instant::now();
         let out = p.check_bound(2);
@@ -565,14 +564,23 @@ mod tests {
             elapsed < Duration::from_secs(5),
             "race took {elapsed:?}, cancellation failed"
         );
+        assert!(out.entries[0].outcome.result.is_reachable());
         assert_eq!(
-            out.entries[0].outcome.result,
+            out.entries[1].outcome.result,
             BmcResult::Unknown("cancelled".into())
         );
-        assert_eq!(
-            out.winning_entry().expect("unroll decides").engine,
-            "sat-unroll"
-        );
+    }
+
+    /// The sleeper is listed first and gets cancelled by the winner:
+    /// the bound's winner and verdict must skip its `Unknown` entry.
+    #[test]
+    fn first_decided_skips_unknowns() {
+        let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(SlowEngine), Box::new(UnrollSat)];
+        let out = start(engines, Budget::none()).check_bound(2);
+        assert!(out.entries[0].outcome.result.is_unknown());
+        assert_eq!(out.winner, Some(1));
+        let w = out.winning_entry().expect("unroll decides");
+        assert_eq!(w.engine, "sat-unroll");
         assert!(out.verdict().is_reachable());
     }
 
