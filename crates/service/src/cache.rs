@@ -145,27 +145,35 @@ impl ResultCache {
     /// solver effort and duration zeroed, queue/solve wall-clock
     /// zeroed).
     pub fn lookup(&mut self, key: &CacheKey, job_id: usize, name: &str) -> Option<JobReport> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.entries.get_mut(key) {
-            Some(e) => {
-                e.last_used = tick;
-                self.hits += 1;
-                let mut r = e.report.clone();
-                r.job_id = job_id;
-                r.name = name.to_string();
-                r.cached = true;
-                r.stats.solver_effort = 0;
-                r.stats.duration = Duration::ZERO;
-                r.queue_wait = Duration::ZERO;
-                r.solve_time = Duration::ZERO;
-                Some(r)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let hit = self.lookup_hit(key, job_id, name);
+        if hit.is_none() {
+            self.misses += 1;
         }
+        hit
+    }
+
+    /// [`ResultCache::lookup`] that counts a hit but not a miss, for a
+    /// caller that looks again before the job runs: the service counts
+    /// each job once, as a miss only when a worker runs it.
+    pub(crate) fn lookup_hit(
+        &mut self,
+        key: &CacheKey,
+        job_id: usize,
+        name: &str,
+    ) -> Option<JobReport> {
+        self.tick += 1;
+        let e = self.entries.get_mut(key)?;
+        e.last_used = self.tick;
+        self.hits += 1;
+        let mut r = e.report.clone();
+        r.job_id = job_id;
+        r.name = name.to_string();
+        r.cached = true;
+        r.stats.solver_effort = 0;
+        r.stats.duration = Duration::ZERO;
+        r.queue_wait = Duration::ZERO;
+        r.solve_time = Duration::ZERO;
+        Some(r)
     }
 
     /// Inserts a finished report under `key`, evicting least-recently-

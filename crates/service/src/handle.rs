@@ -3,8 +3,9 @@
 //! The worker pool and the cancellation bridge start once
 //! ([`ServiceHandle::start`]) and stay alive across jobs; submissions
 //! ([`ServiceHandle::submit`]) return immediately with a job id;
-//! finished reports are picked up as they land
-//! ([`ServiceHandle::next_report`], [`ServiceHandle::try_take`]); and
+//! finished reports are picked up as they land, from any client
+//! ([`ServiceHandle::next_report`]) or from one
+//! ([`ServiceHandle::next_report_for`]); and
 //! the pool is torn down exactly once, by an explicit
 //! [`ServiceHandle::shutdown`] that either drains the queue
 //! ([`ShutdownMode::Graceful`]) or cancels it ([`ShutdownMode::Now`]).
@@ -22,6 +23,15 @@
 //! [`CacheKey`] matches a decided verdict is answered at submit time —
 //! the report lands in the done set with `cached: true` and zero
 //! solver effort, and no worker ever sees the job.
+//!
+//! Duplicates are also merged at pickup, so one key is never solved
+//! twice at once: a job whose key was cached since it was submitted is
+//! answered from the cache, and a job whose key is running waits behind
+//! that run. When the run ends, its waiting duplicates are answered
+//! from the cache if its verdict was cacheable, and otherwise go back
+//! to the queue with their original submission time and sequence
+//! number. Each job counts once in the cache statistics: a hit when it
+//! is answered from the cache, a miss when a worker runs it.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -101,12 +111,22 @@ struct QueueState {
     running: HashMap<u64, usize>,
     /// Jobs currently on a worker, total.
     in_flight: usize,
+    /// Cache keys on a worker now, each with the duplicates picked up
+    /// meanwhile, which wait for its verdict.
+    running_keys: HashMap<CacheKey, Vec<PendingJob>>,
     /// Highest pending-queue depth ever observed (always tracked, so
     /// [`crate::ServiceReport`] can publish it with or without
     /// telemetry).
     high_water: usize,
     /// Queue pops by *effective* (post-aging) priority level 0..=9.
     pops: [u64; 10],
+}
+
+impl QueueState {
+    /// Jobs waiting behind a running duplicate.
+    fn waiting(&self) -> usize {
+        self.running_keys.values().map(Vec::len).sum()
+    }
 }
 
 /// Everything the workers, the bridge, and the handle share.
@@ -116,14 +136,41 @@ struct Shared {
     /// Signalled on submit/resume/shutdown and when a job finishes
     /// (for [`ServiceHandle::outstanding`] watchers).
     queue_cv: Condvar,
-    /// Finished reports awaiting pickup, by job id.
-    done: Mutex<HashMap<usize, JobReport>>,
+    /// Finished reports awaiting pickup, by job id, each with its
+    /// submitting client.
+    done: Mutex<HashMap<usize, (u64, JobReport)>>,
     done_cv: Condvar,
     governor: MemGovernor,
     /// One cancellation-bridge slot per worker.
     slots: Vec<Mutex<Option<BridgeSlot>>>,
     stop_bridge: AtomicBool,
     cache: Option<Mutex<ResultCache>>,
+}
+
+impl Shared {
+    /// Hands `client` its finished report and wakes the report waiters.
+    fn publish(&self, client: u64, report: JobReport) {
+        lock_unpoisoned(&self.done).insert(report.job_id, (client, report));
+        self.done_cv.notify_all();
+    }
+
+    /// Publishes a job answered from the result cache and counts the
+    /// hit.
+    fn answer_from_cache(&self, client: u64, priority: u8, mut hit: JobReport) {
+        hit.priority = priority;
+        if let Some(t) = self.config.telemetry.as_deref() {
+            t.metrics.jobs_cached.inc();
+            t.metrics.cache_hits.inc();
+            t.trace(
+                "cache_hit",
+                &[
+                    ("job", hit.job_id.into()),
+                    ("name", hit.name.as_str().into()),
+                ],
+            );
+        }
+        self.publish(client, hit);
+    }
 }
 
 /// A running checking service: a live worker pool behind a
@@ -172,6 +219,7 @@ impl ServiceHandle {
                 next_ticket: 0,
                 running: HashMap::new(),
                 in_flight: 0,
+                running_keys: HashMap::new(),
                 high_water: 0,
                 pops: [0; 10],
             }),
@@ -245,7 +293,9 @@ impl ServiceHandle {
 
     /// Submits a job and returns its id. A duplicate of a cached
     /// decided verdict is answered immediately (the report is already
-    /// in the done set when this returns, `cached: true`).
+    /// in the done set when this returns, `cached: true`); a duplicate
+    /// of a running job is answered when that run ends (see the module
+    /// docs).
     pub fn submit(&self, job: Job) -> Result<usize, SubmitError> {
         self.submit_for_client(job, 0)
     }
@@ -299,21 +349,14 @@ impl ServiceHandle {
         }
         let id = st.next_id;
         st.next_id += 1;
+        // A miss is not counted here: the job looks again at pickup.
         if let (Some(cache), Some(key)) = (&shared.cache, &cache_key) {
-            if let Some(mut hit) = lock_unpoisoned(cache).lookup(key, id, &job.name) {
-                hit.priority = job.priority;
+            if let Some(hit) = lock_unpoisoned(cache).lookup_hit(key, id, &job.name) {
                 drop(st);
                 if let Some(t) = telemetry {
                     t.metrics.jobs_submitted.inc();
-                    t.metrics.jobs_cached.inc();
-                    t.metrics.cache_hits.inc();
-                    t.trace(
-                        "cache_hit",
-                        &[("job", id.into()), ("name", job.name.as_str().into())],
-                    );
                 }
-                lock_unpoisoned(&shared.done).insert(id, hit);
-                self.shared.done_cv.notify_all();
+                shared.answer_from_cache(client, job.priority, hit);
                 return Ok(id);
             }
         }
@@ -321,9 +364,6 @@ impl ServiceHandle {
         st.next_seq += 1;
         if let Some(t) = telemetry {
             t.metrics.jobs_submitted.inc();
-            if cache_key.is_some() {
-                t.metrics.cache_misses.inc();
-            }
             t.trace(
                 "submit",
                 &[
@@ -353,11 +393,6 @@ impl ServiceHandle {
         Ok(id)
     }
 
-    /// Takes job `id`'s report if it has finished (non-blocking).
-    pub fn try_take(&self, id: usize) -> Option<JobReport> {
-        lock_unpoisoned(&self.shared.done).remove(&id)
-    }
-
     /// Takes the finished report with the smallest job id, waiting up
     /// to `timeout` (`None` = forever) for one to land. Returns `None`
     /// on timeout — callers are responsible for only waiting
@@ -366,23 +401,27 @@ impl ServiceHandle {
         self.wait_report(timeout, |done| done.keys().min().copied())
     }
 
-    /// [`ServiceHandle::next_report`] restricted to the given ids.
-    pub fn next_report_among(&self, ids: &[usize], timeout: Option<Duration>) -> Option<JobReport> {
+    /// [`ServiceHandle::next_report`] restricted to the jobs `client`
+    /// submitted (see [`ServiceHandle::submit_for_client`]).
+    pub fn next_report_for(&self, client: u64, timeout: Option<Duration>) -> Option<JobReport> {
         self.wait_report(timeout, |done| {
-            ids.iter().copied().filter(|id| done.contains_key(id)).min()
+            done.iter()
+                .filter(|(_, (c, _))| *c == client)
+                .map(|(id, _)| *id)
+                .min()
         })
     }
 
     fn wait_report(
         &self,
         timeout: Option<Duration>,
-        pick: impl Fn(&HashMap<usize, JobReport>) -> Option<usize>,
+        pick: impl Fn(&HashMap<usize, (u64, JobReport)>) -> Option<usize>,
     ) -> Option<JobReport> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut done = lock_unpoisoned(&self.shared.done);
         loop {
             if let Some(id) = pick(&done) {
-                return done.remove(&id);
+                return done.remove(&id).map(|(_, r)| r);
             }
             match deadline {
                 None => {
@@ -413,11 +452,12 @@ impl ServiceHandle {
         lock_unpoisoned(&self.shared.queue).pending.len()
     }
 
-    /// Jobs not yet finished: pending plus in flight on a worker
-    /// (collected and cache-answered reports are not counted).
+    /// Jobs not yet finished: pending, in flight on a worker, or
+    /// waiting behind a running duplicate (collected and
+    /// cache-answered reports are not counted).
     pub fn outstanding(&self) -> usize {
         let st = lock_unpoisoned(&self.shared.queue);
-        st.pending.len() + st.in_flight
+        st.pending.len() + st.in_flight + st.waiting()
     }
 
     /// Whether submissions are still accepted (false once shutdown has
@@ -469,7 +509,7 @@ impl ServiceHandle {
         }
         let mut left: Vec<JobReport> = lock_unpoisoned(&self.shared.done)
             .drain()
-            .map(|(_, r)| r)
+            .map(|(_, (_, r))| r)
             .collect();
         left.sort_by_key(|r| r.job_id);
         left
@@ -485,9 +525,11 @@ impl Drop for ServiceHandle {
 }
 
 /// One worker: pick up → run supervised → publish the report. The
-/// pickup block (pop, governor enrollment, per-client accounting) runs
-/// under the queue lock so scheduling decisions are atomic.
+/// pickup block (pop, duplicate merging, governor enrollment,
+/// per-client accounting) runs under the queue lock so scheduling
+/// decisions are atomic.
 fn worker_loop(shared: &Shared, wid: usize) {
+    let telemetry = shared.config.telemetry.as_deref();
     loop {
         let picked = {
             let mut st = lock_unpoisoned(&shared.queue);
@@ -511,15 +553,9 @@ fn worker_loop(shared: &Shared, wid: usize) {
                 };
                 let eff = p.effective_priority(now, shared.config.priority_aging);
                 st.pops[usize::from(eff)] += 1;
-                let ticket = st.next_ticket;
-                st.next_ticket += 1;
-                shared.governor.enroll(p.id, ticket);
-                *st.running.entry(p.client).or_insert(0) += 1;
-                st.in_flight += 1;
-                if let Some(t) = shared.config.telemetry.as_deref() {
+                if let Some(t) = telemetry {
                     t.metrics.queue_pops[usize::from(eff)].inc();
                     t.metrics.queue_depth.set(st.pending.len() as u64);
-                    t.metrics.jobs_in_flight.add(1);
                     t.trace(
                         "pop",
                         &[
@@ -528,6 +564,28 @@ fn worker_loop(shared: &Shared, wid: usize) {
                             ("eff_priority", u64::from(eff).into()),
                         ],
                     );
+                }
+                if let (Some(cache), Some(key)) = (&shared.cache, p.cache_key) {
+                    if let Some(waiting) = st.running_keys.get_mut(&key) {
+                        waiting.push(p);
+                        continue;
+                    }
+                    if let Some(hit) = lock_unpoisoned(cache).lookup(&key, p.id, &p.job.name) {
+                        shared.answer_from_cache(p.client, p.job.priority, hit);
+                        continue;
+                    }
+                    st.running_keys.insert(key, Vec::new());
+                    if let Some(t) = telemetry {
+                        t.metrics.cache_misses.inc();
+                    }
+                }
+                let ticket = st.next_ticket;
+                st.next_ticket += 1;
+                shared.governor.enroll(p.id, ticket);
+                *st.running.entry(p.client).or_insert(0) += 1;
+                st.in_flight += 1;
+                if let Some(t) = telemetry {
+                    t.metrics.jobs_in_flight.add(1);
                 }
                 break p;
             }
@@ -579,7 +637,7 @@ fn worker_loop(shared: &Shared, wid: usize) {
         if let (Some(cache), Some(key)) = (&shared.cache, cache_key) {
             evicted = lock_unpoisoned(cache).insert(key, &report);
         }
-        if let Some(t) = shared.config.telemetry.as_deref() {
+        if let Some(t) = telemetry {
             t.metrics.jobs_completed.inc();
             t.metrics.jobs_in_flight.sub(1);
             t.metrics.cache_evictions.add(evicted as u64);
@@ -618,11 +676,20 @@ fn worker_loop(shared: &Shared, wid: usize) {
                 }
             }
             st.in_flight -= 1;
+            // The duplicates that waited for this run: answered from
+            // the cache, or queued again when it holds no verdict.
+            if let (Some(cache), Some(key)) = (&shared.cache, cache_key) {
+                for w in st.running_keys.remove(&key).unwrap_or_default() {
+                    match lock_unpoisoned(cache).lookup_hit(&key, w.id, &w.job.name) {
+                        Some(hit) => shared.answer_from_cache(w.client, w.job.priority, hit),
+                        None => st.pending.push(w),
+                    }
+                }
+            }
         }
         // Wake outstanding() watchers and fellow workers alike.
         shared.queue_cv.notify_all();
-        lock_unpoisoned(&shared.done).insert(id, report);
-        shared.done_cv.notify_all();
+        shared.publish(client, report);
     }
 }
 
@@ -693,6 +760,101 @@ mod tests {
             .filter(|l| l.contains("\"ev\":\"pop\""))
             .map(|l| (num_field(l, "job") as usize, num_field(l, "eff_priority")))
             .collect()
+    }
+
+    fn budget_with_faults(plan: &str) -> Budget {
+        let mut budget = Budget::none();
+        budget.fault = plan.parse().expect("fault plan");
+        budget
+    }
+
+    /// Waits until `n` jobs wait behind a running duplicate.
+    fn wait_for_waiters(handle: &ServiceHandle, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while lock_unpoisoned(&handle.shared.queue).waiting() < n {
+            assert!(
+                Instant::now() < deadline,
+                "no job waited behind its duplicate"
+            );
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The reports of `ids`, in that order, collected as they land.
+    fn reports_of(handle: &ServiceHandle, ids: &[usize]) -> Vec<JobReport> {
+        let mut reports: Vec<JobReport> = ids
+            .iter()
+            .map(|_| {
+                handle
+                    .next_report(Some(Duration::from_secs(60)))
+                    .expect("report lands")
+            })
+            .collect();
+        reports.sort_by_key(|r| ids.iter().position(|&id| id == r.job_id));
+        reports
+    }
+
+    #[test]
+    fn a_duplicate_picked_up_while_its_original_runs_is_answered_from_the_cache() {
+        let telemetry = Arc::new(Telemetry::new());
+        let handle = ServiceHandle::start(
+            ServiceConfig::with_workers(2)
+                .with_result_cache_bytes(1 << 20)
+                .with_telemetry(Arc::clone(&telemetry)),
+        );
+        // The original stalls 300 ms at its first bound, so the second
+        // worker picks the duplicate up while it runs.
+        let original = handle
+            .submit(job(4).with_budget(budget_with_faults("delay@engine:1:300")))
+            .expect("accepts");
+        let duplicate = handle.submit(job(4)).expect("accepts");
+        wait_for_waiters(&handle, 1);
+        assert_eq!(
+            handle.outstanding(),
+            2,
+            "the waiting duplicate is outstanding"
+        );
+        let reports = reports_of(&handle, &[original, duplicate]);
+        assert!(!reports[0].cached, "the original runs");
+        assert!(
+            reports[1].cached,
+            "the duplicate is answered from the cache"
+        );
+        assert_eq!(reports[1].stats.solver_effort, 0);
+        assert_eq!(reports[1].verdict, reports[0].verdict);
+        assert_eq!(telemetry.metrics.jobs_completed.get(), 1, "one job ran");
+        assert_eq!(telemetry.metrics.jobs_cached.get(), 1);
+        assert_eq!(handle.cache_stats(), Some((1, 1)));
+        assert_eq!(telemetry.metrics.cache_hits.get(), 1);
+        assert_eq!(telemetry.metrics.cache_misses.get(), 1);
+        assert!(handle.shutdown(ShutdownMode::Graceful).is_empty());
+    }
+
+    #[test]
+    fn a_duplicate_of_an_undecided_run_is_queued_again_and_runs_itself() {
+        let handle =
+            ServiceHandle::start(ServiceConfig::with_workers(2).with_result_cache_bytes(1 << 20));
+        // The original stalls 300 ms, then panics at its first bound:
+        // it ends quarantined, with no verdict to cache.
+        let original = handle
+            .submit(job(4).with_budget(budget_with_faults("delay@service:1:300,panic@engine:1")))
+            .expect("accepts");
+        let duplicate = handle.submit(job(4)).expect("accepts");
+        wait_for_waiters(&handle, 1);
+        let reports = reports_of(&handle, &[original, duplicate]);
+        assert!(reports[0].quarantined, "{:?}", reports[0].verdict);
+        assert!(matches!(reports[0].verdict, sebmc::BmcResult::Unknown(_)));
+        assert!(!reports[1].cached, "the duplicate runs itself");
+        assert!(
+            !matches!(reports[1].verdict, sebmc::BmcResult::Unknown(_)),
+            "and decides: {:?}",
+            reports[1].verdict
+        );
+        assert_eq!(handle.cache_stats(), Some((0, 2)), "both ran");
+        assert!(
+            handle.shutdown(ShutdownMode::Graceful).is_empty(),
+            "exactly one report per job"
+        );
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub use report::{
     cert_json, job_json, json_escape, stats_json, FailureReport, JobReport, ServiceReport,
 };
 pub use sebmc_telemetry::{MetricsRegistry, Telemetry, TraceSink};
-pub use serve::{serve_on, ServeOptions, ServeSummary};
+pub use serve::{serve_on, ServeSummary};
 pub use spec::JobSpec;
 
 use std::path::{Path, PathBuf};

@@ -13,15 +13,16 @@
 //! * `hello` — sent once on connect (protocol version, worker count).
 //! * `accepted` / `error` — one per client frame, in order.
 //! * `report` — pushed, possibly between a request and its response,
-//!   when one of *this connection's* jobs finishes; the `"job"` payload
-//!   is [`job_json`](crate::job_json).
+//!   when one of *this connection's* jobs finishes (always after that
+//!   job's `accepted`); the `"job"` payload is
+//!   [`job_json`](crate::job_json).
 //! * `pong`, `shutdown_ack` — command responses.
 //!
 //! This module holds the pieces both ends share: frame builders
-//! ([`frames`]), a timeout-safe line reader ([`LineReader`] — unlike
-//! `BufRead::read_line`, a read timeout does **not** lose a partial
-//! line), and a small blocking client ([`WireClient`]) used by
-//! `sebmc client` and the daemon tests.
+//! ([`frames`]), a whole-frame writer ([`write_frame`]), a timeout-safe
+//! line reader ([`LineReader`] — unlike `BufRead::read_line`, a read
+//! timeout does **not** lose a partial line), and a small blocking
+//! client ([`WireClient`]) used by `sebmc client` and the daemon tests.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind, Read, Write};
@@ -101,6 +102,18 @@ pub mod frames {
     pub fn stats(snapshot: &str) -> String {
         format!("{{\"op\":\"stats\",\"snapshot\":{snapshot}}}")
     }
+}
+
+/// Sends one frame — `line` and its `\n` terminator — in a single
+/// write. Both ends use it on `TCP_NODELAY` sockets: a frame split over
+/// two writes on a socket without `TCP_NODELAY` stalls, because Nagle's
+/// algorithm holds the short second segment until the peer acknowledges
+/// the first, and a delayed ACK puts that off by up to ~40 ms.
+pub(crate) fn write_frame(out: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    out.write_all(&frame)
 }
 
 /// What one [`LineReader::read_line`] call produced.
@@ -185,6 +198,7 @@ impl WireClient {
     /// Connects and consumes the server's `hello` frame.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         stream.set_read_timeout(Some(CLIENT_READ_TIMEOUT))?;
         let reader = LineReader::new(stream.try_clone()?);
         let mut client = WireClient {
@@ -201,12 +215,6 @@ impl WireClient {
         }
         client.hello = hello;
         Ok(client)
-    }
-
-    fn send_line(&mut self, line: &str) -> io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
-        self.stream.flush()
     }
 
     /// Reads the next frame of any kind (stashed reports first), up to
@@ -275,7 +283,7 @@ impl WireClient {
     /// server's refusal message in the inner `Err`.
     pub fn submit(&mut self, spec: &JobSpec) -> io::Result<Result<usize, String>> {
         let line = spec.to_json().to_string();
-        self.send_line(&line)?;
+        write_frame(&mut self.stream, &line)?;
         let resp = self.read_response(Some(Duration::from_secs(30)))?;
         match resp.get("op").and_then(Json::as_str) {
             Some("accepted") => {
@@ -330,7 +338,10 @@ impl WireClient {
     /// Round-trips a `stats` command; returns the snapshot payload
     /// (`{"uptime_ms":…,"metrics":{…}}`).
     pub fn stats(&mut self) -> io::Result<Json> {
-        self.send_line(&obj(vec![("op", Json::Str("stats".into()))]).to_string())?;
+        write_frame(
+            &mut self.stream,
+            &obj(vec![("op", Json::Str("stats".into()))]).to_string(),
+        )?;
         let resp = self.read_response(Some(Duration::from_secs(10)))?;
         if resp.get("op").and_then(Json::as_str) == Some("stats") {
             resp.get("snapshot")
@@ -343,7 +354,10 @@ impl WireClient {
 
     /// Round-trips a `ping`.
     pub fn ping(&mut self) -> io::Result<()> {
-        self.send_line(&obj(vec![("op", Json::Str("ping".into()))]).to_string())?;
+        write_frame(
+            &mut self.stream,
+            &obj(vec![("op", Json::Str("ping".into()))]).to_string(),
+        )?;
         let resp = self.read_response(Some(Duration::from_secs(10)))?;
         if resp.get("op").and_then(Json::as_str) == Some("pong") {
             Ok(())
@@ -355,7 +369,8 @@ impl WireClient {
     /// Asks the server to shut down (`mode` is `"graceful"` or
     /// `"now"`) and waits for the acknowledgement.
     pub fn shutdown(&mut self, mode: &str) -> io::Result<()> {
-        self.send_line(
+        write_frame(
+            &mut self.stream,
             &obj(vec![
                 ("op", Json::Str("shutdown".into())),
                 ("mode", Json::Str(mode.into())),
@@ -404,6 +419,27 @@ mod tests {
         assert_eq!(r.read_line(), LineEvent::Line("{\"op\":\"ping\"}".into()));
         assert_eq!(r.read_line(), LineEvent::Line("{\"op\":\"pong\"}".into()));
         assert_eq!(r.read_line(), LineEvent::Eof);
+    }
+
+    /// A Write that records the bytes of each call.
+    #[derive(Default)]
+    struct Calls(Vec<Vec<u8>>);
+
+    impl Write for Calls {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_sends_the_line_and_its_newline_in_one_write() {
+        let mut out = Calls::default();
+        write_frame(&mut out, "{\"op\":\"pong\"}").expect("write");
+        assert_eq!(out.0, vec![b"{\"op\":\"pong\"}\n".to_vec()]);
     }
 
     #[test]

@@ -2,14 +2,22 @@
 //!
 //! [`serve_on`] turns a bound [`TcpListener`] plus a
 //! [`ServiceConfig`] into a long-running server: one
-//! [`ServiceHandle`] worker pool shared by every connection, one
-//! lightweight thread per connection speaking the line-delimited JSON
+//! [`ServiceHandle`] worker pool shared by every connection, and two
+//! lightweight threads per connection speaking the line-delimited JSON
 //! protocol (see `docs/protocol.md` and [`frames`]). Each connection
 //! is a distinct *client* to the scheduler (its id feeds the queue's
-//! fairness tie-break), submissions go through the same [`JobSpec`]
-//! decoding as job files and the batch CLI, and finished reports are
-//! pushed back over the submitting connection as they land — a
-//! connection only ever sees its own jobs.
+//! fairness tie-break), and submissions go through the same
+//! [`JobSpec`] decoding as job files and the batch CLI.
+//!
+//! Every frame goes out as soon as it exists. A connection's reader
+//! thread answers each request; its scoped pusher thread blocks in
+//! [`ServiceHandle::next_report_for`] until one of the connection's
+//! reports lands and writes it at once — a connection only ever sees
+//! its own jobs. Both threads write whole frames, each line and its
+//! newline in one write, through one mutex-guarded `TCP_NODELAY`
+//! socket. The reader holds that lock from `submit` until the job's
+//! `accepted` frame is out, so a report never comes before its
+//! `accepted`.
 //!
 //! Shutdown is protocol-driven: any client may send
 //! `{"op":"shutdown","mode":"graceful"|"now"}`. Graceful stops
@@ -18,13 +26,14 @@
 //! `now` additionally fires the service cancel token so running jobs
 //! stop at their next safe point (still producing reports — the
 //! one-job-one-report invariant holds through shutdown). Reports whose
-//! connection vanished before delivery are returned in
-//! [`ServeSummary::leftover`], so nothing is silently dropped.
+//! connection vanished before delivery, including one whose write
+//! failed, are returned in [`ServeSummary::leftover`], so nothing is
+//! silently dropped.
 
-use std::io::{self, ErrorKind, Write};
+use std::io::{self, ErrorKind};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -32,7 +41,8 @@ use sebmc_logic::json::Json;
 use sebmc_telemetry::Telemetry;
 
 use crate::handle::{ServiceHandle, ShutdownMode};
-use crate::protocol::{frames, LineEvent, LineReader};
+use crate::lock_unpoisoned;
+use crate::protocol::{frames, write_frame, LineEvent, LineReader};
 use crate::report::JobReport;
 use crate::spec::JobSpec;
 use crate::ServiceConfig;
@@ -44,26 +54,13 @@ const STOP_GRACEFUL: u8 = 1;
 /// `stop` value: immediate shutdown requested.
 const STOP_NOW: u8 = 2;
 
-/// Tunables of the accept/read loops (defaults suit both production
-/// and tests; they only trade shutdown latency against idle CPU).
-#[derive(Clone, Debug)]
-pub struct ServeOptions {
-    /// How often the accept loop polls the (non-blocking) listener and
-    /// the stop flag.
-    pub accept_poll: Duration,
-    /// Per-connection socket read timeout: the cadence at which a
-    /// connection thread interleaves report pushes with request reads.
-    pub client_read_timeout: Duration,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            accept_poll: Duration::from_millis(25),
-            client_read_timeout: Duration::from_millis(50),
-        }
-    }
-}
+/// How often the accept loop polls the (non-blocking) listener and the
+/// stop flag.
+const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// How long a connection's reader and pusher block before they look at
+/// the stop flag again. Requests and reports are served as they come,
+/// so this only sets how fast an idle connection notices shutdown.
+const CONN_POLL: Duration = Duration::from_millis(50);
 
 /// What a server run amounted to, returned by [`serve_on`] after
 /// shutdown completes.
@@ -77,8 +74,8 @@ pub struct ServeSummary {
     pub jobs_rejected: usize,
     /// Reports pushed to their submitting connections.
     pub reports_delivered: usize,
-    /// Finished reports whose connection was gone before delivery
-    /// (sorted by job id).
+    /// Finished reports that were not delivered, because their
+    /// connection was gone or the write failed (sorted by job id).
     pub leftover: Vec<JobReport>,
     /// Result-cache `(hits, misses)`, when the cache was enabled.
     pub cache: Option<(u64, u64)>,
@@ -106,9 +103,14 @@ impl ServeSummary {
     }
 }
 
-/// Shared submission/delivery counters.
-#[derive(Default)]
-struct Counters {
+/// What every connection shares: the worker pool, the stop flag, the
+/// telemetry behind the `stats` frame, the greeting, and the summary
+/// counters.
+struct Daemon {
+    handle: ServiceHandle,
+    stop: AtomicU8,
+    telemetry: Arc<Telemetry>,
+    hello: String,
     submitted: AtomicUsize,
     rejected: AtomicUsize,
     delivered: AtomicUsize,
@@ -117,14 +119,9 @@ struct Counters {
 /// Runs the daemon on an already-bound listener until a client sends a
 /// shutdown command, then drains (see the module docs) and returns the
 /// run's summary. The listener is consumed and closed on shutdown.
-pub fn serve_on(
-    listener: TcpListener,
-    mut config: ServiceConfig,
-    opts: ServeOptions,
-) -> io::Result<ServeSummary> {
+pub fn serve_on(listener: TcpListener, mut config: ServiceConfig) -> io::Result<ServeSummary> {
     listener.set_nonblocking(true)?;
-    let workers = config.workers.max(1);
-    let cache_enabled = config.result_cache_bytes.is_some();
+    let hello = frames::hello(config.workers.max(1), config.result_cache_bytes.is_some());
     let cancel = config.cancel.clone();
     // The daemon always carries telemetry — the `stats` frame must
     // answer even when the operator configured none.
@@ -137,48 +134,38 @@ pub fn serve_on(
         }
     };
     let started = Instant::now();
-    let handle = Arc::new(ServiceHandle::start(config));
-    let stop = Arc::new(AtomicU8::new(RUN));
-    let counters = Arc::new(Counters::default());
+    let daemon = Arc::new(Daemon {
+        handle: ServiceHandle::start(config),
+        stop: AtomicU8::new(RUN),
+        telemetry,
+        hello,
+        submitted: AtomicUsize::new(0),
+        rejected: AtomicUsize::new(0),
+        delivered: AtomicUsize::new(0),
+    });
 
-    let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
-    let mut connections = 0usize;
-    let mut next_client: u64 = 1;
-    while stop.load(Ordering::Relaxed) == RUN {
+    let mut conns: Vec<thread::JoinHandle<Option<JobReport>>> = Vec::new();
+    while daemon.stop.load(Ordering::Relaxed) == RUN {
         match listener.accept() {
             Ok((stream, _peer)) => {
-                connections += 1;
-                let client_id = next_client;
-                next_client += 1;
-                let handle = Arc::clone(&handle);
-                let stop = Arc::clone(&stop);
-                let counters = Arc::clone(&counters);
-                let telemetry = Arc::clone(&telemetry);
-                let read_timeout = opts.client_read_timeout;
+                let client = conns.len() as u64 + 1;
+                let daemon = Arc::clone(&daemon);
                 conns.push(
                     thread::Builder::new()
-                        .name(format!("sebmc-conn-{client_id}"))
-                        .spawn(move || {
-                            connection_loop(
-                                stream,
-                                client_id,
-                                &handle,
-                                &stop,
-                                &counters,
-                                &telemetry,
-                                workers,
-                                cache_enabled,
-                                read_timeout,
-                            );
-                        })
+                        .name(format!("sebmc-conn-{client}"))
+                        .spawn(move || serve_connection(stream, client, &daemon))
                         .expect("spawn connection thread"),
                 );
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 // Idle beat: keep the depth gauge honest even while no
                 // submission or pickup is moving it.
-                telemetry.metrics.queue_depth.set(handle.pending() as u64);
-                thread::sleep(opts.accept_poll);
+                daemon
+                    .telemetry
+                    .metrics
+                    .queue_depth
+                    .set(daemon.handle.pending() as u64);
+                thread::sleep(ACCEPT_POLL);
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
@@ -186,7 +173,7 @@ pub fn serve_on(
     }
     // New connections are refused from here on.
     drop(listener);
-    let mode = if stop.load(Ordering::Relaxed) == STOP_NOW {
+    let mode = if daemon.stop.load(Ordering::Relaxed) == STOP_NOW {
         cancel.cancel();
         ShutdownMode::Now
     } else {
@@ -194,71 +181,98 @@ pub fn serve_on(
     };
     // Connection threads exit once every report they own is delivered
     // (graceful: jobs run to completion first; now: cancellation turns
-    // them into prompt Unknown reports).
-    for c in conns {
-        let _ = c.join();
-    }
-    let cache = handle.cache_stats();
-    let leftover = handle.shutdown(mode);
-    telemetry.flush();
+    // them into prompt Unknown reports), or once their peer is gone;
+    // each hands back the report it took but could not write.
+    let connections = conns.len();
+    let mut leftover: Vec<JobReport> = conns
+        .into_iter()
+        .filter_map(|c| c.join().ok().flatten())
+        .collect();
+    let cache = daemon.handle.cache_stats();
+    leftover.extend(daemon.handle.shutdown(mode));
+    leftover.sort_by_key(|r| r.job_id);
+    daemon.telemetry.flush();
     Ok(ServeSummary {
         connections,
-        jobs_submitted: counters.submitted.load(Ordering::Relaxed),
-        jobs_rejected: counters.rejected.load(Ordering::Relaxed),
-        reports_delivered: counters.delivered.load(Ordering::Relaxed),
+        jobs_submitted: daemon.submitted.load(Ordering::Relaxed),
+        jobs_rejected: daemon.rejected.load(Ordering::Relaxed),
+        reports_delivered: daemon.delivered.load(Ordering::Relaxed),
         leftover,
         cache,
         uptime: started.elapsed(),
     })
 }
 
-fn write_line(out: &mut TcpStream, line: &str) -> io::Result<()> {
-    out.write_all(line.as_bytes())?;
-    out.write_all(b"\n")?;
-    out.flush()
+/// The write half of a connection, shared by its two threads.
+struct Writer {
+    stream: TcpStream,
+    /// Accepted jobs whose reports have not been written yet.
+    owed: usize,
 }
 
-/// One connection: greet, then interleave pushing finished reports
-/// with serving requests until the peer hangs up — or shutdown has
-/// begun *and* every job this connection submitted has been delivered.
-#[allow(clippy::too_many_arguments)]
-fn connection_loop(
-    stream: TcpStream,
-    client_id: u64,
-    handle: &ServiceHandle,
-    stop: &AtomicU8,
-    counters: &Counters,
-    telemetry: &Telemetry,
-    workers: usize,
-    cache_enabled: bool,
-    read_timeout: Duration,
-) {
-    if stream.set_read_timeout(Some(read_timeout)).is_err() {
-        return;
+/// One connection's state, shared by its reader and its pusher.
+struct Conn {
+    client: u64,
+    writer: Mutex<Writer>,
+    /// Set when either thread stops: the other one then stops too. A
+    /// stop signal only, so `Relaxed` suffices.
+    closed: AtomicBool,
+}
+
+impl Conn {
+    fn send(&self, frame: &str) -> io::Result<()> {
+        write_frame(&mut lock_unpoisoned(&self.writer).stream, frame)
     }
-    let Ok(mut out) = stream.try_clone() else {
-        return;
+}
+
+/// One connection: greet, then serve requests on this thread while a
+/// scoped pusher thread writes reports. Returns the report the pusher
+/// took but could not write, if any.
+fn serve_connection(stream: TcpStream, client: u64, daemon: &Daemon) -> Option<JobReport> {
+    stream.set_nodelay(true).ok()?;
+    stream.set_read_timeout(Some(CONN_POLL)).ok()?;
+    let mut out = stream.try_clone().ok()?;
+    write_frame(&mut out, &daemon.hello).ok()?;
+    let conn = Conn {
+        client,
+        writer: Mutex::new(Writer {
+            stream: out,
+            owed: 0,
+        }),
+        closed: AtomicBool::new(false),
     };
-    let mut reader = LineReader::new(stream);
-    if write_line(&mut out, &frames::hello(workers, cache_enabled)).is_err() {
-        return;
-    }
-    // Jobs submitted on this connection whose reports are still owed.
-    let mut owed: Vec<usize> = Vec::new();
-    loop {
-        let mut i = 0;
-        while i < owed.len() {
-            match handle.try_take(owed[i]) {
-                Some(report) => {
-                    if write_line(&mut out, &frames::report(&report)).is_err() {
-                        return;
-                    }
-                    counters.delivered.fetch_add(1, Ordering::Relaxed);
-                    owed.swap_remove(i);
-                }
-                None => i += 1,
-            }
+    thread::scope(|s| {
+        let pusher = s.spawn(|| push_reports(&conn, daemon));
+        read_requests(LineReader::new(stream), &conn, daemon);
+        conn.closed.store(true, Ordering::Relaxed);
+        pusher.join().expect("the report pusher does not panic")
+    })
+}
+
+/// Writes this connection's reports as they land, until the reader
+/// stops or a write fails; returns the report whose write failed.
+fn push_reports(conn: &Conn, daemon: &Daemon) -> Option<JobReport> {
+    while !conn.closed.load(Ordering::Relaxed) {
+        let Some(report) = daemon.handle.next_report_for(conn.client, Some(CONN_POLL)) else {
+            continue;
+        };
+        let frame = frames::report(&report);
+        let mut w = lock_unpoisoned(&conn.writer);
+        w.owed -= 1;
+        if write_frame(&mut w.stream, &frame).is_err() {
+            conn.closed.store(true, Ordering::Relaxed);
+            return Some(report);
         }
+        daemon.delivered.fetch_add(1, Ordering::Relaxed);
+    }
+    None
+}
+
+/// Serves the peer's requests until it hangs up, the pusher fails, or
+/// shutdown has begun *and* every report this connection is owed has
+/// been written.
+fn read_requests(mut reader: LineReader<TcpStream>, conn: &Conn, daemon: &Daemon) {
+    loop {
         // The exit check sits on the *empty-read* path, not before the
         // read: frames the client pipelined behind its shutdown command
         // still get read and answered (with a clean `error` for
@@ -266,7 +280,10 @@ fn connection_loop(
         // the connection closing under the client's write.
         match reader.read_line() {
             LineEvent::Timeout => {
-                if stop.load(Ordering::Relaxed) != RUN && owed.is_empty() {
+                if conn.closed.load(Ordering::Relaxed)
+                    || (daemon.stop.load(Ordering::Relaxed) != RUN
+                        && lock_unpoisoned(&conn.writer).owed == 0)
+                {
                     return;
                 }
             }
@@ -275,10 +292,7 @@ fn connection_loop(
                 if line.trim().is_empty() {
                     continue;
                 }
-                let reply = handle_frame(
-                    &line, client_id, handle, stop, counters, telemetry, &mut owed,
-                );
-                if write_line(&mut out, &reply).is_err() {
+                if serve_frame(&line, conn, daemon).is_err() {
                     return;
                 }
             }
@@ -286,63 +300,65 @@ fn connection_loop(
     }
 }
 
-/// Decodes and executes one client frame, returning the response
-/// frame. Frames with an `"op"` are commands; anything else is a
-/// [`JobSpec`] submission.
-fn handle_frame(
-    line: &str,
-    client_id: u64,
-    handle: &ServiceHandle,
-    stop: &AtomicU8,
-    counters: &Counters,
-    telemetry: &Telemetry,
-    owed: &mut Vec<usize>,
-) -> String {
+/// Decodes and executes one client frame and writes its response.
+/// Frames with an `"op"` are commands; anything else is a [`JobSpec`]
+/// submission.
+fn serve_frame(line: &str, conn: &Conn, daemon: &Daemon) -> io::Result<()> {
     let frame = match Json::parse(line) {
         Ok(f) => f,
-        Err(e) => return frames::error(&format!("bad frame: {e}")),
+        Err(e) => return conn.send(&frames::error(&format!("bad frame: {e}"))),
     };
-    match frame.get("op").and_then(Json::as_str) {
+    let reply = match frame.get("op").and_then(Json::as_str) {
         Some("ping") => frames::pong(),
-        Some("stats") => frames::stats(&telemetry.snapshot_json()),
+        Some("stats") => frames::stats(&daemon.telemetry.snapshot_json()),
         Some("shutdown") => match frame
             .get("mode")
             .and_then(Json::as_str)
             .unwrap_or("graceful")
         {
             "graceful" => {
-                stop.store(STOP_GRACEFUL, Ordering::Relaxed);
+                daemon.stop.store(STOP_GRACEFUL, Ordering::Relaxed);
                 frames::shutdown_ack("graceful")
             }
             "now" => {
-                stop.store(STOP_NOW, Ordering::Relaxed);
+                daemon.stop.store(STOP_NOW, Ordering::Relaxed);
                 frames::shutdown_ack("now")
             }
             other => frames::error(&format!("unknown shutdown mode: {other}")),
         },
         Some(other) => frames::error(&format!("unknown op: {other}")),
-        None => {
-            if stop.load(Ordering::Relaxed) != RUN {
-                counters.rejected.fetch_add(1, Ordering::Relaxed);
-                return frames::error("shutting down");
-            }
-            match JobSpec::from_json(&frame).and_then(JobSpec::into_job) {
-                Err(e) => {
-                    counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    frames::error(&e)
-                }
-                Ok(job) => match handle.submit_for_client(job, client_id) {
-                    Ok(id) => {
-                        counters.submitted.fetch_add(1, Ordering::Relaxed);
-                        owed.push(id);
-                        frames::accepted(id)
-                    }
-                    Err(e) => {
-                        counters.rejected.fetch_add(1, Ordering::Relaxed);
-                        frames::error(&e.to_string())
-                    }
-                },
-            }
-        }
+        None => return submit(&frame, conn, daemon),
+    };
+    conn.send(&reply)
+}
+
+/// Queues one submission and answers it. The writer stays locked from
+/// `submit` until the answer is written, so the pusher cannot write
+/// the job's report (a cache hit lands at once) ahead of its
+/// `accepted`.
+fn submit(frame: &Json, conn: &Conn, daemon: &Daemon) -> io::Result<()> {
+    if daemon.stop.load(Ordering::Relaxed) != RUN {
+        daemon.rejected.fetch_add(1, Ordering::Relaxed);
+        return conn.send(&frames::error("shutting down"));
     }
+    let job = match JobSpec::from_json(frame).and_then(JobSpec::into_job) {
+        Ok(job) => job,
+        Err(e) => {
+            daemon.rejected.fetch_add(1, Ordering::Relaxed);
+            return conn.send(&frames::error(&e));
+        }
+    };
+    let mut w = lock_unpoisoned(&conn.writer);
+    let reply = match daemon.handle.submit_for_client(job, conn.client) {
+        Ok(id) => {
+            daemon.submitted.fetch_add(1, Ordering::Relaxed);
+            w.owed += 1;
+            frames::accepted(id)
+        }
+        Err(e) => {
+            daemon.rejected.fetch_add(1, Ordering::Relaxed);
+            frames::error(&e.to_string())
+        }
+    };
+    write_frame(&mut w.stream, &reply)
 }

@@ -141,7 +141,7 @@ use sebmc_repro::logic::json::Json;
 use sebmc_repro::model::{Model, Trace};
 use sebmc_repro::service::{
     cert_json, json_escape, parse_job_file, serve_on, stats_json, suite_jobs, EngineKind, JobSpec,
-    ServeOptions, ServiceConfig, ServiceHandle, WireClient,
+    ServiceConfig, ServiceHandle, WireClient,
 };
 
 struct Options {
@@ -808,7 +808,7 @@ fn run_serve(args: Vec<String>) -> ExitCode {
     println!("sebmc: listening on {local}");
     use std::io::Write as _;
     let _ = std::io::stdout().flush();
-    match serve_on(listener, config, ServeOptions::default()) {
+    match serve_on(listener, config) {
         Ok(summary) => {
             println!("{}", summary.to_json());
             ExitCode::SUCCESS

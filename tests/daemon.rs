@@ -3,11 +3,11 @@
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sebmc_repro::logic::json::Json;
 use sebmc_repro::service::{
-    serve_on, JobSpec, LineEvent, LineReader, ServeOptions, ServeSummary, ServiceConfig, WireClient,
+    serve_on, JobSpec, LineEvent, LineReader, ServeSummary, ServiceConfig, WireClient,
 };
 
 /// Binds a loopback listener and runs the daemon on a background
@@ -16,9 +16,7 @@ use sebmc_repro::service::{
 fn spawn_daemon(config: ServiceConfig) -> (String, std::thread::JoinHandle<ServeSummary>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr").to_string();
-    let server = std::thread::spawn(move || {
-        serve_on(listener, config, ServeOptions::default()).expect("serve runs")
-    });
+    let server = std::thread::spawn(move || serve_on(listener, config).expect("serve runs"));
     (addr, server)
 }
 
@@ -271,4 +269,62 @@ fn full_queue_refuses_submissions_with_overload_error() {
     let summary = server.join().expect("server thread joins");
     assert_eq!(summary.jobs_submitted, 0);
     assert_eq!(summary.jobs_rejected, 1);
+}
+
+#[test]
+fn cache_hit_round_trips_do_not_stall_on_the_wire() {
+    let (addr, server) =
+        spawn_daemon(ServiceConfig::with_workers(1).with_result_cache_bytes(8 << 20));
+    let mut wire = WireClient::connect(&addr).expect("connect");
+    let job = spec("suite:ring_4 jsat 6");
+    wire.submit(&job).expect("submit io").expect("accepted");
+    wire.next_report(Some(Duration::from_secs(120)))
+        .expect("report io")
+        .expect("cold report arrives");
+    // Each round trip is a submit, its `accepted` and the pushed
+    // report, three frames that solve nothing. A frame split over two
+    // writes without TCP_NODELAY, or a report that waits for the next
+    // read timeout, costs tens of milliseconds apiece.
+    let started = Instant::now();
+    for _ in 0..40 {
+        wire.submit(&job).expect("submit io").expect("accepted");
+        let hit = wire
+            .next_report(Some(Duration::from_secs(10)))
+            .expect("report io")
+            .expect("cached report arrives");
+        assert_eq!(hit.get("cached").and_then(Json::as_bool), Some(true));
+    }
+    let elapsed = started.elapsed();
+    wire.shutdown("graceful").expect("shutdown acked");
+    let summary = server.join().expect("server thread joins");
+    assert_eq!(summary.cache, Some((40, 1)));
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "40 cache-hit round trips took {elapsed:?}"
+    );
+}
+
+#[test]
+fn reports_owed_to_a_client_that_hung_up_end_in_leftover() {
+    let (addr, server) = spawn_daemon(ServiceConfig::with_workers(2));
+    let mut quitter = WireClient::connect(&addr).expect("connect");
+    for bound in 9..13 {
+        quitter
+            .submit(&spec(&format!("suite:ring_12 jsat {bound}")))
+            .expect("submit io")
+            .expect("accepted");
+    }
+    // Hang up with every report still owed, then shut down from a
+    // second connection: each report is either written before the
+    // daemon notices or handed to the exit summary.
+    drop(quitter);
+    let mut admin = WireClient::connect(&addr).expect("connect");
+    admin.shutdown("graceful").expect("shutdown acked");
+    let summary = server.join().expect("server thread joins");
+    assert_eq!(summary.jobs_submitted, 4);
+    assert_eq!(
+        summary.reports_delivered + summary.leftover.len(),
+        summary.jobs_submitted,
+        "every job ends in exactly one report"
+    );
 }

@@ -23,7 +23,7 @@ use sebmc_repro::aiger;
 use sebmc_repro::logic::json::Json;
 use sebmc_repro::model::builders::{shift_register, traffic_light};
 use sebmc_repro::model::Model;
-use sebmc_repro::service::{serve_on, JobSpec, LineEvent, LineReader, ServeOptions, ServiceConfig};
+use sebmc_repro::service::{serve_on, JobSpec, LineEvent, LineReader, ServiceConfig};
 
 /// Placeholder for a masked value.
 const MASK: &str = "~";
@@ -263,12 +263,7 @@ fn serve_exchange_golden() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().expect("local addr");
     let server = std::thread::spawn(move || {
-        serve_on(
-            listener,
-            ServiceConfig::with_workers(1),
-            ServeOptions::default(),
-        )
-        .expect("serve runs")
+        serve_on(listener, ServiceConfig::with_workers(1)).expect("serve runs")
     });
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream
