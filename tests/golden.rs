@@ -1,17 +1,16 @@
-//! Golden outputs of the three ways a bound sweep reaches a user: the
-//! CLI (single bound and `--deepen`), the batch service, and the
-//! `serve` daemon.
+//! Golden outputs of the ways a bound sweep reaches a user: the CLI
+//! (single bound and `--deepen`), the batch service, and the `serve`
+//! daemon, plus the `analyze` diagnostics.
 //!
 //! Each case runs one command and compares its JSON output, one value
-//! per line after the exit code, with `tests/golden/<case>.txt`. Only
-//! what a clock decides is masked: `*_ms`, `*_ms_total`,
-//! `jobs_per_sec` and `queue_pops`. A portfolio job additionally masks
-//! `winners` and `stats` (which engine wins a race is a matter of
-//! timing), and a report holding one also masks `total_stats`.
-//!
-//! A missing golden file is written from the current output and the
-//! case fails, so an intended output change is recorded by deleting
-//! the file, re-running the test and reviewing the diff.
+//! per line after the exit code, with `tests/golden/<case>.txt` (see
+//! `common` for how a golden is recorded). Only what a clock decides
+//! is masked: `*_ms`, `*_ms_total`, `jobs_per_sec` and `queue_pops`. A
+//! portfolio job additionally masks `winners` and `stats` (which
+//! engine wins a race is a matter of timing), and a report holding one
+//! also masks `total_stats`.
+
+mod common;
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -19,14 +18,12 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Duration;
 
+use common::{check_golden, json_lines, MASK};
 use sebmc_repro::aiger;
 use sebmc_repro::logic::json::Json;
 use sebmc_repro::model::builders::{shift_register, traffic_light};
 use sebmc_repro::model::Model;
 use sebmc_repro::service::{serve_on, JobSpec, LineEvent, LineReader, ServiceConfig};
-
-/// Placeholder for a masked value.
-const MASK: &str = "~";
 
 /// Whether a job object is a portfolio job (two or more engines).
 fn is_portfolio(job: &Json) -> bool {
@@ -65,47 +62,30 @@ fn mask(v: &mut Json) {
 
 /// One masked JSON value per non-empty line of `text`.
 fn masked_lines(text: &str) -> String {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(|l| {
-            let mut v = Json::parse(l).unwrap_or_else(|e| panic!("not JSON ({e}): {l}"));
+    json_lines(text)
+        .into_iter()
+        .map(|mut v| {
             mask(&mut v);
             format!("{v}\n")
         })
         .collect()
 }
 
-/// Compares `actual` with the golden file of `case`, writing the file
-/// when it does not exist yet.
-fn check_golden(case: &str, actual: &str) {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(format!("{case}.txt"));
-    match std::fs::read_to_string(&path) {
-        Ok(expected) => assert!(
-            expected == actual,
-            "golden '{case}' differs\n--- expected ({})\n{expected}--- actual\n{actual}",
-            path.display()
-        ),
-        Err(_) => {
-            std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create golden dir");
-            std::fs::write(&path, actual).expect("write golden");
-            panic!(
-                "golden '{case}' was missing and has been written to {}; review and re-run",
-                path.display()
-            );
-        }
-    }
-}
-
 /// Runs the CLI on `input` (a file or a subcommand) with the
 /// whitespace-separated `flags` plus `--json --quiet`, and checks its
 /// exit code and masked stdout against the golden of `case`.
 fn check_cli(case: &str, input: &str, flags: &str) {
+    let mut args = vec![input];
+    args.extend(flags.split_whitespace());
+    args.extend(["--json", "--quiet"]);
+    check_command(case, &args);
+}
+
+/// Runs the CLI with `args` and checks its exit code and masked stdout
+/// against the golden of `case`.
+fn check_command(case: &str, args: &[&str]) {
     let out = Command::new(env!("CARGO_BIN_EXE_sebmc-cli"))
-        .arg(input)
-        .args(flags.split_whitespace())
-        .args(["--json", "--quiet"])
+        .args(args)
         .output()
         .expect("run sebmc");
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
@@ -248,6 +228,18 @@ fn batch_solver_oom_golden() {
         "batch_small_jsat_certify_oom",
         "--engines jsat --certify --fault-plan oom@solver:5",
     );
+}
+
+/// `sebmc analyze --json` (which takes no `--quiet`): a random model
+/// with swept, out-of-cone and unused entries, and a ring that
+/// reduction leaves whole.
+#[test]
+fn analyze_goldens() {
+    check_command(
+        "analyze_random_5_1_2005",
+        &["analyze", "suite:random_5_1_2005", "--json"],
+    );
+    check_command("analyze_ring_4", &["analyze", "suite:ring_4", "--json"]);
 }
 
 /// Reads one frame from the daemon.

@@ -1,11 +1,14 @@
 //! The telemetry layer end to end: a fault-injected retried job run
 //! with a trace file must leave a decodable JSONL timeline covering
-//! every attempt, and the metrics registry must agree with the
-//! service's own report.
+//! every attempt, pinned by a golden, and the metrics registry must
+//! agree with the service's own report.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{check_golden, json_lines, MASK};
 use sebmc_repro::bmc::Budget;
 use sebmc_repro::logic::json::Json;
 use sebmc_repro::model::builders::shift_register;
@@ -128,6 +131,23 @@ fn trace_file_covers_every_attempt_of_a_retried_job() {
         "attempt 1 enters bounds 0..=2 (panicking at 2), attempt 2 \
          resumes at the undecided bound 2 and sweeps to the verdict"
     );
+
+    // The whole timeline, byte for byte, with the fields a clock
+    // decides masked: every event's `t_us` and the backoff's `ms`.
+    let masked: String = json_lines(&text)
+        .into_iter()
+        .map(|mut event| {
+            if let Json::Obj(fields) = &mut event {
+                for (key, value) in fields.iter_mut() {
+                    if key == "t_us" || key == "ms" {
+                        *value = Json::Str(MASK.into());
+                    }
+                }
+            }
+            format!("{event}\n")
+        })
+        .collect();
+    check_golden("trace_retried_job", &masked);
 
     // The registry agrees with the service report.
     let snapshot = Json::parse(&telemetry.snapshot_json()).expect("snapshot parses");
