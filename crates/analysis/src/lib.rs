@@ -71,6 +71,7 @@
 
 use std::collections::BTreeSet;
 
+use sebmc_logic::json::{obj, Json};
 use sebmc_logic::{Aig, AigRef};
 use sebmc_model::{Model, ModelBuilder, Trace};
 
@@ -212,64 +213,36 @@ impl ModelAnalysis {
     }
 
     /// The report as a JSON object (for `sebmc analyze --json`).
-    pub fn to_json(&self) -> String {
-        let swept: Vec<String> = self
-            .swept
-            .iter()
-            .map(|&(i, v)| format!("[{},{}]", i, if v { "true" } else { "false" }))
-            .collect();
-        let roots: Vec<String> = self
-            .coi_roots
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"name\":\"{}\",\"coi_latches\":{}}}",
-                    r.name, r.coi_latches
-                )
-            })
-            .collect();
-        let hist: Vec<String> = self
+    pub fn to_json(&self) -> Json {
+        let indices = |xs: &[usize]| Json::Arr(xs.iter().map(|&x| x.into()).collect());
+        let pair = |a: Json, b: Json| Json::Arr(vec![a, b]);
+        let swept = self.swept.iter().map(|&(i, v)| pair(i.into(), v.into()));
+        let roots = self.coi_roots.iter().map(|r| {
+            obj(vec![
+                ("name", r.name.as_str().into()),
+                ("coi_latches", r.coi_latches.into()),
+            ])
+        });
+        let hist = self
             .fanin_histogram
             .iter()
-            .map(|&(f, c)| format!("[{f},{c}]"))
-            .collect();
-        let removed: Vec<String> = self.removed.iter().map(usize::to_string).collect();
-        let unused: Vec<String> = self.unused_inputs.iter().map(usize::to_string).collect();
-        format!(
-            "{{\"model\":\"{}\",\"latches\":{},\"inputs\":{},\"coi_latches\":{},\
-             \"latches_swept\":{},\"inputs_removed\":{},\"swept\":[{}],\"removed\":[{}],\
-             \"unused_inputs\":[{}],\"coi_roots\":[{}],\"fanin_histogram\":[{}],\
-             \"tr_cone_before\":{},\"tr_cone_after\":{}}}",
-            json_escape(&self.model),
-            self.latches,
-            self.inputs,
-            self.coi_latches,
-            self.swept.len(),
-            self.unused_inputs.len(),
-            swept.join(","),
-            removed.join(","),
-            unused.join(","),
-            roots.join(","),
-            hist.join(","),
-            self.tr_cone_before,
-            self.tr_cone_after,
-        )
+            .map(|&(fanin, count)| pair(fanin.into(), count.into()));
+        obj(vec![
+            ("model", self.model.as_str().into()),
+            ("latches", self.latches.into()),
+            ("inputs", self.inputs.into()),
+            ("coi_latches", self.coi_latches.into()),
+            ("latches_swept", self.swept.len().into()),
+            ("inputs_removed", self.unused_inputs.len().into()),
+            ("swept", Json::Arr(swept.collect())),
+            ("removed", indices(&self.removed)),
+            ("unused_inputs", indices(&self.unused_inputs)),
+            ("coi_roots", Json::Arr(roots.collect())),
+            ("fanin_histogram", Json::Arr(hist.collect())),
+            ("tr_cone_before", self.tr_cone_before.into()),
+            ("tr_cone_after", self.tr_cone_after.into()),
+        ])
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Lifts traces on the reduced model back to the original variable
@@ -1032,7 +1005,7 @@ mod tests {
         let text = a.render(&model);
         assert!(text.contains("cone of influence"));
         assert!(text.contains("fan-in histogram"));
-        let json = a.to_json();
+        let json = a.to_json().to_string();
         assert!(json.contains("\"coi_latches\""));
         assert!(json.contains("\"tr_cone_before\""));
     }

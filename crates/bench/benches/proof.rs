@@ -16,7 +16,7 @@
 //! these workloads as **record-only** (no pre-PR baseline exists, so
 //! they inform rather than gate — see `sebmc_bench`).
 
-use sebmc_bench::microbench::run;
+use sebmc_bench::microbench::{print_json, run};
 use sebmc_bench::workloads::pigeonhole_instance;
 use sebmc_proof::{DratWriter, StreamingChecker};
 use sebmc_sat::SolveResult;
@@ -55,10 +55,5 @@ fn main() {
         drat.median_ns as f64 / off.median_ns as f64,
         checked.median_ns as f64 / off.median_ns as f64,
     );
-    println!(
-        "[\n  {},\n  {},\n  {}\n]",
-        off.to_json(),
-        drat.to_json(),
-        checked.to_json()
-    );
+    print_json(&[off, drat, checked]);
 }

@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use sebmc_bench::microbench::run;
+use sebmc_bench::microbench::{print_json, run};
 use sebmc_bench::workloads::chain_instance;
 use sebmc_sat::{Limits, SolveResult};
 use sebmc_telemetry::Telemetry;
@@ -46,9 +46,7 @@ fn main() {
         s.solve_with(&heads)
     });
     assert!(
-        telemetry
-            .snapshot_json()
-            .contains("\"solver_propagations\":"),
+        telemetry.metrics.solver_propagations.get() > 0,
         "the sink saw progress samples"
     );
 
@@ -56,5 +54,5 @@ fn main() {
         "# live sink {:.2}x over uninstalled handle",
         on.median_ns as f64 / off.median_ns as f64,
     );
-    println!("[\n  {},\n  {}\n]", off.to_json(), on.to_json());
+    print_json(&[off, on]);
 }

@@ -1,23 +1,19 @@
 //! Reading checked-in benchmark baselines (`BENCH_pr*.json`).
 //!
-//! The workspace is dependency-free, so instead of a JSON parser this
-//! extracts exactly what the perf gate needs: every object carrying
-//! both a `"name"` and a `"median_ns"` field (the shape
+//! The perf gate needs every object, at any depth, that carries both a
+//! `"name"` and a `"median_ns"` field (the shape
 //! [`crate::microbench::Sample::to_json`] writes into the
-//! `engine_benches` arrays of the baseline files). Nested summary
-//! objects without a `"name"` are skipped.
+//! `engine_benches` arrays of the baseline files). Summary objects
+//! without a `"name"` are skipped.
 
-/// Extracts `(name, median_ns)` pairs from a baseline JSON document.
+use sebmc_logic::json::Json;
+
+/// Extracts `(name, median_ns)` pairs from a baseline JSON document,
+/// in document order (none when the document does not parse).
 pub fn extract_medians(json: &str) -> Vec<(String, u128)> {
     let mut out = Vec::new();
-    // Each candidate object lies between a '{' and the next '}'.
-    for fragment in json.split('{') {
-        let object = fragment.split('}').next().unwrap_or("");
-        if let (Some(name), Some(median)) =
-            (field_str(object, "name"), field_u128(object, "median_ns"))
-        {
-            out.push((name, median));
-        }
+    if let Ok(doc) = Json::parse(json) {
+        collect_medians(&doc, &mut out);
     }
     out
 }
@@ -30,25 +26,18 @@ pub fn baseline_median(json: &str, name: &str) -> Option<u128> {
         .map(|(_, m)| m)
 }
 
-/// The text following `"key":` (any whitespace around the colon).
-fn field_value<'a>(object: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\"");
-    let after_key = &object[object.find(&pat)? + pat.len()..];
-    let after_colon = after_key.trim_start().strip_prefix(':')?;
-    Some(after_colon.trim_start())
-}
-
-fn field_str(object: &str, key: &str) -> Option<String> {
-    let rest = field_value(object, key)?.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
-fn field_u128(object: &str, key: &str) -> Option<u128> {
-    let digits: String = field_value(object, key)?
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
+/// Appends the `(name, median_ns)` of `v` and of everything nested in
+/// it.
+fn collect_medians(v: &Json, out: &mut Vec<(String, u128)>) {
+    let name = v.get("name").and_then(Json::as_str);
+    if let (Some(name), Some(median)) = (name, v.get("median_ns").and_then(Json::as_u64)) {
+        out.push((name.to_string(), u128::from(median)));
+    }
+    match v {
+        Json::Obj(fields) => fields.iter().for_each(|(_, f)| collect_medians(f, out)),
+        Json::Arr(items) => items.iter().for_each(|item| collect_medians(item, out)),
+        _ => {}
+    }
 }
 
 #[cfg(test)]
@@ -94,5 +83,18 @@ mod tests {
         let s = crate::microbench::run("gate/selftest", 0, 3, || 1 + 1);
         let json = format!("[{}]", s.to_json());
         assert_eq!(baseline_median(&json, "gate/selftest"), Some(s.median_ns));
+    }
+
+    #[test]
+    fn checked_in_baselines_parse() {
+        for doc in [
+            include_str!("../../../BENCH_pr1.json"),
+            include_str!("../../../BENCH_pr3.json"),
+            include_str!("../../../BENCH_pr5.json"),
+            include_str!("../../../BENCH_pr10.json"),
+        ] {
+            assert!(Json::parse(doc).is_ok());
+            assert!(!extract_medians(doc).is_empty());
+        }
     }
 }

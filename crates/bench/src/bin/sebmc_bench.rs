@@ -38,7 +38,7 @@
 use std::process::ExitCode;
 
 use sebmc_bench::baseline::baseline_median;
-use sebmc_bench::microbench::{run, Sample};
+use sebmc_bench::microbench::{json_array, run, Sample};
 use sebmc_bench::workloads::{chain_instance, churn_instance, pigeonhole_instance};
 use sebmc_bench::{flag, flag_u64};
 use sebmc_proof::StreamingChecker;
@@ -150,15 +150,7 @@ fn main() -> ExitCode {
     ];
 
     if let Some(path) = &out_path {
-        let body = format!(
-            "[\n{}\n]\n",
-            fresh
-                .iter()
-                .map(|s| format!("  {}", s.to_json()))
-                .collect::<Vec<_>>()
-                .join(",\n")
-        );
-        if let Err(e) = std::fs::write(path, body) {
+        if let Err(e) = std::fs::write(path, format!("{}\n", json_array(&fresh))) {
             eprintln!("sebmc_bench: cannot write '{path}': {e}");
             return ExitCode::from(2);
         }

@@ -12,6 +12,8 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use sebmc_logic::json::{obj, Json};
+
 /// Timing summary of one benchmark, all values in nanoseconds.
 #[derive(Clone, Debug)]
 pub struct Sample {
@@ -30,12 +32,16 @@ pub struct Sample {
 }
 
 impl Sample {
-    /// Renders the sample as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"name\":\"{}\",\"median_ns\":{},\"mean_ns\":{},\"min_ns\":{},\"max_ns\":{},\"samples\":{}}}",
-            self.name, self.median_ns, self.mean_ns, self.min_ns, self.max_ns, self.samples
-        )
+    /// The sample as one JSON object.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("name", self.name.as_str().into()),
+            ("median_ns", self.median_ns.into()),
+            ("mean_ns", self.mean_ns.into()),
+            ("min_ns", self.min_ns.into()),
+            ("max_ns", self.max_ns.into()),
+            ("samples", self.samples.into()),
+        ])
     }
 }
 
@@ -90,14 +96,19 @@ pub fn run<R>(name: &str, warmup: usize, samples: usize, mut f: impl FnMut() -> 
     sample
 }
 
-/// Prints a JSON array of samples — paste-able into a baseline file.
+/// A JSON array of samples, one sample per line — paste-able into a
+/// baseline file.
+pub fn json_array(samples: &[Sample]) -> String {
+    let lines: Vec<String> = samples
+        .iter()
+        .map(|s| format!("  {}", s.to_json()))
+        .collect();
+    format!("[\n{}\n]", lines.join(",\n"))
+}
+
+/// Prints the [`json_array`] of `samples`.
 pub fn print_json(samples: &[Sample]) {
-    println!("[");
-    for (i, s) in samples.iter().enumerate() {
-        let comma = if i + 1 < samples.len() { "," } else { "" };
-        println!("  {}{}", s.to_json(), comma);
-    }
-    println!("]");
+    println!("{}", json_array(samples));
 }
 
 #[cfg(test)]
@@ -115,7 +126,7 @@ mod tests {
     #[test]
     fn json_fragment_is_well_formed() {
         let s = run("test/json", 0, 3, || ());
-        let j = s.to_json();
+        let j = s.to_json().to_string();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"name\":\"test/json\""));
         assert!(j.contains("median_ns"));

@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use sebmc_logic::json::{obj, Json};
 use sebmc_model::{Model, Trace};
 use sebmc_proof::Certificate;
 
@@ -414,6 +415,26 @@ impl RunStats {
         self.inputs_removed = self.inputs_removed.max(other.inputs_removed);
         self.solver_effort += other.solver_effort;
         self.bounds_checked += other.bounds_checked;
+    }
+
+    /// The stats as one JSON object: the `stats` of the CLI's `--json`
+    /// and of every job report.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("duration_ms", self.duration.as_millis().into()),
+            ("encode_vars", self.encode_vars.into()),
+            ("encode_clauses", self.encode_clauses.into()),
+            ("encode_lits", self.encode_lits.into()),
+            ("peak_formula_lits", self.peak_formula_lits.into()),
+            ("peak_formula_bytes", self.peak_formula_bytes.into()),
+            ("peak_watch_bytes", self.peak_watch_bytes.into()),
+            ("peak_proof_bytes", self.peak_proof_bytes.into()),
+            ("latches_swept", self.latches_swept.into()),
+            ("coi_latches", self.coi_latches.into()),
+            ("inputs_removed", self.inputs_removed.into()),
+            ("solver_effort", self.solver_effort.into()),
+            ("bounds_checked", self.bounds_checked.into()),
+        ])
     }
 }
 

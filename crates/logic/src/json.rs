@@ -1,16 +1,17 @@
 //! A minimal, dependency-free JSON value, parser, and writer.
 //!
-//! The workspace builds offline with no external crates, so the wire
-//! protocol of the checking daemon (`sebmc serve`) and the `JobSpec`
-//! submission format carry their own JSON support. The subset is
-//! deliberately small but complete for round-tripping the protocol:
-//! objects, arrays, strings (with escapes), numbers, booleans and
-//! `null`.
+//! The workspace builds offline with no external crates, so it carries
+//! its own JSON support, and this is the only JSON writer in it: the
+//! CLI's `--json`, batch reports, the daemon's wire frames, metrics
+//! snapshots and trace lines are all [`Json`] values printed by its
+//! `Display`. The subset is deliberately small but complete for
+//! round-tripping them: objects, arrays, strings (with escapes),
+//! numbers, booleans and `null`.
 //!
-//! Numbers are held as `f64`; every integer the protocol exchanges
-//! (bounds, millisecond budgets, byte counts of reports) fits `f64`'s
-//! 53-bit exact-integer range, and [`Json::as_u64`] refuses lossy
-//! conversions rather than rounding.
+//! Numbers are held as `f64`; every integer the workspace prints or
+//! exchanges (bounds, counts, byte figures, millisecond totals) fits
+//! `f64`'s 53-bit exact-integer range, and [`Json::as_u64`] refuses
+//! lossy conversions rather than rounding.
 //!
 //! The parser recurses once per nested array or object, so nesting is
 //! capped at 128 levels: a hostile frame of a few hundred thousand `[`
@@ -113,7 +114,7 @@ impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
+            Json::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 9e15 {
                     write!(f, "{}", *n as i64)
@@ -128,7 +129,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("]")
             }
@@ -140,7 +141,7 @@ impl fmt::Display for Json {
                     }
                     write_escaped(f, k)?;
                     f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    v.fmt(f)?;
                 }
                 f.write_str("}")
             }
@@ -148,25 +149,78 @@ impl fmt::Display for Json {
     }
 }
 
-/// Writes `s` as a quoted JSON string literal.
+/// Writes `s` as a quoted JSON string literal: `"`, `\\`, `\n`, `\r`
+/// and `\t` get their short escapes, other control characters
+/// `\u00XX`. Each run of characters that needs no escape is copied
+/// with one `write_str`.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // Every escaped character is ASCII, so `run` and `i` always sit on
+    // character boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let short = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        match short {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{b:04x}")?,
         }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
-/// Builds a JSON object from `(key, value)` pairs (a tidy literal
-/// syntax for protocol frames).
+/// Unsigned integers print exactly below 2^53, which every count, byte
+/// figure and millisecond total in the workspace is.
+macro_rules! from_unsigned {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            #[allow(clippy::cast_precision_loss)]
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+
+from_unsigned!(u8, u32, u64, usize, u128);
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Builds a JSON object from `(key, value)` pairs, in order (the
+/// literal syntax every emitter builds its objects with).
 pub fn obj(fields: Vec<(&str, Json)>) -> Json {
     Json::Obj(
         fields
@@ -440,6 +494,39 @@ mod tests {
         assert_eq!(Json::Num(12.0).as_u64(), Some(12));
         assert_eq!(Json::Num(12.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn escapes_copy_plain_runs_and_shorten_common_controls() {
+        let s = "plain é \"q\" back\\slash\ttab\rcr\nnl\u{1}ctl end";
+        let text = Json::Str(s.into()).to_string();
+        assert_eq!(
+            text,
+            r#""plain é \"q\" back\\slash\ttab\rcr\nnl\u0001ctl end""#
+        );
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s));
+        assert_eq!(Json::Str(String::new()).to_string(), r#""""#);
+    }
+
+    #[test]
+    fn from_impls_cover_the_emitted_value_types() {
+        let v = obj(vec![
+            ("n", 7usize.into()),
+            ("big", (1u64 << 52).into()),
+            (
+                "ms",
+                std::time::Duration::from_millis(12).as_millis().into(),
+            ),
+            ("ok", true.into()),
+            ("s", "x".into()),
+            ("owned", String::from("y").into()),
+            ("none", None::<u32>.into()),
+            ("some", Some(3u8).into()),
+        ]);
+        assert_eq!(
+            v.to_string(),
+            r#"{"n":7,"big":4503599627370496,"ms":12,"ok":true,"s":"x","owned":"y","none":null,"some":3}"#
+        );
     }
 
     #[test]

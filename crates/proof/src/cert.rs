@@ -1,5 +1,7 @@
 //! Certification summaries.
 
+use sebmc_logic::json::{obj, Json};
+
 /// Summary of one stretch of checked proof stream — the counters a
 /// verdict carries so "machine-checked" is quantifiable.
 ///
@@ -92,6 +94,24 @@ impl Certificate {
                 .bounds_certified
                 .saturating_sub(earlier.bounds_certified),
         }
+    }
+
+    /// The summary as one JSON object: the `certificate` of the CLI's
+    /// `--json` and of every job report.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("certified", self.fully_certified().into()),
+            ("bounds_attempted", self.bounds_attempted.into()),
+            ("bounds_certified", self.bounds_certified.into()),
+            ("originals", self.originals.into()),
+            ("lemmas_checked", self.lemmas_checked.into()),
+            ("deletions", self.deletions.into()),
+            ("failed_checks", self.failed_checks.into()),
+            ("missing_deletes", self.missing_deletes.into()),
+            ("unsat_proofs", self.unsat_proofs.into()),
+            ("proof_bytes", self.proof_bytes.into()),
+            ("peak_active_clauses", self.peak_active_clauses.into()),
+        ])
     }
 
     /// Whether every check passed and every attempted bound was

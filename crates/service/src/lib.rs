@@ -117,9 +117,7 @@ pub use job::{
     parse_job_file, suite_jobs, suite_model, EngineKind, Job, RetryPolicy, DEFAULT_PRIORITY,
 };
 pub use protocol::{frames, LineEvent, LineReader, WireClient};
-pub use report::{
-    cert_json, job_json, json_escape, stats_json, FailureReport, JobReport, ServiceReport,
-};
+pub use report::{FailureReport, JobReport, ServiceReport};
 pub use sebmc_telemetry::{MetricsRegistry, Telemetry, TraceSink};
 pub use serve::{serve_on, ServeSummary};
 pub use spec::JobSpec;
@@ -1117,7 +1115,7 @@ mod tests {
         );
         // Unreachable jobs get no witness file.
         assert!(r.jobs[1].witness_path.is_none());
-        let json = r.to_json();
+        let json = r.to_json().to_string();
         assert!(json.contains("\"witness_steps\":4"));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1153,7 +1151,7 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(kept.len(), 1, "only the Unsat job's file remains: {kept:?}");
-        let json = r.to_json();
+        let json = r.to_json().to_string();
         assert!(json.contains("\"proof_path\":\""));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1207,7 +1205,7 @@ mod tests {
         let jobs = suite_jobs(true, &[EngineKind::Jsat], 2, &Budget::none());
         let r = ServiceHandle::run_batch(ServiceConfig::with_workers(2), jobs);
         assert_eq!(r.jobs.len(), 13);
-        let json = r.to_json();
+        let json = r.to_json().to_string();
         assert!(json.contains("\"jobs_total\":13"));
         assert!(json.contains("\"workers\":2"));
         assert!(json.contains("\"jobs_quarantined\":0"));

@@ -15,7 +15,7 @@
 //! * `report` — pushed, possibly between a request and its response,
 //!   when one of *this connection's* jobs finishes (always after that
 //!   job's `accepted`); the `"job"` payload is
-//!   [`job_json`](crate::job_json).
+//!   [`JobReport::to_json`].
 //! * `pong`, `shutdown_ack` — command responses.
 //!
 //! This module holds the pieces both ends share: frame builders
@@ -47,60 +47,46 @@ pub mod frames {
     /// The connect-time greeting.
     pub fn hello(workers: usize, cache: bool) -> String {
         obj(vec![
-            ("op", Json::Str("hello".into())),
-            ("proto", Json::Num(PROTO_VERSION as f64)),
-            ("workers", Json::Num(workers as f64)),
-            ("cache", Json::Bool(cache)),
+            ("op", "hello".into()),
+            ("proto", PROTO_VERSION.into()),
+            ("workers", workers.into()),
+            ("cache", cache.into()),
         ])
         .to_string()
     }
 
     /// A submission was queued (or answered from cache) under this id.
     pub fn accepted(job_id: usize) -> String {
-        obj(vec![
-            ("op", Json::Str("accepted".into())),
-            ("job_id", Json::Num(job_id as f64)),
-        ])
-        .to_string()
+        obj(vec![("op", "accepted".into()), ("job_id", job_id.into())]).to_string()
     }
 
     /// A frame was refused; `message` says why.
     pub fn error(message: &str) -> String {
-        obj(vec![
-            ("op", Json::Str("error".into())),
-            ("message", Json::Str(message.into())),
-        ])
-        .to_string()
+        obj(vec![("op", "error".into()), ("message", message.into())]).to_string()
     }
 
     /// Response to `ping`.
     pub fn pong() -> String {
-        obj(vec![("op", Json::Str("pong".into()))]).to_string()
+        obj(vec![("op", "pong".into())]).to_string()
     }
 
     /// The shutdown command was accepted; the server stops after this.
     pub fn shutdown_ack(mode: &str) -> String {
-        obj(vec![
-            ("op", Json::Str("shutdown_ack".into())),
-            ("mode", Json::Str(mode.into())),
-        ])
-        .to_string()
+        obj(vec![("op", "shutdown_ack".into()), ("mode", mode.into())]).to_string()
     }
 
     /// A finished job, pushed to the submitting connection. The `job`
-    /// payload is the same object batch mode prints per job.
+    /// payload is [`JobReport::to_json`], the same object batch mode
+    /// prints per job.
     pub fn report(r: &JobReport) -> String {
-        format!(
-            "{{\"op\":\"report\",\"job\":{}}}",
-            crate::report::job_json(r)
-        )
+        obj(vec![("op", "report".into()), ("job", r.to_json())]).to_string()
     }
 
     /// Response to `stats`: the daemon's telemetry snapshot
-    /// (`snapshot` is [`sebmc_telemetry::Telemetry::snapshot_json`] —
+    /// ([`sebmc_telemetry::Telemetry::snapshot_json`] —
     /// `{"uptime_ms":…,"metrics":{…}}`).
-    pub fn stats(snapshot: &str) -> String {
-        format!("{{\"op\":\"stats\",\"snapshot\":{snapshot}}}")
+    pub fn stats(snapshot: Json) -> String {
+        obj(vec![("op", "stats".into()), ("snapshot", snapshot)]).to_string()
     }
 }
 
@@ -450,7 +436,9 @@ mod tests {
             frames::error("overloaded: queue full"),
             frames::pong(),
             frames::shutdown_ack("graceful"),
-            frames::stats("{\"uptime_ms\":12,\"metrics\":{\"jobs_submitted\":3}}"),
+            frames::stats(
+                Json::parse(r#"{"uptime_ms":12,"metrics":{"jobs_submitted":3}}"#).unwrap(),
+            ),
         ] {
             assert!(!f.contains('\n'), "frame must be one line: {f}");
             let parsed = Json::parse(&f).expect("frame parses");

@@ -10,6 +10,7 @@
 use std::time::Duration;
 
 use sebmc::{BmcResult, Certificate, RunStats};
+use sebmc_logic::json::{obj, Json};
 
 /// One failed attempt of a job, preserved verbatim in the job's report
 /// — a panic, spurious cancellation, or expired attempt deadline never
@@ -28,6 +29,19 @@ pub struct FailureReport {
     /// outcomes absorbed as they were decided; at most the in-flight
     /// bound's effort is lost to a panic).
     pub stats: RunStats,
+}
+
+impl FailureReport {
+    /// The failure as one JSON object (an entry of a job's
+    /// `failures`).
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("attempt", self.attempt.into()),
+            ("bound_reached", self.bound_reached.into()),
+            ("reason", self.reason.as_str().into()),
+            ("stats", self.stats.to_json()),
+        ])
+    }
 }
 
 /// Outcome and accounting of one job.
@@ -120,6 +134,54 @@ impl JobReport {
             BmcResult::Unreachable => ("unreachable", None),
             BmcResult::Unknown(r) => ("unknown", Some(r.as_str())),
         }
+    }
+
+    /// The report as one JSON object — the shape the batch report
+    /// embeds under `"jobs"` and the wire protocol pushes as the `job`
+    /// of a `report` frame.
+    pub fn to_json(&self) -> Json {
+        let (verdict, reason) = self.verdict_parts();
+        let winners = self
+            .winners
+            .iter()
+            .map(|&(k, engine)| Json::Arr(vec![k.into(), engine.into()]));
+        obj(vec![
+            ("id", self.job_id.into()),
+            ("name", self.name.as_str().into()),
+            ("model", self.model.as_str().into()),
+            (
+                "engines",
+                Json::Arr(self.engines.iter().map(|&e| e.into()).collect()),
+            ),
+            ("verdict", verdict.into()),
+            ("reason", reason.into()),
+            ("bound", self.bound.into()),
+            ("bounds_checked", self.bounds_checked.into()),
+            ("bounds_skipped", self.bounds_skipped.into()),
+            ("byte_cap", self.byte_cap.into()),
+            (
+                "certificate",
+                self.certificate.as_ref().map(Certificate::to_json).into(),
+            ),
+            ("witness_path", self.witness_path.as_deref().into()),
+            ("witness_steps", self.witness_steps.into()),
+            ("proof_path", self.proof_path.as_deref().into()),
+            ("queue_wait_ms", self.queue_wait.as_millis().into()),
+            ("solve_ms", self.solve_time.as_millis().into()),
+            ("attempts", self.attempts.into()),
+            ("resumed_from", self.resumed_from.into()),
+            ("deferrals", self.deferrals.into()),
+            ("downgraded", self.downgraded.into()),
+            ("quarantined", self.quarantined.into()),
+            ("cached", self.cached.into()),
+            ("priority", self.priority.into()),
+            (
+                "failures",
+                Json::Arr(self.failures.iter().map(FailureReport::to_json).collect()),
+            ),
+            ("winners", Json::Arr(winners.collect())),
+            ("stats", self.stats.to_json()),
+        ])
     }
 }
 
@@ -260,200 +322,51 @@ impl ServiceReport {
         self.jobs.len() as f64 / self.wall.as_secs_f64()
     }
 
-    /// Renders the whole report as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024 + self.jobs.len() * 256);
-        let quarantined_ids = self
-            .quarantined
-            .iter()
-            .map(std::string::ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push_str(&format!(
-            "{{\"workers\":{},\"wall_ms\":{},\"jobs_total\":{},\
-             \"reachable\":{},\"unreachable\":{},\"unknown\":{},\
-             \"jobs_certified\":{},\"certificate\":{},\
-             \"jobs_retried\":{},\"jobs_quarantined\":{},\"quarantined\":[{quarantined_ids}],\
-             \"jobs_shed\":{},\"jobs_downgraded\":{},\"jobs_cached\":{},\
-             \"queue_high_water\":{},\"queue_pops\":[{pops}],\
-             \"queue_wait_ms_total\":{},\"solve_ms_total\":{},\
-             \"jobs_per_sec\":{:.3},\"total_stats\":{},\"jobs\":[",
-            self.workers,
-            self.wall.as_millis(),
-            self.jobs.len(),
-            self.reachable,
-            self.unreachable,
-            self.unknown,
-            self.jobs_certified,
-            opt_cert_json(&self.certificate),
-            self.jobs_retried,
-            self.quarantined.len(),
-            self.jobs_shed,
-            self.jobs_downgraded,
-            self.jobs_cached,
-            self.queue_high_water,
-            self.queue_wait_total.as_millis(),
-            self.solve_total.as_millis(),
-            self.jobs_per_sec(),
-            stats_json(&self.total),
-            pops = self
-                .queue_pops
-                .iter()
-                .map(std::string::ToString::to_string)
-                .collect::<Vec<_>>()
-                .join(","),
-        ));
-        for (i, j) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&job_json(j));
-        }
-        out.push_str("]}");
-        out
+    /// The whole report as one JSON object (`sebmc batch --json`).
+    /// `jobs_per_sec` is rounded to three decimals.
+    pub fn to_json(&self) -> Json {
+        obj(vec![
+            ("workers", self.workers.into()),
+            ("wall_ms", self.wall.as_millis().into()),
+            ("jobs_total", self.jobs.len().into()),
+            ("reachable", self.reachable.into()),
+            ("unreachable", self.unreachable.into()),
+            ("unknown", self.unknown.into()),
+            ("jobs_certified", self.jobs_certified.into()),
+            (
+                "certificate",
+                self.certificate.as_ref().map(Certificate::to_json).into(),
+            ),
+            ("jobs_retried", self.jobs_retried.into()),
+            ("jobs_quarantined", self.quarantined.len().into()),
+            (
+                "quarantined",
+                Json::Arr(self.quarantined.iter().map(|&id| id.into()).collect()),
+            ),
+            ("jobs_shed", self.jobs_shed.into()),
+            ("jobs_downgraded", self.jobs_downgraded.into()),
+            ("jobs_cached", self.jobs_cached.into()),
+            ("queue_high_water", self.queue_high_water.into()),
+            (
+                "queue_pops",
+                Json::Arr(self.queue_pops.iter().map(|&n| n.into()).collect()),
+            ),
+            (
+                "queue_wait_ms_total",
+                self.queue_wait_total.as_millis().into(),
+            ),
+            ("solve_ms_total", self.solve_total.as_millis().into()),
+            (
+                "jobs_per_sec",
+                Json::Num((self.jobs_per_sec() * 1000.0).round() / 1000.0),
+            ),
+            ("total_stats", self.total.to_json()),
+            (
+                "jobs",
+                Json::Arr(self.jobs.iter().map(JobReport::to_json).collect()),
+            ),
+        ])
     }
-}
-
-/// Escapes a string for embedding in a JSON literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders [`RunStats`] as one JSON object (the CLI `--json` shape).
-pub fn stats_json(s: &RunStats) -> String {
-    format!(
-        "{{\"duration_ms\":{},\"encode_vars\":{},\"encode_clauses\":{},\
-         \"encode_lits\":{},\"peak_formula_lits\":{},\"peak_formula_bytes\":{},\
-         \"peak_watch_bytes\":{},\"peak_proof_bytes\":{},\"latches_swept\":{},\
-         \"coi_latches\":{},\"inputs_removed\":{},\"solver_effort\":{},\
-         \"bounds_checked\":{}}}",
-        s.duration.as_millis(),
-        s.encode_vars,
-        s.encode_clauses,
-        s.encode_lits,
-        s.peak_formula_lits,
-        s.peak_formula_bytes,
-        s.peak_watch_bytes,
-        s.peak_proof_bytes,
-        s.latches_swept,
-        s.coi_latches,
-        s.inputs_removed,
-        s.solver_effort,
-        s.bounds_checked,
-    )
-}
-
-/// Renders a [`Certificate`] as one JSON object (shared by the batch
-/// report and the CLI `--json` output).
-pub fn cert_json(c: &Certificate) -> String {
-    format!(
-        "{{\"certified\":{},\"bounds_attempted\":{},\"bounds_certified\":{},\
-         \"originals\":{},\"lemmas_checked\":{},\"deletions\":{},\
-         \"failed_checks\":{},\"missing_deletes\":{},\"unsat_proofs\":{},\
-         \"proof_bytes\":{},\"peak_active_clauses\":{}}}",
-        c.fully_certified(),
-        c.bounds_attempted,
-        c.bounds_certified,
-        c.originals,
-        c.lemmas_checked,
-        c.deletions,
-        c.failed_checks,
-        c.missing_deletes,
-        c.unsat_proofs,
-        c.proof_bytes,
-        c.peak_active_clauses,
-    )
-}
-
-/// `cert_json` for an optional certificate (`null` when absent).
-fn opt_cert_json(c: &Option<Certificate>) -> String {
-    c.as_ref().map_or("null".into(), cert_json)
-}
-
-/// Renders one [`JobReport`] as a JSON object — the shape the batch
-/// report embeds under `"jobs"` and the wire protocol pushes as the
-/// `"report"` payload of a result frame.
-pub fn job_json(j: &JobReport) -> String {
-    let (verdict, reason) = j.verdict_parts();
-    let reason_s = reason.map_or("null".into(), |r| format!("\"{}\"", json_escape(r)));
-    let bound_s = j.bound.map_or("null".into(), |b| b.to_string());
-    let cap_s = j.byte_cap.map_or("null".into(), |c| c.to_string());
-    let witness_s = j
-        .witness_path
-        .as_deref()
-        .map_or("null".into(), |p| format!("\"{}\"", json_escape(p)));
-    let steps_s = j.witness_steps.map_or("null".into(), |n| n.to_string());
-    let engines = j
-        .engines
-        .iter()
-        .map(|e| format!("\"{}\"", json_escape(e)))
-        .collect::<Vec<_>>()
-        .join(",");
-    let winners = j
-        .winners
-        .iter()
-        .map(|(k, e)| format!("[{k},\"{}\"]", json_escape(e)))
-        .collect::<Vec<_>>()
-        .join(",");
-    let resumed_s = j.resumed_from.map_or("null".into(), |b| b.to_string());
-    let proof_s = j
-        .proof_path
-        .as_deref()
-        .map_or("null".into(), |p| format!("\"{}\"", json_escape(p)));
-    let failures = j
-        .failures
-        .iter()
-        .map(failure_json)
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\"id\":{},\"name\":\"{}\",\"model\":\"{}\",\"engines\":[{engines}],\
-         \"verdict\":\"{verdict}\",\"reason\":{reason_s},\"bound\":{bound_s},\
-         \"bounds_checked\":{},\"bounds_skipped\":{},\"byte_cap\":{cap_s},\
-         \"certificate\":{},\"witness_path\":{witness_s},\"witness_steps\":{steps_s},\
-         \"proof_path\":{proof_s},\
-         \"queue_wait_ms\":{},\"solve_ms\":{},\
-         \"attempts\":{},\"resumed_from\":{resumed_s},\"deferrals\":{},\
-         \"downgraded\":{},\"quarantined\":{},\"cached\":{},\"priority\":{},\
-         \"failures\":[{failures}],\
-         \"winners\":[{winners}],\"stats\":{}}}",
-        j.job_id,
-        json_escape(&j.name),
-        json_escape(&j.model),
-        j.bounds_checked,
-        j.bounds_skipped,
-        opt_cert_json(&j.certificate),
-        j.queue_wait.as_millis(),
-        j.solve_time.as_millis(),
-        j.attempts,
-        j.deferrals,
-        j.downgraded,
-        j.quarantined,
-        j.cached,
-        j.priority,
-        stats_json(&j.stats),
-    )
-}
-
-/// Renders one [`FailureReport`] as JSON.
-fn failure_json(f: &FailureReport) -> String {
-    let bound_s = f.bound_reached.map_or("null".into(), |b| b.to_string());
-    format!(
-        "{{\"attempt\":{},\"bound_reached\":{bound_s},\"reason\":\"{}\",\"stats\":{}}}",
-        f.attempt,
-        json_escape(&f.reason),
-        stats_json(&f.stats),
-    )
 }
 
 #[cfg(test)]
@@ -513,7 +426,7 @@ mod tests {
     fn json_is_well_formed_and_escapes_reasons() {
         let j = report(BmcResult::Unknown("a \"quoted\" reason".into()));
         let r = ServiceReport::new(1, Duration::from_millis(5), vec![j]);
-        let json = r.to_json();
+        let json = r.to_json().to_string();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"workers\":1"));
         assert!(json.contains("\\\"quoted\\\""));
@@ -554,7 +467,7 @@ mod tests {
         assert_eq!(r.quarantined, vec![1]);
         assert_eq!(r.jobs_shed, 1);
         assert_eq!(r.jobs_downgraded, 1);
-        let json = r.to_json();
+        let json = r.to_json().to_string();
         assert!(json.contains("\"jobs_quarantined\":1"));
         assert!(json.contains("\"quarantined\":[1]"));
         assert!(json.contains("\"jobs_shed\":1"));
@@ -572,7 +485,7 @@ mod tests {
         let cold = report(BmcResult::Unreachable);
         let r = ServiceReport::new(1, Duration::from_millis(5), vec![hit, cold]);
         assert_eq!(r.jobs_cached, 1);
-        let json = r.to_json();
+        let json = r.to_json().to_string();
         assert!(json.contains("\"jobs_cached\":1"));
         assert!(json.contains("\"cached\":true"));
         assert!(json.contains("\"priority\":9"));
@@ -591,7 +504,7 @@ mod tests {
         pops[9] = 1;
         let r = r.with_queue_telemetry(7, pops);
         assert_eq!(r.queue_high_water, 7);
-        let json = r.to_json();
+        let json = r.to_json().to_string();
         assert!(json.contains("\"queue_high_water\":7"));
         assert!(json.contains("\"queue_pops\":[0,0,0,0,3,0,0,0,0,1]"));
     }
@@ -622,7 +535,7 @@ mod tests {
         assert_eq!(total.bounds_certified, 4);
         assert_eq!(total.proof_bytes, 700);
         assert!(!total.fully_certified());
-        let json = r.to_json();
+        let json = r.to_json().to_string();
         assert!(json.contains("\"jobs_certified\":1"));
         assert!(json.contains("\"certificate\":{\"certified\":false"));
     }

@@ -37,7 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use sebmc_logic::json::Json;
+use sebmc_logic::json::{obj, Json};
 use sebmc_telemetry::Telemetry;
 
 use crate::handle::{ServiceHandle, ShutdownMode};
@@ -84,22 +84,21 @@ pub struct ServeSummary {
 }
 
 impl ServeSummary {
-    /// One-line JSON rendering (the `sebmc serve` exit summary).
-    pub fn to_json(&self) -> String {
-        let cache = self.cache.map_or("null".to_string(), |(h, m)| {
-            format!("{{\"hits\":{h},\"misses\":{m}}}")
-        });
-        format!(
-            "{{\"uptime_ms\":{},\"connections\":{},\"jobs_submitted\":{},\"jobs_rejected\":{},\
-             \"reports_delivered\":{},\"leftover\":{},\"cache\":{}}}",
-            self.uptime.as_millis(),
-            self.connections,
-            self.jobs_submitted,
-            self.jobs_rejected,
-            self.reports_delivered,
-            self.leftover.len(),
-            cache
-        )
+    /// The summary as one JSON object (the `sebmc serve` exit
+    /// summary).
+    pub fn to_json(&self) -> Json {
+        let cache = self
+            .cache
+            .map(|(hits, misses)| obj(vec![("hits", hits.into()), ("misses", misses.into())]));
+        obj(vec![
+            ("uptime_ms", self.uptime.as_millis().into()),
+            ("connections", self.connections.into()),
+            ("jobs_submitted", self.jobs_submitted.into()),
+            ("jobs_rejected", self.jobs_rejected.into()),
+            ("reports_delivered", self.reports_delivered.into()),
+            ("leftover", self.leftover.len().into()),
+            ("cache", cache.into()),
+        ])
     }
 }
 
@@ -310,7 +309,7 @@ fn serve_frame(line: &str, conn: &Conn, daemon: &Daemon) -> io::Result<()> {
     };
     let reply = match frame.get("op").and_then(Json::as_str) {
         Some("ping") => frames::pong(),
-        Some("stats") => frames::stats(&daemon.telemetry.snapshot_json()),
+        Some("stats") => frames::stats(daemon.telemetry.snapshot_json()),
         Some("shutdown") => match frame
             .get("mode")
             .and_then(Json::as_str)

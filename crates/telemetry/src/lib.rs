@@ -1,4 +1,4 @@
-//! Dependency-free telemetry for the sebmc checking stack.
+//! Telemetry for the sebmc checking stack.
 //!
 //! The paper's argument is a *resource profile* — memory stays flat
 //! while time grows — and the rest of the workspace measures bytes
@@ -20,10 +20,10 @@
 //! the optional trace sink, and implements [`ProgressSink`] so a
 //! `Arc<Telemetry>` can be handed straight down to the solver.
 //!
-//! The crate has **zero dependencies** — not even the in-tree JSON
-//! crate — so it can sit below `crates/sat` in the dependency order
-//! and keep the offline-build guard trivially satisfied. JSON output
-//! is hand-formatted (every producing site controls its strings).
+//! The crate's one dependency is `sebmc-logic`, which has none of its
+//! own, so it still sits below `crates/sat` in the dependency order.
+//! Snapshots and trace lines are [`sebmc_logic::json::Json`] values,
+//! printed by the workspace's one JSON writer.
 
 pub mod metrics;
 pub mod progress;
@@ -37,6 +37,8 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use sebmc_logic::json::{obj, Json};
 
 /// The aggregate a running service carries: one metrics registry plus
 /// an optional trace sink, behind one `Arc`.
@@ -109,12 +111,11 @@ impl Telemetry {
 
     /// The registry snapshot wrapped with uptime:
     /// `{"uptime_ms":N,"metrics":{...}}`.
-    pub fn snapshot_json(&self) -> String {
-        format!(
-            "{{\"uptime_ms\":{},\"metrics\":{}}}",
-            self.uptime().as_millis(),
-            self.metrics.snapshot_json()
-        )
+    pub fn snapshot_json(&self) -> Json {
+        obj(vec![
+            ("uptime_ms", self.uptime().as_millis().into()),
+            ("metrics", self.metrics.snapshot_json()),
+        ])
     }
 
     /// A [`ProgressHandle`] reporting into this instance.
@@ -201,7 +202,7 @@ mod tests {
     #[test]
     fn snapshot_wraps_metrics_with_uptime() {
         let t = Telemetry::new();
-        let s = t.snapshot_json();
+        let s = t.snapshot_json().to_string();
         assert!(s.starts_with("{\"uptime_ms\":"));
         assert!(s.contains("\"metrics\":{\"jobs_submitted\":0,"));
         assert!(!t.trace_enabled());

@@ -15,6 +15,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use sebmc_logic::json::{obj, Json};
+
 /// A monotonically increasing event count.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -128,26 +130,21 @@ impl Histogram {
     /// JSON view: `{"count":N,"sum":S,"buckets":[c0,c1,...]}` where
     /// `buckets` is truncated after the last non-empty bucket (an idle
     /// histogram renders as `[]`).
-    pub fn to_json(&self) -> String {
+    pub fn to_json(&self) -> Json {
         let counts: Vec<u64> = self
             .buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
             .collect();
         let last = counts.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
-        let mut s = format!(
-            "{{\"count\":{},\"sum\":{},\"buckets\":[",
-            self.count(),
-            self.sum()
-        );
-        for (i, c) in counts[..last].iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&c.to_string());
-        }
-        s.push_str("]}");
-        s
+        obj(vec![
+            ("count", self.count().into()),
+            ("sum", self.sum().into()),
+            (
+                "buckets",
+                Json::Arr(counts[..last].iter().map(|&c| c.into()).collect()),
+            ),
+        ])
     }
 }
 
@@ -253,52 +250,39 @@ impl MetricsRegistry {
 
     /// One-object JSON snapshot with exactly the keys of
     /// [`MetricsRegistry::metric_names`], in that order.
-    pub fn snapshot_json(&self) -> String {
-        let pops = self
-            .queue_pops
-            .iter()
-            .map(|c| c.get().to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"jobs_submitted\":{},\"jobs_completed\":{},\"jobs_cached\":{},\
-             \"jobs_retried\":{},\"jobs_shed\":{},\"jobs_quarantined\":{},\
-             \"jobs_rejected\":{},\"cache_hits\":{},\"cache_misses\":{},\
-             \"cache_evictions\":{},\"solver_conflicts\":{},\
-             \"solver_propagations\":{},\"solver_restarts\":{},\
-             \"queue_pops\":[{}],\"queue_depth\":{},\
-             \"queue_depth_high_water\":{},\"jobs_in_flight\":{},\
-             \"live_solver_bytes\":{},\"peak_solver_bytes\":{},\
-             \"peak_arena_bytes\":{},\"peak_watch_bytes\":{},\
-             \"peak_proof_bytes\":{},\"solver_trail_depth\":{},\
-             \"solver_learnts\":{},\"queue_wait_ms\":{},\"solve_latency_ms\":{}}}",
-            self.jobs_submitted.get(),
-            self.jobs_completed.get(),
-            self.jobs_cached.get(),
-            self.jobs_retried.get(),
-            self.jobs_shed.get(),
-            self.jobs_quarantined.get(),
-            self.jobs_rejected.get(),
-            self.cache_hits.get(),
-            self.cache_misses.get(),
-            self.cache_evictions.get(),
-            self.solver_conflicts.get(),
-            self.solver_propagations.get(),
-            self.solver_restarts.get(),
-            pops,
-            self.queue_depth.get(),
-            self.queue_depth_high_water.get(),
-            self.jobs_in_flight.get(),
-            self.live_solver_bytes.get(),
-            self.peak_solver_bytes.get(),
-            self.peak_arena_bytes.get(),
-            self.peak_watch_bytes.get(),
-            self.peak_proof_bytes.get(),
-            self.solver_trail_depth.get(),
-            self.solver_learnts.get(),
-            self.queue_wait_ms.to_json(),
-            self.solve_latency_ms.to_json(),
-        )
+    pub fn snapshot_json(&self) -> Json {
+        let pops = self.queue_pops.iter().map(|c| c.get().into()).collect();
+        obj(vec![
+            ("jobs_submitted", self.jobs_submitted.get().into()),
+            ("jobs_completed", self.jobs_completed.get().into()),
+            ("jobs_cached", self.jobs_cached.get().into()),
+            ("jobs_retried", self.jobs_retried.get().into()),
+            ("jobs_shed", self.jobs_shed.get().into()),
+            ("jobs_quarantined", self.jobs_quarantined.get().into()),
+            ("jobs_rejected", self.jobs_rejected.get().into()),
+            ("cache_hits", self.cache_hits.get().into()),
+            ("cache_misses", self.cache_misses.get().into()),
+            ("cache_evictions", self.cache_evictions.get().into()),
+            ("solver_conflicts", self.solver_conflicts.get().into()),
+            ("solver_propagations", self.solver_propagations.get().into()),
+            ("solver_restarts", self.solver_restarts.get().into()),
+            ("queue_pops", Json::Arr(pops)),
+            ("queue_depth", self.queue_depth.get().into()),
+            (
+                "queue_depth_high_water",
+                self.queue_depth_high_water.get().into(),
+            ),
+            ("jobs_in_flight", self.jobs_in_flight.get().into()),
+            ("live_solver_bytes", self.live_solver_bytes.get().into()),
+            ("peak_solver_bytes", self.peak_solver_bytes.get().into()),
+            ("peak_arena_bytes", self.peak_arena_bytes.get().into()),
+            ("peak_watch_bytes", self.peak_watch_bytes.get().into()),
+            ("peak_proof_bytes", self.peak_proof_bytes.get().into()),
+            ("solver_trail_depth", self.solver_trail_depth.get().into()),
+            ("solver_learnts", self.solver_learnts.get().into()),
+            ("queue_wait_ms", self.queue_wait_ms.to_json()),
+            ("solve_latency_ms", self.solve_latency_ms.to_json()),
+        ])
     }
 }
 
@@ -333,7 +317,7 @@ mod tests {
         assert_eq!(h.count(), 7);
         assert_eq!(h.sum(), 1011);
         // 0 → bucket 0; 1 → 1; 2,3 → 2; 4 → 3; 1000 → 10.
-        let json = h.to_json();
+        let json = h.to_json().to_string();
         assert_eq!(
             json,
             "{\"count\":7,\"sum\":1011,\"buckets\":[1,2,2,1,0,0,0,0,0,0,1]}"
@@ -350,7 +334,7 @@ mod tests {
     #[test]
     fn snapshot_keys_match_the_published_contract() {
         let names = MetricsRegistry::metric_names();
-        let snapshot = MetricsRegistry::default().snapshot_json();
+        let snapshot = MetricsRegistry::default().snapshot_json().to_string();
         let mut at = 0;
         for name in names {
             let needle = format!("\"{name}\":");

@@ -10,20 +10,22 @@
 //! machine needed.
 //!
 //! Lines buffer in a bounded byte ring (the `ByteRing` shape from
-//! `crates/proof`, replicated here so the crate keeps zero
-//! dependencies) and drain to the writer only when the ring fills or
-//! on an explicit [`TraceSink::flush`]: emitting an event costs a
-//! short mutex hold and an in-memory copy, not a syscall. The ring
-//! bounds the trace path's memory the same way the proof ring bounds
-//! certification memory — in keeping with the paper's space-first
-//! discipline, instrumentation must not grow with the workload.
+//! `crates/proof`, replicated here so the crate depends on nothing
+//! but `sebmc-logic`) and drain to the writer only when the ring
+//! fills or on an explicit [`TraceSink::flush`]: emitting an event
+//! costs a short mutex hold and an in-memory copy, not a syscall. The
+//! ring bounds the trace path's memory the same way the proof ring
+//! bounds certification memory — in keeping with the paper's
+//! space-first discipline, instrumentation must not grow with the
+//! workload.
 
-use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
+
+use sebmc_logic::json::{obj, Json};
 
 /// Default ring capacity: enough for a few hundred events between
 /// drains without ever holding more than 64 KiB of trace data.
@@ -116,6 +118,15 @@ impl<'a> From<&'a str> for FieldValue<'a> {
     }
 }
 
+impl From<FieldValue<'_>> for Json {
+    fn from(v: FieldValue<'_>) -> Json {
+        match v {
+            FieldValue::U64(n) => n.into(),
+            FieldValue::Str(s) => s.into(),
+        }
+    }
+}
+
 /// Everything behind the sink's mutex.
 struct TraceInner {
     ring: ByteRing,
@@ -160,9 +171,8 @@ impl TraceSink {
         Ok(Self::to_writer(Box::new(BufWriter::new(file))))
     }
 
-    /// Emits one event line: `{"seq":N,"t_us":T,"ev":"kind",...}`.
-    ///
-    /// Numeric fields render verbatim; string fields are JSON-escaped.
+    /// Emits one event line: the JSON object
+    /// `{"seq":N,"t_us":T,"ev":"kind",...}` with the fields in order.
     /// The line lands in the ring; the writer is only touched when the
     /// ring cannot hold the line.
     pub fn event(&self, kind: &str, fields: &[(&str, FieldValue<'_>)]) {
@@ -170,19 +180,17 @@ impl TraceSink {
         let Ok(mut inner) = self.inner.lock() else {
             return;
         };
-        let mut line = String::with_capacity(96);
-        let _ = write!(line, "{{\"seq\":{},\"t_us\":{t_us},\"ev\":", inner.seq);
-        push_json_str(&mut line, kind);
-        for (name, value) in fields {
-            let _ = write!(line, ",\"{name}\":");
-            match value {
-                FieldValue::U64(v) => {
-                    let _ = write!(line, "{v}");
-                }
-                FieldValue::Str(s) => push_json_str(&mut line, s),
-            }
-        }
-        line.push_str("}\n");
+        let mut event = vec![
+            ("seq", inner.seq.into()),
+            ("t_us", t_us.into()),
+            ("ev", kind.into()),
+        ];
+        event.extend(
+            fields
+                .iter()
+                .map(|&(name, value)| (name, Json::from(value))),
+        );
+        let line = format!("{}\n", obj(event));
         inner.seq += 1;
         if inner.ring.free() < line.len() {
             Self::drain_ring(&mut inner);
@@ -235,25 +243,6 @@ impl Drop for TraceSink {
     fn drop(&mut self) {
         self.flush();
     }
-}
-
-/// Appends `s` as a JSON string literal (quotes, escapes).
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -137,11 +137,11 @@ use sebmc_repro::bmc::{
     Semantics, SweepProgress,
 };
 use sebmc_repro::logic::fault::FaultPlan;
-use sebmc_repro::logic::json::Json;
+use sebmc_repro::logic::json::{obj, Json};
 use sebmc_repro::model::{Model, Trace};
 use sebmc_repro::service::{
-    cert_json, json_escape, parse_job_file, serve_on, stats_json, suite_jobs, EngineKind, JobSpec,
-    ServiceConfig, ServiceHandle, WireClient,
+    parse_job_file, serve_on, suite_jobs, EngineKind, JobSpec, ServiceConfig, ServiceHandle,
+    WireClient,
 };
 
 struct Options {
@@ -265,8 +265,8 @@ fn print_witness(model: &Model, trace: &Trace) {
 /// One JSON object for machine consumers: verdict, bound, engine, the
 /// full `RunStats` (cumulative over the session for `--deepen`) and —
 /// under `--certify` — the certificate summary. The `stats` and
-/// `certificate` objects share their schema with the batch
-/// `ServiceReport` via [`stats_json`]/[`cert_json`].
+/// `certificate` objects are [`RunStats::to_json`] and
+/// [`Certificate::to_json`], the schema of every batch job report.
 fn print_json(
     engine: &str,
     semantics: Semantics,
@@ -276,20 +276,16 @@ fn print_json(
     stats: &RunStats,
     cert: Option<&Certificate>,
 ) {
-    let bound_s = bound.map_or("null".into(), |b| b.to_string());
-    let reason_s = reason.map_or("null".into(), |r| format!("\"{}\"", json_escape(r)));
-    let cert_s = cert.map_or("null".into(), cert_json);
-    println!(
-        "{{\"verdict\":\"{}\",\"reason\":{},\"bound\":{},\"engine\":\"{}\",\"semantics\":\"{}\",\
-         \"certificate\":{},\"stats\":{}}}",
-        json_escape(verdict),
-        reason_s,
-        bound_s,
-        json_escape(engine),
-        semantics,
-        cert_s,
-        stats_json(stats),
-    );
+    let json = obj(vec![
+        ("verdict", verdict.into()),
+        ("reason", reason.into()),
+        ("bound", bound.into()),
+        ("engine", engine.into()),
+        ("semantics", semantics.to_string().into()),
+        ("certificate", cert.map(Certificate::to_json).into()),
+        ("stats", stats.to_json()),
+    ]);
+    println!("{json}");
 }
 
 /// Single-mode `--proof-out` retention: the exported DRAT stream is a

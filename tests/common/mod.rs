@@ -12,11 +12,18 @@ use sebmc_repro::logic::json::Json;
 /// Placeholder for a masked value.
 pub const MASK: &str = "~";
 
-/// Parses every non-empty line of `text` as one JSON value.
+/// Parses every non-empty line of `text` as one JSON value, asserting
+/// first that the line is exactly what `Json`'s `Display` prints for
+/// that value (the canonical output of the workspace's one JSON
+/// writer, not merely something that parses to the same value).
 pub fn json_lines(text: &str) -> Vec<Json> {
     text.lines()
         .filter(|l| !l.trim().is_empty())
-        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("not JSON ({e}): {l}")))
+        .map(|l| {
+            let v = Json::parse(l).unwrap_or_else(|e| panic!("not JSON ({e}): {l}"));
+            assert_eq!(v.to_string(), l, "line is not canonical JSON");
+            v
+        })
         .collect()
 }
 

@@ -165,7 +165,7 @@ fn stats_frame_counters_agree_with_the_exit_summary() {
     assert_eq!(summary.reports_delivered, 2);
     assert_eq!(summary.cache, Some((1, 1)));
     assert!(summary.uptime > Duration::ZERO);
-    let json = summary.to_json();
+    let json = summary.to_json().to_string();
     assert!(json.contains("\"uptime_ms\":"), "{json}");
     assert!(
         json.contains("\"cache\":{\"hits\":1,\"misses\":1}"),

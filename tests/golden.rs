@@ -4,11 +4,12 @@
 //!
 //! Each case runs one command and compares its JSON output, one value
 //! per line after the exit code, with `tests/golden/<case>.txt` (see
-//! `common` for how a golden is recorded). Only what a clock decides
-//! is masked: `*_ms`, `*_ms_total`, `jobs_per_sec` and `queue_pops`. A
-//! portfolio job additionally masks `winners` and `stats` (which
-//! engine wins a race is a matter of timing), and a report holding one
-//! also masks `total_stats`.
+//! `common` for how a golden is recorded). Every line must be exactly
+//! what `Json`'s `Display` prints for its value. Only what a clock
+//! decides is then masked: `*_ms`, `*_ms_total`, `jobs_per_sec` and
+//! `queue_pops`. A portfolio job additionally masks `winners` and
+//! `stats` (which engine wins a race is a matter of timing), and a
+//! report holding one also masks `total_stats`.
 
 mod common;
 
@@ -269,6 +270,7 @@ fn serve_exchange_golden() {
     transcript.push(read_frame(&mut reader));
     writeln!(stream, "{{\"op\":\"shutdown\",\"mode\":\"graceful\"}}").expect("shutdown");
     transcript.push(read_frame(&mut reader));
-    transcript.push(server.join().expect("server thread joins").to_json());
+    let summary = server.join().expect("server thread joins");
+    transcript.push(summary.to_json().to_string());
     check_golden("serve_exchange", &masked_lines(&transcript.join("\n")));
 }

@@ -150,8 +150,8 @@ fn trace_file_covers_every_attempt_of_a_retried_job() {
     check_golden("trace_retried_job", &masked);
 
     // The registry agrees with the service report.
-    let snapshot = Json::parse(&telemetry.snapshot_json()).expect("snapshot parses");
-    let metrics = snapshot.get("metrics").expect("metrics").clone();
+    let snapshot = telemetry.snapshot_json();
+    let metrics = snapshot.get("metrics").expect("metrics");
     let counter = |key: &str| metrics.get(key).and_then(Json::as_u64).expect("metric");
     assert_eq!(counter("jobs_submitted"), 1);
     assert_eq!(counter("jobs_completed"), 1);
