@@ -6,6 +6,7 @@
 //! output) is the target predicate `F`, and invariant constraints map
 //! directly.
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -60,7 +61,10 @@ impl Error for ConvertError {}
 ///   reads a primary input (inexpressible as a state predicate `F`).
 pub fn aiger_to_model(file: &AigerFile, name: &str) -> Result<Model, ConvertError> {
     let mut b = ModelBuilder::new(name);
-    let mut names: Vec<Option<&str>> = vec![None; file.max_var as usize + 1];
+    // Both tables are keyed by the variables the file defines (at most
+    // I + L + A), never sized by the header's `M`, which may leave
+    // any number of variables unused.
+    let mut names: HashMap<u32, &str> = HashMap::new();
     for (kind, pos, sym) in &file.symbols {
         let lit = match kind {
             SymbolKind::Input => file.inputs.get(*pos).copied(),
@@ -68,23 +72,27 @@ pub fn aiger_to_model(file: &AigerFile, name: &str) -> Result<Model, ConvertErro
             _ => None,
         };
         if let Some(lit) = lit {
-            names[(lit >> 1) as usize] = Some(sym);
+            names.insert(lit >> 1, sym);
         }
     }
+    let name_of = |lit: u32| names.get(&(lit >> 1)).copied();
 
     // var index -> AigRef (positive form).
-    let mut map: Vec<Option<AigRef>> = vec![None; file.max_var as usize + 1];
-    map[0] = Some(AigRef::FALSE);
+    let mut map: HashMap<u32, AigRef> =
+        HashMap::with_capacity(1 + file.inputs.len() + file.latches.len() + file.ands.len());
+    map.insert(0, AigRef::FALSE);
     for (i, &lit) in file.inputs.iter().enumerate() {
-        let nm = names[(lit >> 1) as usize].map_or_else(|| format!("i{i}"), str::to_string);
-        map[(lit >> 1) as usize] = Some(b.input(nm));
+        let nm = name_of(lit).map_or_else(|| format!("i{i}"), str::to_string);
+        map.insert(lit >> 1, b.input(nm));
     }
     for (i, l) in file.latches.iter().enumerate() {
-        let nm = names[(l.lit >> 1) as usize].map_or_else(|| format!("l{i}"), str::to_string);
-        map[(l.lit >> 1) as usize] = Some(b.state_var(nm));
+        let nm = name_of(l.lit).map_or_else(|| format!("l{i}"), str::to_string);
+        map.insert(l.lit >> 1, b.state_var(nm));
     }
-    let tr = |map: &[Option<AigRef>], lit: u32| -> AigRef {
-        let r = map[(lit >> 1) as usize].expect("aiger literal defined (validated)");
+    let tr = |map: &HashMap<u32, AigRef>, lit: u32| -> AigRef {
+        let r = *map
+            .get(&(lit >> 1))
+            .expect("aiger literal defined (validated)");
         if lit & 1 == 1 {
             !r
         } else {
@@ -94,7 +102,7 @@ pub fn aiger_to_model(file: &AigerFile, name: &str) -> Result<Model, ConvertErro
     for a in &file.ands {
         let r0 = tr(&map, a.rhs0);
         let r1 = tr(&map, a.rhs1);
-        map[(a.lhs >> 1) as usize] = Some(b.aig_mut().and(r0, r1));
+        map.insert(a.lhs >> 1, b.aig_mut().and(r0, r1));
     }
 
     for (i, l) in file.latches.iter().enumerate() {

@@ -5,6 +5,7 @@
 //! `0`/`1` are the constants, variable `v`'s positive literal is `2v`
 //! and its negation `2v + 1`.
 
+use std::collections::HashMap;
 use std::fmt;
 
 /// Reset behaviour of a latch (AIGER 1.9).
@@ -105,9 +106,14 @@ impl AigerFile {
     /// defined after its operands when sorted by lhs).
     pub fn validate(&self) -> Result<(), String> {
         let max_lit = 2 * self.max_var + 1;
-        let mut defined = vec![false; self.max_var as usize + 1];
-        defined[0] = true; // constant
-        let mut check_def = |lit: u32, what: &str| -> Result<(), String> {
+        // Every defined variable, with the position of the AND gate
+        // defining it (`None` for the constant, inputs and latches).
+        // Keyed by variable, not sized by the header's `M`: a file
+        // defines at most I + L + A variables, each on its own line.
+        let mut defined: HashMap<u32, Option<usize>> =
+            HashMap::with_capacity(1 + self.inputs.len() + self.latches.len() + self.ands.len());
+        defined.insert(0, None); // constant
+        let mut check_def = |lit: u32, what: &str, and: Option<usize>| -> Result<(), String> {
             if lit > max_lit {
                 return Err(format!("{what} literal {lit} exceeds max {max_lit}"));
             }
@@ -117,28 +123,25 @@ impl AigerFile {
             if lit == 0 {
                 return Err(format!("{what} literal must not be constant"));
             }
-            let var = (lit >> 1) as usize;
-            if defined[var] {
+            if defined.insert(lit >> 1, and).is_some() {
                 return Err(format!("variable of {what} literal {lit} defined twice"));
             }
-            defined[var] = true;
             Ok(())
         };
         for &i in &self.inputs {
-            check_def(i, "input")?;
+            check_def(i, "input", None)?;
         }
         for l in &self.latches {
-            check_def(l.lit, "latch")?;
+            check_def(l.lit, "latch", None)?;
         }
-        for a in &self.ands {
-            check_def(a.lhs, "and")?;
+        for (i, a) in self.ands.iter().enumerate() {
+            check_def(a.lhs, "and", Some(i))?;
         }
         let check_use = |lit: u32, what: &str| -> Result<(), String> {
             if lit > max_lit {
                 return Err(format!("{what} literal {lit} exceeds max {max_lit}"));
             }
-            let var = (lit >> 1) as usize;
-            if !defined[var] {
+            if !defined.contains_key(&(lit >> 1)) {
                 return Err(format!("{what} literal {lit} uses undefined variable"));
             }
             Ok(())
@@ -159,33 +162,15 @@ impl AigerFile {
             check_use(a.rhs0, "and rhs0")?;
             check_use(a.rhs1, "and rhs1")?;
         }
-        // Acyclicity: operands must be inputs, latches, constants, or
-        // earlier-defined ANDs.
-        let mut and_rank = std::collections::HashMap::new();
-        for (i, a) in self.ands.iter().enumerate() {
-            and_rank.insert(a.lhs >> 1, i);
-        }
-        let input_or_latch: std::collections::HashSet<u32> = self
-            .inputs
-            .iter()
-            .copied()
-            .chain(self.latches.iter().map(|l| l.lit))
-            .map(|l| l >> 1)
-            .collect();
+        // Acyclicity: operands (all defined, as checked above) must be
+        // inputs, latches, constants, or earlier-defined ANDs.
         for (i, a) in self.ands.iter().enumerate() {
             for rhs in [a.rhs0, a.rhs1] {
-                let var = rhs >> 1;
-                if var == 0 || input_or_latch.contains(&var) {
-                    continue;
-                }
-                match and_rank.get(&var) {
-                    Some(&j) if j < i => {}
-                    _ => {
-                        return Err(format!(
-                            "and gate {} uses operand {rhs} not defined before it",
-                            a.lhs
-                        ))
-                    }
+                if defined[&(rhs >> 1)].is_some_and(|j| j >= i) {
+                    return Err(format!(
+                        "and gate {} uses operand {rhs} not defined before it",
+                        a.lhs
+                    ));
                 }
             }
         }

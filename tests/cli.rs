@@ -128,6 +128,32 @@ fn malformed_input_is_rejected_cleanly() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// A 27-byte ASCII file whose header declares 10^9 variables but
+/// defines one. Validation and conversion key their tables by the
+/// variables a file defines, so under a 1 GiB address-space limit both
+/// the check mode and `analyze` report the property error (exit 2)
+/// instead of aborting on a 16 GB allocation sized by the header.
+#[test]
+fn huge_header_max_var_sizes_no_allocation() {
+    let path = write_temp_aag("huge-m", "aag 1000000000 1 0 1 0\n2\n2\n");
+    let path = path.to_str().unwrap();
+    for args in [vec![path], vec!["analyze", path]] {
+        let out = Command::new("sh")
+            .args(["-c", "ulimit -v 1048576; exec \"$0\" \"$@\""])
+            .arg(env!("CARGO_BIN_EXE_sebmc-cli"))
+            .args(&args)
+            .output()
+            .expect("run sebmc under sh");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("property depends on a primary input"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(path).ok();
+}
+
 #[test]
 fn malformed_numeric_flags_exit_2() {
     let model = shift_register(3);
