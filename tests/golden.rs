@@ -1,6 +1,7 @@
 //! Golden outputs of the ways a bound sweep reaches a user: the CLI
 //! (single bound and `--deepen`), the batch service, and the `serve`
-//! daemon, plus the `analyze` diagnostics.
+//! daemon, plus the `analyze` diagnostics and, in-process, the formula
+//! each engine builds (`encodings_small_suite`).
 //!
 //! Each case runs one command and compares its JSON output, one value
 //! per line after the exit code, with `tests/golden/<case>.txt` (see
@@ -21,9 +22,15 @@ use std::time::Duration;
 
 use common::{check_golden, json_lines, MASK};
 use sebmc_repro::aiger;
-use sebmc_repro::logic::json::Json;
+use sebmc_repro::bmc::{
+    encode_qbf_linear, encode_qbf_squaring, encode_unrolled, k_induction_run, Budget, Engine,
+    InductionResult, JSat, Semantics, UnrollSat,
+};
+use sebmc_repro::logic::json::{obj, Json};
+use sebmc_repro::logic::Cnf;
 use sebmc_repro::model::builders::{shift_register, traffic_light};
-use sebmc_repro::model::Model;
+use sebmc_repro::model::{suite13, suite13_small, Model};
+use sebmc_repro::qbf::QbfFormula;
 use sebmc_repro::service::{serve_on, JobSpec, LineEvent, LineReader, ServiceConfig};
 
 /// Whether a job object is a portfolio job (two or more engines).
@@ -241,6 +248,107 @@ fn analyze_goldens() {
         &["analyze", "suite:random_5_1_2005", "--json"],
     );
     check_command("analyze_ring_4", &["analyze", "suite:ring_4", "--json"]);
+}
+
+/// One line for an encoding at bound 4: its size and, for a QBF, the
+/// shape of its prefix.
+fn encoding_line(model: &Model, encoding: &str, matrix: &Cnf, qbf: Option<&QbfFormula>) -> Json {
+    let mut fields = vec![
+        ("model", model.name().into()),
+        ("encoding", encoding.into()),
+        ("vars", matrix.num_vars().into()),
+        ("clauses", matrix.num_clauses().into()),
+        ("lits", matrix.num_literals().into()),
+    ];
+    if let Some(f) = qbf {
+        fields.push(("universals", f.num_universals().into()));
+        fields.push(("alternations", f.num_alternations().into()));
+    }
+    obj(fields)
+}
+
+/// One line for `k_induction_run(model, 24)`: the outcome and the
+/// run's cumulative stats.
+fn induction_line(model: &Model, budget: &Budget) -> Json {
+    let run = k_induction_run(model, 24, budget);
+    let outcome = match run.result {
+        InductionResult::Proved { k } => format!("proved at depth {k}"),
+        InductionResult::Falsified { cex } => format!("falsified ({} steps)", cex.len()),
+        InductionResult::Exhausted { max_depth } => format!("exhausted at depth {max_depth}"),
+        InductionResult::Unknown { reason } => format!("unknown: {reason}"),
+    };
+    obj(vec![
+        ("model", model.name().into()),
+        ("engine", "k-induction".into()),
+        ("outcome", outcome.into()),
+        ("stats", run.stats.to_json()),
+    ])
+}
+
+/// Every formula an engine hands its solver, pinned in-process on
+/// unreduced models by what the solver makes of it: unroll and jSAT
+/// sessions swept over bounds 0..=8 under both semantics (each bound's
+/// verdict and the session's cumulative sizes, peaks and effort), the
+/// sizes of the unrolled, linear-QBF and squaring encodings at bound 4,
+/// and k-induction to depth 24, on the paper suite as well.
+#[test]
+fn encodings_golden() {
+    let budget = Budget {
+        reduce: false,
+        ..Budget::none()
+    };
+    let mut lines = Vec::new();
+    for model in suite13_small() {
+        for engine in [&UnrollSat as &dyn Engine, &JSat::default()] {
+            for semantics in [Semantics::Exactly, Semantics::Within] {
+                let mut session = engine.start(&model, semantics, budget.clone());
+                let verdicts = (0..=8)
+                    .map(|k| session.check_bound(k).result.to_string().into())
+                    .collect();
+                let total = session.cumulative_stats();
+                lines.push(obj(vec![
+                    ("model", model.name().into()),
+                    ("engine", engine.name().into()),
+                    ("semantics", semantics.to_string().into()),
+                    ("verdicts", Json::Arr(verdicts)),
+                    ("encode_vars", total.encode_vars.into()),
+                    ("encode_clauses", total.encode_clauses.into()),
+                    ("encode_lits", total.encode_lits.into()),
+                    ("peak_formula_bytes", total.peak_formula_bytes.into()),
+                    ("peak_watch_bytes", total.peak_watch_bytes.into()),
+                    ("solver_effort", total.solver_effort.into()),
+                ]));
+            }
+        }
+        let unrolled = encode_unrolled(&model, 4, Semantics::Exactly).cnf;
+        let linear = encode_qbf_linear(&model, 4).formula;
+        let squaring = encode_qbf_squaring(&model, 4).formula;
+        lines.push(encoding_line(&model, "unrolled", &unrolled, None));
+        lines.push(encoding_line(
+            &model,
+            "qbf-linear",
+            linear.matrix(),
+            Some(&linear),
+        ));
+        lines.push(encoding_line(
+            &model,
+            "qbf-squaring",
+            squaring.matrix(),
+            Some(&squaring),
+        ));
+        lines.push(induction_line(&model, &budget));
+    }
+    for model in suite13() {
+        lines.push(induction_line(&model, &budget));
+    }
+    let text: String = lines
+        .into_iter()
+        .map(|mut v| {
+            mask(&mut v);
+            format!("{v}\n")
+        })
+        .collect();
+    check_golden("encodings_small_suite", &text);
 }
 
 /// Reads one frame from the daemon.
