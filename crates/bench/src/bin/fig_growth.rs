@@ -47,9 +47,7 @@ fn main() {
         let mut deltas_u = Vec::new();
         let mut deltas_q = Vec::new();
         for k in 1..=max_bound {
-            let u = encode_unrolled(&model, k, Semantics::Exactly)
-                .cnf
-                .num_literals();
+            let u = encode_unrolled(&model, k).num_literals();
             let q = encode_qbf_linear(&model, k);
             let ql = q.formula.matrix().num_literals();
             let du = if k > 1 { u - prev_u } else { 0 };

@@ -15,12 +15,13 @@
 
 use std::time::Instant;
 
-use sebmc_logic::{tseitin, Cnf, Lit, VarAlloc};
+use sebmc_logic::{Cnf, Lit, VarAlloc};
 use sebmc_model::{Model, Trace};
 use sebmc_proof::Certificate;
 use sebmc_sat::{SolveResult, Solver};
 
 use crate::engine::{BmcOutcome, BmcResult, Budget, RunStats, Semantics, Session};
+use crate::frame::FrameEncoder;
 
 /// An incremental unrolled-BMC session over one model.
 ///
@@ -99,11 +100,10 @@ impl IncrementalUnroll {
         let frame0 = s.alloc.fresh_lits(n);
         s.state_lits.push(frame0);
         let mut cnf = Cnf::new();
-        let map = s.frame_map(0, None);
-        let mut enc = tseitin::Encoder::new(s.model.aig(), &map);
-        let init_root = enc.encode_ref(s.model.init_ref(), &mut s.alloc, &mut cnf);
+        let mut enc = FrameEncoder::new(&s.model, &s.state_lits[0], None);
+        let init_root = enc.init(&mut s.alloc, &mut cnf);
         cnf.add_unit(init_root);
-        let f0 = enc.encode_ref(s.model.target_ref(), &mut s.alloc, &mut cnf);
+        let f0 = enc.target(&mut s.alloc, &mut cnf);
         let act0 = s.alloc.fresh_lit();
         cnf.add_binary(!act0, f0);
         s.target_act.push(act0);
@@ -131,20 +131,6 @@ impl IncrementalUnroll {
         self.solver.stats().live_bytes()
     }
 
-    fn frame_map(&self, t: usize, inputs: Option<usize>) -> Vec<Lit> {
-        let dummy = self.state_lits[t][0];
-        let mut map = vec![dummy; self.model.aig().num_inputs()];
-        for (i, &idx) in self.model.state_input_indices().iter().enumerate() {
-            map[idx] = self.state_lits[t][i];
-        }
-        if let Some(step) = inputs {
-            for (j, &idx) in self.model.free_input_indices().iter().enumerate() {
-                map[idx] = self.input_lits[step][j];
-            }
-        }
-        map
-    }
-
     /// Appends one transition frame.
     fn extend(&mut self) {
         let t = self.state_lits.len() - 1;
@@ -154,20 +140,12 @@ impl IncrementalUnroll {
         let next_frame = self.alloc.fresh_lits(n);
         self.state_lits.push(next_frame);
         let mut cnf = Cnf::new();
-        let map = self.frame_map(t, Some(t));
-        let mut enc = tseitin::Encoder::new(self.model.aig(), &map);
-        let next_roots = enc.encode_roots(self.model.next_refs(), &mut self.alloc, &mut cnf);
-        for (i, &nl) in next_roots.iter().enumerate() {
-            cnf.add_equiv(nl, self.state_lits[t + 1][i]);
-        }
-        for &c in self.model.constraint_refs() {
-            let cl = enc.encode_ref(c, &mut self.alloc, &mut cnf);
-            cnf.add_unit(cl);
-        }
+        let mut frame =
+            FrameEncoder::new(&self.model, &self.state_lits[t], Some(&self.input_lits[t]));
+        frame.transition(&self.state_lits[t + 1], &mut self.alloc, &mut cnf);
         // F at the new frame, guarded.
-        let map_new = self.frame_map(t + 1, None);
-        let mut enc_new = tseitin::Encoder::new(self.model.aig(), &map_new);
-        let f = enc_new.encode_ref(self.model.target_ref(), &mut self.alloc, &mut cnf);
+        let f = FrameEncoder::new(&self.model, &self.state_lits[t + 1], None)
+            .target(&mut self.alloc, &mut cnf);
         let act = self.alloc.fresh_lit();
         cnf.add_binary(!act, f);
         self.target_act.push(act);

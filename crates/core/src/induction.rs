@@ -4,9 +4,11 @@
 //! sufficient for a *complete* proof, "but there are still many cases
 //! where the induction depth is exponential in the size of the model".
 //! This module implements the standard strengthened k-induction
-//! (Sheeran–Singh–Stålmarck) on top of the unrolled encoder, both to
-//! complete the engine line-up and to demonstrate that observation
-//! (see the `induction_depth` tests: the counter needs depth `2^w`).
+//! (Sheeran–Singh–Stålmarck) on top of the shared frame encoder (the
+//! base case is an incremental [`UnrollSat`] session, the step case a
+//! path of frames from the same module), both to complete the engine
+//! line-up and to demonstrate that observation (see the
+//! `induction_depth` tests: the counter needs depth `2^w`).
 //!
 //! * **Base(k)**: a path from an initial state reaches `F` within `k`
 //!   steps — counterexample.
@@ -18,11 +20,12 @@
 
 use std::time::Instant;
 
-use sebmc_logic::{tseitin, Cnf, Lit, VarAlloc};
+use sebmc_logic::{Cnf, Lit, VarAlloc};
 use sebmc_model::{Model, Trace};
 use sebmc_sat::{SolveResult, Solver};
 
 use crate::engine::{Budget, Engine, RunStats, Semantics};
+use crate::frame::{encode_path, FrameEncoder};
 use crate::unroll::UnrollSat;
 
 /// Outcome of a k-induction run.
@@ -80,55 +83,18 @@ pub struct InductionRun {
 /// (satisfiable means induction fails at this depth) plus this call's
 /// stats.
 fn step_case(model: &Model, k: usize, budget: &Budget, start: Instant) -> (SolveResult, RunStats) {
-    let n = model.num_state_vars();
-    let m = model.num_inputs();
     let mut alloc = VarAlloc::new();
-    let state_lits: Vec<Vec<Lit>> = (0..=k).map(|_| alloc.fresh_lits(n)).collect();
-    let input_lits: Vec<Vec<Lit>> = (0..k).map(|_| alloc.fresh_lits(m)).collect();
     let mut cnf = Cnf::new();
-
-    let dummy = state_lits[0][0];
-    let frame_map = |states: &[Lit], inputs: Option<&[Lit]>| -> Vec<Lit> {
-        let mut map = vec![dummy; model.aig().num_inputs()];
-        for (i, &idx) in model.state_input_indices().iter().enumerate() {
-            map[idx] = states[i];
-        }
-        if let Some(ins) = inputs {
-            for (j, &idx) in model.free_input_indices().iter().enumerate() {
-                map[idx] = ins[j];
-            }
-        }
-        map
-    };
-
-    // Transitions and constraints.
-    for t in 0..k {
-        let map = frame_map(&state_lits[t], Some(&input_lits[t]));
-        let mut enc = tseitin::Encoder::new(model.aig(), &map);
-        let next_roots = enc.encode_roots(model.next_refs(), &mut alloc, &mut cnf);
-        for (i, &nl) in next_roots.iter().enumerate() {
-            cnf.add_equiv(nl, state_lits[t + 1][i]);
-        }
-        for &c in model.constraint_refs() {
-            let cl = enc.encode_ref(c, &mut alloc, &mut cnf);
-            cnf.add_unit(cl);
-        }
-    }
+    let state_lits = encode_path(model, k, &mut alloc, &mut cnf);
     // ¬F on frames 0..k, F on frame k.
     for (t, frame) in state_lits.iter().enumerate() {
-        let map = frame_map(frame, None);
-        let mut enc = tseitin::Encoder::new(model.aig(), &map);
-        let f = enc.encode_ref(model.target_ref(), &mut alloc, &mut cnf);
-        if t == k {
-            cnf.add_unit(f);
-        } else {
-            cnf.add_unit(!f);
-        }
+        let f = FrameEncoder::new(model, frame, None).target(&mut alloc, &mut cnf);
+        cnf.add_unit(if t == k { f } else { !f });
     }
     // Simple-path constraint: every pair of frames differs somewhere.
     for i in 0..=k {
         for j in i + 1..=k {
-            let mut clause: Vec<Lit> = Vec::with_capacity(n);
+            let mut clause: Vec<Lit> = Vec::with_capacity(model.num_state_vars());
             for (&a, &c) in state_lits[i].iter().zip(&state_lits[j]) {
                 let t = alloc.fresh_lit();
                 // t → (a ≠ c)

@@ -36,12 +36,13 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use sebmc_logic::{tseitin, Cnf, Lit, VarAlloc};
+use sebmc_logic::{Cnf, Lit, VarAlloc};
 use sebmc_model::{Model, Trace};
 use sebmc_proof::Certificate;
 use sebmc_sat::{SolveResult, Solver};
 
 use crate::engine::{BmcOutcome, BmcResult, Budget, Engine, RunStats, Semantics, Session};
+use crate::frame::FrameEncoder;
 
 /// Tuning knobs of the jSAT procedure (ablated in experiment E5).
 #[derive(Clone, Debug)]
@@ -231,43 +232,19 @@ fn build_formula4(model: &Model, budget: &Budget) -> Formula4 {
     let act_init_block = alloc.fresh_lit();
     let mut cnf = Cnf::new();
 
-    // Input-literal map over the model AIG for the (U, W) frame.
-    let dummy = u_lits.first().copied().unwrap_or(Lit::from_code(0));
-    let mut map_uw = vec![dummy; model.aig().num_inputs()];
-    for (i, &idx) in model.state_input_indices().iter().enumerate() {
-        map_uw[idx] = u_lits[i];
-    }
-    for (j, &idx) in model.free_input_indices().iter().enumerate() {
-        map_uw[idx] = w_lits[j];
-    }
-    // TR(U, W) → V: one copy, shared by every frame.
-    {
-        let mut enc = tseitin::Encoder::new(model.aig(), &map_uw);
-        let next_roots = enc.encode_roots(model.next_refs(), &mut alloc, &mut cnf);
-        for (i, &nl) in next_roots.iter().enumerate() {
-            cnf.add_equiv(nl, v_lits[i]);
-        }
-        for &c in model.constraint_refs() {
-            let cl = enc.encode_ref(c, &mut alloc, &mut cnf);
-            cnf.add_unit(cl);
-        }
-        // I(U), guarded (same U/W map; init cannot mention W).
-        let init_root = enc.encode_ref(model.init_ref(), &mut alloc, &mut cnf);
-        cnf.add_binary(!act_init, init_root);
-        // F(U), guarded (k = 0 case).
-        let fu_root = enc.encode_ref(model.target_ref(), &mut alloc, &mut cnf);
-        cnf.add_binary(!act_target_u, fu_root);
-    }
+    // TR(U, W) → V: one copy, shared by every frame. I(U) and F(U)
+    // share its encoder (neither can mention W).
+    let mut enc = FrameEncoder::new(model, &u_lits, Some(&w_lits));
+    enc.transition(&v_lits, &mut alloc, &mut cnf);
+    // I(U), guarded.
+    let init_root = enc.init(&mut alloc, &mut cnf);
+    cnf.add_binary(!act_init, init_root);
+    // F(U), guarded (k = 0 case).
+    let fu_root = enc.target(&mut alloc, &mut cnf);
+    cnf.add_binary(!act_target_u, fu_root);
     // F(V), guarded.
-    {
-        let mut map_v = vec![dummy; model.aig().num_inputs()];
-        for (i, &idx) in model.state_input_indices().iter().enumerate() {
-            map_v[idx] = v_lits[i];
-        }
-        let mut enc = tseitin::Encoder::new(model.aig(), &map_v);
-        let fv_root = enc.encode_ref(model.target_ref(), &mut alloc, &mut cnf);
-        cnf.add_binary(!act_target_v, fv_root);
-    }
+    let fv_root = FrameEncoder::new(model, &v_lits, None).target(&mut alloc, &mut cnf);
+    cnf.add_binary(!act_target_v, fv_root);
     cnf.ensure_vars(alloc.num_vars());
 
     let mut solver = Solver::new();

@@ -46,6 +46,7 @@
 
 pub mod engine;
 pub mod fingerprint;
+mod frame;
 pub mod inc_unroll;
 pub mod induction;
 pub mod jsat;
@@ -70,4 +71,4 @@ pub use qbf_enc::{encode_qbf_linear, QbfBackend, QbfEncoding, QbfLinear, QbfLine
 pub use reduce::{start_with_reduction, LiftingSession};
 pub use sebmc_proof::Certificate;
 pub use squaring::{encode_qbf_squaring, QbfSquaring, QbfSquaringSession};
-pub use unroll::{encode_unrolled, UnrollSat, UnrolledCnf};
+pub use unroll::{encode_unrolled, UnrollSat};

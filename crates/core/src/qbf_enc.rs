@@ -20,6 +20,7 @@ use sebmc_model::Model;
 use sebmc_qbf::{ExpansionLimits, ExpansionSolver, QbfFormula, QbfResult, QdpllSolver, Quantifier};
 
 use crate::engine::{BmcOutcome, BmcResult, Budget, Engine, RunStats, Semantics, Session};
+use crate::frame::input_map;
 
 /// Which general-purpose QBF solver an engine uses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -39,27 +40,6 @@ pub struct QbfEncoding {
     pub z_lits: Vec<Vec<Lit>>,
 }
 
-/// Builds the full-input literal map for importing a model cone into a
-/// scratch graph: state variables bound to `states`, free inputs to
-/// `inputs` (or folded to constant false when the cone cannot mention
-/// them, as validated for init/target predicates).
-pub(crate) fn import_map(
-    model: &Model,
-    states: &[AigRef],
-    inputs: Option<&[AigRef]>,
-) -> Vec<AigRef> {
-    let mut map = vec![AigRef::FALSE; model.aig().num_inputs()];
-    for (i, &idx) in model.state_input_indices().iter().enumerate() {
-        map[idx] = states[i];
-    }
-    if let Some(ins) = inputs {
-        for (j, &idx) in model.free_input_indices().iter().enumerate() {
-            map[idx] = ins[j];
-        }
-    }
-    map
-}
-
 /// Imports `TR(u, v) = ∃w. constraints(u,w) ∧ ⋀ᵢ vᵢ ↔ nextᵢ(u,w)` into
 /// the scratch graph, returning a single "TR holds" reference.
 pub(crate) fn import_tr(
@@ -69,7 +49,7 @@ pub(crate) fn import_tr(
     v: &[AigRef],
     w: &[AigRef],
 ) -> AigRef {
-    let map = import_map(model, u, Some(w));
+    let map = input_map(model, u, Some(w), AigRef::FALSE);
     let mut roots: Vec<AigRef> = model.next_refs().to_vec();
     roots.extend_from_slice(model.constraint_refs());
     let imported = g.import(model.aig(), &roots, &map);
@@ -97,9 +77,9 @@ pub fn encode_qbf_linear(model: &Model, k: usize) -> QbfEncoding {
     let w = g.inputs(m);
 
     let tr_ok = import_tr(&mut g, model, &u, &v, &w);
-    let init_map = import_map(model, &z[0], None);
+    let init_map = input_map(model, &z[0], None, AigRef::FALSE);
     let init_root = g.import(model.aig(), &[model.init_ref()], &init_map)[0];
-    let target_map = import_map(model, &z[k], None);
+    let target_map = input_map(model, &z[k], None, AigRef::FALSE);
     let target_root = g.import(model.aig(), &[model.target_ref()], &target_map)[0];
 
     let mut matrix_root = g.and(init_root, target_root);
@@ -157,19 +137,21 @@ pub fn encode_qbf_linear(model: &Model, k: usize) -> QbfEncoding {
 /// Runs a QBF backend under a session budget (deadline measured from
 /// `start`, byte cap lowered to a matrix-literal cap at 4 bytes per
 /// literal, cancellation polled at the solver's safe points); returns
-/// the verdict, the solver effort and its peak formula size.
+/// the verdict and the stats of the call: the matrix sizes, the solver
+/// effort and its peak formula size. Callers add `duration` and
+/// `bounds_checked`.
 pub(crate) fn solve_qbf(
     backend: QbfBackend,
     formula: &QbfFormula,
     budget: &Budget,
     start: Instant,
-) -> (QbfResult, u64, usize) {
-    match backend {
+) -> (BmcResult, RunStats) {
+    let matrix = formula.matrix();
+    let (r, effort, peak) = match backend {
         QbfBackend::Qdpll => {
             let mut solver = QdpllSolver::with_limits(budget.qbf_limits(start));
             let r = solver.solve(formula);
-            let effort = solver.stats().decisions;
-            (r, effort, formula.matrix().num_literals())
+            (r, solver.stats().decisions, matrix.num_literals())
         }
         QbfBackend::Expansion => {
             let mut solver = ExpansionSolver::with_limits(ExpansionLimits {
@@ -179,11 +161,29 @@ pub(crate) fn solve_qbf(
                 base: budget.qbf_limits(start),
             });
             let r = solver.solve(formula);
-            let effort = solver.stats().expanded_universals;
             let peak = solver.stats().peak_matrix_literals;
-            (r, effort, peak.max(formula.matrix().num_literals()))
+            (
+                r,
+                solver.stats().expanded_universals,
+                peak.max(matrix.num_literals()),
+            )
         }
-    }
+    };
+    let result = match r {
+        QbfResult::True => BmcResult::Reachable(None),
+        QbfResult::False => BmcResult::Unreachable,
+        QbfResult::Unknown => BmcResult::Unknown(budget.unknown_reason()),
+    };
+    let stats = RunStats {
+        encode_vars: matrix.num_vars(),
+        encode_clauses: matrix.num_clauses(),
+        encode_lits: matrix.num_literals(),
+        peak_formula_lits: peak,
+        peak_formula_bytes: peak * std::mem::size_of::<Lit>(),
+        solver_effort: effort,
+        ..RunStats::default()
+    };
+    (result, stats)
 }
 
 /// Formulation (2) engine: single-`TR` QBF solved by a general-purpose
@@ -263,33 +263,17 @@ impl Session for QbfLinearSession {
 
     fn check_bound(&mut self, k: usize) -> BmcOutcome {
         let call_start = Instant::now();
-        if self.budget.expired(self.started) {
-            let stats = RunStats {
-                duration: call_start.elapsed(),
-                bounds_checked: 1,
-                ..RunStats::default()
-            };
-            self.total.absorb(&stats);
-            return BmcOutcome::unknown(self.budget.unknown_reason(), stats);
-        }
-        let enc = encode_qbf_linear(&self.model, k);
-        let mut stats = RunStats {
-            encode_vars: enc.formula.matrix().num_vars(),
-            encode_clauses: enc.formula.matrix().num_clauses(),
-            encode_lits: enc.formula.matrix().num_literals(),
-            bounds_checked: 1,
-            ..RunStats::default()
+        let (result, mut stats) = if self.budget.expired(self.started) {
+            (
+                BmcResult::Unknown(self.budget.unknown_reason()),
+                RunStats::default(),
+            )
+        } else {
+            let enc = encode_qbf_linear(&self.model, k);
+            solve_qbf(self.backend, &enc.formula, &self.budget, self.started)
         };
-        let (r, effort, peak) = solve_qbf(self.backend, &enc.formula, &self.budget, self.started);
         stats.duration = call_start.elapsed();
-        stats.solver_effort = effort;
-        stats.peak_formula_lits = peak;
-        stats.peak_formula_bytes = peak * std::mem::size_of::<sebmc_logic::Lit>();
-        let result = match r {
-            QbfResult::True => BmcResult::Reachable(None),
-            QbfResult::False => BmcResult::Unreachable,
-            QbfResult::Unknown => BmcResult::Unknown(self.budget.unknown_reason()),
-        };
+        stats.bounds_checked = 1;
         self.total.absorb(&stats);
         BmcOutcome::new(result, stats)
     }

@@ -17,10 +17,11 @@ use std::time::Instant;
 
 use sebmc_logic::{tseitin, Aig, AigRef, Cnf, Lit, Var, VarAlloc};
 use sebmc_model::Model;
-use sebmc_qbf::{QbfFormula, QbfResult, Quantifier};
+use sebmc_qbf::{QbfFormula, Quantifier};
 
 use crate::engine::{BmcOutcome, BmcResult, Budget, Engine, RunStats, Semantics, Session};
-use crate::qbf_enc::{import_map, import_tr, solve_qbf, QbfBackend, QbfEncoding};
+use crate::frame::input_map;
+use crate::qbf_enc::{import_tr, solve_qbf, QbfBackend, QbfEncoding};
 
 /// Encodes "a target state is reachable in exactly `k` steps" by
 /// iterative squaring.
@@ -79,9 +80,9 @@ pub fn encode_qbf_squaring(model: &Model, k: usize) -> QbfEncoding {
         body = g.implies(ante, body);
     }
 
-    let init_map = import_map(model, &z0, None);
+    let init_map = input_map(model, &z0, None, AigRef::FALSE);
     let init_root = g.import(model.aig(), &[model.init_ref()], &init_map)[0];
-    let target_map = import_map(model, &zk, None);
+    let target_map = input_map(model, &zk, None, AigRef::FALSE);
     let target_root = g.import(model.aig(), &[model.target_ref()], &target_map)[0];
     let with_init = g.and(body, init_root);
     let matrix_root = g.and(with_init, target_root);
@@ -213,7 +214,7 @@ impl QbfSquaringSession {
         let n = model.num_state_vars();
         let mut g = Aig::new();
         let z = g.inputs(n);
-        let map = import_map(model, &z, None);
+        let map = input_map(model, &z, None, AigRef::FALSE);
         let init_root = g.import(model.aig(), &[model.init_ref()], &map)[0];
         let target_root = g.import(model.aig(), &[model.target_ref()], &map)[0];
         let both = g.and(init_root, target_root);
@@ -223,23 +224,12 @@ impl QbfSquaringSession {
         let root = tseitin::encode(&g, &[both], &lits, &mut alloc, &mut cnf)[0];
         cnf.add_unit(root);
         cnf.ensure_vars(alloc.num_vars());
-        let formula = QbfFormula::new(cnf);
-        let (r, effort, peak) = solve_qbf(self.backend, &formula, &self.budget, self.started);
-        let result = match r {
-            QbfResult::True => BmcResult::Reachable(None),
-            QbfResult::False => BmcResult::Unreachable,
-            QbfResult::Unknown => BmcResult::Unknown(self.budget.unknown_reason()),
-        };
-        let stats = RunStats {
-            encode_vars: formula.matrix().num_vars(),
-            encode_clauses: formula.matrix().num_clauses(),
-            encode_lits: formula.matrix().num_literals(),
-            peak_formula_lits: peak,
-            peak_formula_bytes: peak * std::mem::size_of::<sebmc_logic::Lit>(),
-            solver_effort: effort,
-            ..RunStats::default()
-        };
-        (result, stats)
+        solve_qbf(
+            self.backend,
+            &QbfFormula::new(cnf),
+            &self.budget,
+            self.started,
+        )
     }
 }
 
@@ -277,23 +267,7 @@ impl Session for QbfSquaringSession {
             )
         } else {
             let enc = encode_qbf_squaring(&self.model, k);
-            let mut stats = RunStats {
-                encode_vars: enc.formula.matrix().num_vars(),
-                encode_clauses: enc.formula.matrix().num_clauses(),
-                encode_lits: enc.formula.matrix().num_literals(),
-                ..RunStats::default()
-            };
-            let (r, effort, peak) =
-                solve_qbf(self.backend, &enc.formula, &self.budget, self.started);
-            stats.solver_effort = effort;
-            stats.peak_formula_lits = peak;
-            stats.peak_formula_bytes = peak * std::mem::size_of::<sebmc_logic::Lit>();
-            let result = match r {
-                QbfResult::True => BmcResult::Reachable(None),
-                QbfResult::False => BmcResult::Unreachable,
-                QbfResult::Unknown => BmcResult::Unknown(self.budget.unknown_reason()),
-            };
-            (result, stats)
+            solve_qbf(self.backend, &enc.formula, &self.budget, self.started)
         };
         stats.duration = call_start.elapsed();
         stats.bounds_checked = 1;

@@ -8,142 +8,26 @@
 //! cone, exactly like a 2005 bounded model checker), and [`UnrollSat`]
 //! solves it with the CDCL solver.
 
-use sebmc_logic::{tseitin, Cnf, Lit, VarAlloc};
-use sebmc_model::{Model, Trace};
+use sebmc_logic::{Cnf, VarAlloc};
+use sebmc_model::Model;
 
 use crate::engine::{Budget, Engine, Semantics, Session};
+use crate::frame::{encode_path, FrameEncoder};
 use crate::inc_unroll::IncrementalUnroll;
 
-/// The unrolled CNF together with the variable maps needed to decode
-/// witnesses.
-#[derive(Debug)]
-pub struct UnrolledCnf {
-    /// The formula.
-    pub cnf: Cnf,
-    /// `state_lits[t][i]`: literal of state variable `i` at frame `t`
-    /// (`t = 0..=k`).
-    pub state_lits: Vec<Vec<Lit>>,
-    /// `input_lits[t][j]`: literal of input `j` at step `t`
-    /// (`t = 0..k`).
-    pub input_lits: Vec<Vec<Lit>>,
-}
-
-impl UnrolledCnf {
-    /// Number of frames (`k + 1`).
-    pub fn num_frames(&self) -> usize {
-        self.state_lits.len()
-    }
-
-    /// Decodes a witness trace from a satisfying assignment, truncating
-    /// at the first target frame under [`Semantics::Within`].
-    pub fn decode_trace(
-        &self,
-        model: &Model,
-        semantics: Semantics,
-        value: impl Fn(Lit) -> bool,
-    ) -> Trace {
-        let states: Vec<Vec<bool>> = self
-            .state_lits
-            .iter()
-            .map(|frame| frame.iter().map(|&l| value(l)).collect())
-            .collect();
-        let inputs: Vec<Vec<bool>> = self
-            .input_lits
-            .iter()
-            .map(|frame| frame.iter().map(|&l| value(l)).collect())
-            .collect();
-        let mut trace = Trace { states, inputs };
-        if semantics == Semantics::Within {
-            if let Some(t) = trace.states.iter().position(|s| model.eval_target(s)) {
-                trace.states.truncate(t + 1);
-                trace.inputs.truncate(t);
-            }
-        }
-        trace
-    }
-}
-
-/// Builds the input-literal map for one frame: state variables bound to
-/// `states`, free inputs bound to `inputs` (or to a harmless dummy when
-/// the cone cannot mention them).
-fn frame_map(model: &Model, states: &[Lit], inputs: Option<&[Lit]>) -> Vec<Lit> {
-    let dummy = states.first().copied().unwrap_or(Lit::from_code(0));
-    let mut map = vec![dummy; model.aig().num_inputs()];
-    for (i, &idx) in model.state_input_indices().iter().enumerate() {
-        map[idx] = states[i];
-    }
-    if let Some(ins) = inputs {
-        for (j, &idx) in model.free_input_indices().iter().enumerate() {
-            map[idx] = ins[j];
-        }
-    }
-    map
-}
-
-/// Encodes bounded reachability at bound `k` as the classical unrolled
-/// CNF (formulation (1) of the paper).
-///
-/// Under [`Semantics::Within`] the target disjunction ranges over every
-/// frame; under [`Semantics::Exactly`] only frame `k` is constrained.
-pub fn encode_unrolled(model: &Model, k: usize, semantics: Semantics) -> UnrolledCnf {
-    let n = model.num_state_vars();
-    let m = model.num_inputs();
+/// Encodes "a target state is reachable in exactly `k` steps" as the
+/// classical unrolled CNF (formulation (1) of the paper): `I` on frame
+/// 0, `F` on frame `k`, one copy of `TR` per step.
+pub fn encode_unrolled(model: &Model, k: usize) -> Cnf {
     let mut alloc = VarAlloc::new();
-    let state_lits: Vec<Vec<Lit>> = (0..=k).map(|_| alloc.fresh_lits(n)).collect();
-    let input_lits: Vec<Vec<Lit>> = (0..k).map(|_| alloc.fresh_lits(m)).collect();
     let mut cnf = Cnf::new();
-
-    // I(Z0).
-    {
-        let map = frame_map(model, &state_lits[0], None);
-        let mut enc = tseitin::Encoder::new(model.aig(), &map);
-        let root = enc.encode_ref(model.init_ref(), &mut alloc, &mut cnf);
-        cnf.add_unit(root);
-    }
-
-    let mut target_lits: Vec<Lit> = Vec::new();
-
-    // One copy of TR per step: Z_{t+1} = next(Z_t, W_t) plus constraints.
-    for t in 0..k {
-        let map = frame_map(model, &state_lits[t], Some(&input_lits[t]));
-        let mut enc = tseitin::Encoder::new(model.aig(), &map);
-        let next_roots = enc.encode_roots(model.next_refs(), &mut alloc, &mut cnf);
-        for (i, &nl) in next_roots.iter().enumerate() {
-            cnf.add_equiv(nl, state_lits[t + 1][i]);
-        }
-        for &c in model.constraint_refs() {
-            let cl = enc.encode_ref(c, &mut alloc, &mut cnf);
-            cnf.add_unit(cl);
-        }
-        if semantics == Semantics::Within {
-            let tl = enc.encode_ref(model.target_ref(), &mut alloc, &mut cnf);
-            target_lits.push(tl);
-        }
-    }
-
-    // F at the last frame (and, for Within, at every frame).
-    {
-        let map = frame_map(model, &state_lits[k], None);
-        let mut enc = tseitin::Encoder::new(model.aig(), &map);
-        let tl = enc.encode_ref(model.target_ref(), &mut alloc, &mut cnf);
-        target_lits.push(tl);
-    }
-    match semantics {
-        Semantics::Exactly => {
-            let last = *target_lits.last().expect("frame k target encoded");
-            cnf.add_unit(last);
-        }
-        Semantics::Within => {
-            cnf.add_clause(target_lits);
-        }
-    }
+    let states = encode_path(model, k, &mut alloc, &mut cnf);
+    let init = FrameEncoder::new(model, &states[0], None).init(&mut alloc, &mut cnf);
+    cnf.add_unit(init);
+    let target = FrameEncoder::new(model, &states[k], None).target(&mut alloc, &mut cnf);
+    cnf.add_unit(target);
     cnf.ensure_vars(alloc.num_vars());
-
-    UnrolledCnf {
-        cnf,
-        state_lits,
-        input_lits,
-    }
+    cnf
 }
 
 /// Formulation (1) engine: unrolled CNF solved with CDCL — the paper's
@@ -275,11 +159,11 @@ mod tests {
     #[test]
     fn formula_grows_by_tr_per_frame() {
         let m = counter_with_reset(4);
-        let e4 = encode_unrolled(&m, 4, Semantics::Exactly);
-        let e5 = encode_unrolled(&m, 5, Semantics::Exactly);
-        let e6 = encode_unrolled(&m, 6, Semantics::Exactly);
-        let d1 = e5.cnf.num_literals() - e4.cnf.num_literals();
-        let d2 = e6.cnf.num_literals() - e5.cnf.num_literals();
+        let e4 = encode_unrolled(&m, 4);
+        let e5 = encode_unrolled(&m, 5);
+        let e6 = encode_unrolled(&m, 6);
+        let d1 = e5.num_literals() - e4.num_literals();
+        let d2 = e6.num_literals() - e5.num_literals();
         assert_eq!(d1, d2, "per-frame growth is constant (one TR copy)");
         assert!(d1 > 0);
     }

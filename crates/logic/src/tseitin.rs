@@ -64,8 +64,9 @@ pub fn encode(
 /// Incremental Tseitin encoder that remembers which nodes were already
 /// encoded, so several cones over the same AIG can share auxiliaries.
 ///
-/// Used by the BMC unrolling encoder, which encodes the transition cone
-/// once per frame but shares the (frame-independent) mapping logic.
+/// The `sebmc` crate's frame module wraps one `Encoder` per time frame:
+/// every BMC formulation builds its copies of a model's logic through
+/// it, and cones encoded in the same frame share their auxiliaries.
 #[derive(Debug)]
 pub struct Encoder<'a> {
     aig: &'a Aig,

@@ -47,7 +47,7 @@ fn main() {
         .stats
         .encode_lits;
     for k in 1..=32usize {
-        let unrolled = encode_unrolled(&model, k, Semantics::Exactly);
+        let unrolled = encode_unrolled(&model, k);
         let linear = encode_qbf_linear(&model, k);
         let (sq_lits, sq_univ, sq_alt) = if k.is_power_of_two() {
             let sq = encode_qbf_squaring(&model, k);
@@ -62,7 +62,7 @@ fn main() {
         println!(
             "{:>5} | {:>12} | {:>12} {:>6} | {:>12} {:>6} {:>6} | {:>12}",
             k,
-            unrolled.cnf.num_literals(),
+            unrolled.num_literals(),
             linear.formula.matrix().num_literals(),
             linear.formula.num_universals(),
             sq_lits,

@@ -154,6 +154,60 @@ fn huge_header_max_var_sizes_no_allocation() {
     std::fs::remove_file(path).ok();
 }
 
+/// A valid AIGER file may declare no latches: the state is the empty
+/// vector and the property a constant. Every engine decides it, at one
+/// bound and deepening, and so does a batch job.
+#[test]
+fn zero_latch_models_are_decided() {
+    for (property, code) in [("1", 10), ("0", 20)] {
+        let path = write_temp_aag(
+            &format!("no-latch-{property}"),
+            &format!("aag 0 0 0 1 0\n{property}\n"),
+        );
+        let path = path.to_str().unwrap();
+        let engines = [
+            "jsat",
+            "unroll",
+            "qbf-linear",
+            "qbf-squaring",
+            "k-induction",
+        ];
+        let runs = engines
+            .iter()
+            .map(|&e| (e, false))
+            .chain(engines[..4].iter().map(|&e| (e, true)));
+        for (engine, deepen) in runs {
+            let mut cmd = cli();
+            cmd.args([path, "--engine", engine, "--bound", "2", "--quiet"]);
+            if deepen {
+                cmd.arg("--deepen");
+            }
+            let out = cmd.output().expect("run sebmc");
+            let stderr = String::from_utf8(out.stderr).unwrap();
+            let case = format!("property {property}, {engine}, deepen {deepen}");
+            assert_eq!(out.status.code(), Some(code), "{case}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+        }
+        if property == "1" {
+            let jobs = std::env::temp_dir().join(format!(
+                "sebmc-test-no-latch-jobs-{}.txt",
+                std::process::id()
+            ));
+            std::fs::write(&jobs, format!("{path} unroll 2\n")).expect("write job file");
+            let out = cli()
+                .args(["batch", jobs.to_str().unwrap(), "--json", "--quiet"])
+                .output()
+                .expect("run sebmc batch");
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            assert_eq!(out.status.code(), Some(0), "{stdout}");
+            assert!(stdout.contains("\"reachable\":1"), "{stdout}");
+            assert!(stdout.contains("\"jobs_quarantined\":0"), "{stdout}");
+            std::fs::remove_file(jobs).ok();
+        }
+        std::fs::remove_file(path).ok();
+    }
+}
+
 #[test]
 fn malformed_numeric_flags_exit_2() {
     let model = shift_register(3);

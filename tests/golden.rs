@@ -320,7 +320,7 @@ fn encodings_golden() {
                 ]));
             }
         }
-        let unrolled = encode_unrolled(&model, 4, Semantics::Exactly).cnf;
+        let unrolled = encode_unrolled(&model, 4);
         let linear = encode_qbf_linear(&model, 4).formula;
         let squaring = encode_qbf_squaring(&model, 4).formula;
         lines.push(encoding_line(&model, "unrolled", &unrolled, None));

@@ -61,11 +61,7 @@ fn qbf_growth_is_smaller_than_unroll_growth() {
         "test premise: |TR| must dwarf the state width"
     );
     let growth = |k: usize, f: &dyn Fn(usize) -> usize| f(k + 1) - f(k);
-    let unroll_size = |k: usize| {
-        encode_unrolled(&model, k, Semantics::Exactly)
-            .cnf
-            .num_literals()
-    };
+    let unroll_size = |k: usize| encode_unrolled(&model, k).num_literals();
     let qbf_size = |k: usize| encode_qbf_linear(&model, k).formula.matrix().num_literals();
     let gu = growth(6, &unroll_size);
     let gq = growth(6, &qbf_size);
