@@ -28,7 +28,7 @@ use sebmc_repro::bmc::{
 };
 use sebmc_repro::logic::json::{obj, Json};
 use sebmc_repro::logic::Cnf;
-use sebmc_repro::model::builders::{shift_register, traffic_light};
+use sebmc_repro::model::builders::{fifo, round_robin_arbiter, shift_register, traffic_light};
 use sebmc_repro::model::{suite13, suite13_small, Model};
 use sebmc_repro::qbf::QbfFormula;
 use sebmc_repro::service::{serve_on, JobSpec, LineEvent, LineReader, ServiceConfig};
@@ -203,6 +203,44 @@ fn cli_deepen_goldens() {
     for (case, input, flags) in cases {
         check_cli(case, input, &format!("--deepen {flags}"));
     }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Sessions opened on a statically reduced model: `fifo_2` keeps 5
+/// cone latches and `arbiter_3` keeps 4 and drops 2 inputs, so every
+/// report stamps the reduction counters and every witness is lifted
+/// back to the original model. The fault-plan cases pin a bound the
+/// engine does not attempt.
+#[test]
+fn cli_reduced_model_goldens() {
+    let dir = scratch("reduced");
+    let fifo = write_aag(&dir, &fifo(1));
+    let arbiter = write_aag(&dir, &round_robin_arbiter(3));
+    for engine in ["jsat", "unroll", "qbf-linear", "qbf-squaring"] {
+        let case = format!("cli_deepen_fifo_2_{}", engine.replace('-', "_"));
+        check_cli(
+            &case,
+            &fifo,
+            &format!("--deepen --engine {engine} --bound 4"),
+        );
+    }
+    for engine in ["jsat", "unroll"] {
+        check_cli(
+            &format!("cli_deepen_arbiter_3_{engine}"),
+            &arbiter,
+            &format!("--deepen --engine {engine} --bound 4"),
+        );
+        check_cli(
+            &format!("cli_deepen_fifo_2_{engine}_engine_oom"),
+            &fifo,
+            &format!("--deepen --engine {engine} --bound 4 --certify --fault-plan oom@engine:2"),
+        );
+    }
+    check_cli(
+        "cli_qbf_linear_fifo_2",
+        &fifo,
+        "--engine qbf-linear --bound 2",
+    );
     std::fs::remove_dir_all(dir).ok();
 }
 
