@@ -1,7 +1,7 @@
 //! E5 — jSAT design-choice ablation.
 //!
-//! Measures the two refinements DESIGN.md calls out on top of the
-//! paper's sketch: the failed-state cache and the periodic
+//! Measures the two refinements jSAT adds to the paper's sketch (both
+//! switchable in `JSatConfig`): the failed-state cache and the periodic
 //! `simplify()` garbage collection of retired blocking clauses.
 //! UNSAT instances are where both matter (full exhaustion).
 //!
@@ -10,7 +10,7 @@
 //!     [--timeout-ms 10000] [--bound 10]
 //! ```
 
-use sebmc::{Budget, JSatConfig, JSatSession, Semantics};
+use sebmc::{Budget, JSatConfig, JSatSession, Semantics, Session};
 use sebmc_bench::{budget, flag_u64, Table};
 use sebmc_model::builders::{counter_with_enable, peterson, traffic_light};
 

@@ -1,5 +1,5 @@
 //! Incremental unrolling: one solver, growing bound — the
-//! [`Session`] behind [`UnrollSat`](crate::UnrollSat).
+//! [`Session`](crate::Session) behind [`UnrollSat`](crate::UnrollSat).
 //!
 //! The classical BMC loop re-encodes the whole unrolled formula at
 //! every bound. With an incremental SAT solver the transition frames
@@ -13,15 +13,13 @@
 //! [`DeepeningPortfolio::sweep`](crate::DeepeningPortfolio::sweep)
 //! drives it (or any other session) bound by bound.
 
-use std::time::Instant;
-
 use sebmc_logic::{Cnf, Lit, VarAlloc};
 use sebmc_model::{Model, Trace};
-use sebmc_proof::Certificate;
 use sebmc_sat::{SolveResult, Solver};
 
-use crate::engine::{BmcOutcome, BmcResult, Budget, RunStats, Semantics, Session};
+use crate::engine::{BmcOutcome, BmcResult, Budget, Semantics};
 use crate::frame::FrameEncoder;
+use crate::session::{Formulation, SessionCore, SolverMark};
 
 /// An incremental unrolled-BMC session over one model.
 ///
@@ -32,7 +30,7 @@ use crate::frame::FrameEncoder;
 ///
 /// ```
 /// use sebmc::inc_unroll::IncrementalUnroll;
-/// use sebmc::Semantics;
+/// use sebmc::{Semantics, Session};
 /// use sebmc_model::builders::shift_register;
 ///
 /// let model = shift_register(4);
@@ -42,8 +40,8 @@ use crate::frame::FrameEncoder;
 /// ```
 #[derive(Debug)]
 pub struct IncrementalUnroll {
+    core: SessionCore,
     model: Model,
-    semantics: Semantics,
     solver: Solver,
     alloc: VarAlloc,
     state_lits: Vec<Vec<Lit>>,
@@ -52,13 +50,10 @@ pub struct IncrementalUnroll {
     target_act: Vec<Lit>,
     /// Per-frame target literal (for Within witness truncation).
     target_lits: Vec<Lit>,
-    budget: Budget,
-    started: Instant,
     /// Problem clauses/literals encoded so far (the formula the session
     /// holds in memory — grows by one TR copy per frame).
     encoded_clauses: usize,
     encoded_lits: usize,
-    total: RunStats,
 }
 
 impl IncrementalUnroll {
@@ -81,19 +76,16 @@ impl IncrementalUnroll {
             solver.set_proof_sink(sink);
         }
         let mut s = IncrementalUnroll {
+            core: SessionCore::new("sat-unroll", "unroll", semantics, budget),
             model: model.clone(),
-            semantics,
             solver,
             alloc: VarAlloc::new(),
             state_lits: Vec::new(),
             input_lits: Vec::new(),
             target_act: Vec::new(),
             target_lits: Vec::new(),
-            budget,
-            started: Instant::now(),
             encoded_clauses: 0,
             encoded_lits: 0,
-            total: RunStats::default(),
         };
         // Frame 0: state variables + I(Z0) + F-at-0 activation.
         let n = s.model.num_state_vars();
@@ -156,89 +148,31 @@ impl IncrementalUnroll {
         self.solver.add_cnf(&cnf);
     }
 
-    /// Checks the given bound, extending the encoding as needed.
-    pub fn check_bound(&mut self, k: usize) -> BmcOutcome {
-        let call_start = Instant::now();
-        let conflicts_before = self.solver.stats().conflicts;
-        let cert_before = if self.budget.certify {
-            self.solver.proof_summary()
-        } else {
-            None
-        };
-        let (result, bound_certified) = self.check_bound_inner(k);
-        let stats = RunStats {
-            duration: call_start.elapsed(),
-            encode_vars: self.alloc.num_vars(),
-            encode_clauses: self.encoded_clauses,
-            encode_lits: self.encoded_lits,
-            peak_formula_lits: self.solver.stats().peak_live_lits,
-            peak_formula_bytes: self.solver.stats().peak_bytes(),
-            peak_watch_bytes: self.solver.stats().peak_watch_bytes,
-            peak_proof_bytes: self.solver.stats().peak_proof_bytes,
-            solver_effort: self.solver.stats().conflicts - conflicts_before,
-            bounds_checked: 1,
-            ..RunStats::default()
-        };
-        self.total.absorb(&stats);
-        let certificate = self.bound_certificate(cert_before, bound_certified);
-        BmcOutcome {
-            result,
-            stats,
-            certificate,
-        }
-    }
-
-    /// The per-bound certificate: checker counters accumulated during
-    /// this call, plus whether this bound's verdict was covered.
-    fn bound_certificate(
-        &mut self,
-        before: Option<Certificate>,
-        bound_certified: Option<bool>,
-    ) -> Option<Certificate> {
-        if !self.budget.certify {
-            return None;
-        }
-        let now = self.solver.proof_summary().unwrap_or_default();
-        let mut cert = match before {
-            Some(b) => now.delta_since(&b),
-            None => now,
-        };
-        if let Some(ok) = bound_certified {
-            cert.bounds_attempted = 1;
-            cert.bounds_certified = u64::from(ok);
-        }
-        Some(cert)
-    }
-
-    fn check_bound_inner(&mut self, k: usize) -> (BmcResult, Option<bool>) {
-        self.budget.progress.on_bound("unroll", k);
-        if self.budget.fault_hit_engine() == sebmc_logic::fault::FaultVerdict::Oom {
-            return (BmcResult::Unknown("budget exhausted".into()), None);
-        }
-        if self.budget.expired(self.started) {
-            return (BmcResult::Unknown(self.budget.unknown_reason()), None);
-        }
+    /// Decides bound `k`, extending the encoding as needed; returns the
+    /// verdict and, under [`Budget::certify`], whether it is covered.
+    fn solve_bound(&mut self, k: usize) -> (BmcResult, Option<bool>) {
         while self.state_lits.len() <= k {
             // Enforce the byte cap (and deadline/cancellation) while
             // *encoding*, not just at solver safe points — a huge bound
             // must not blow past the budget before the first solve.
-            if self.budget.expired(self.started)
+            if self.core.expired()
                 || self
+                    .core
                     .budget
                     .max_formula_bytes
                     .is_some_and(|cap| self.solver.stats().live_bytes() >= cap)
             {
-                return (BmcResult::Unknown(self.budget.unknown_reason()), None);
+                return (BmcResult::Unknown(self.core.budget.unknown_reason()), None);
             }
             self.extend();
         }
-        self.solver.set_limits(self.budget.sat_limits(self.started));
+        self.solver.set_limits(self.core.sat_limits());
         // Assumptions: F at frame k (exact) or F somewhere ≤ k (within,
         // via an OR over activation literals — expressed by assuming a
         // fresh selector that implies the disjunction). The assumption
         // literal doubles as the proof-level assumption an Unsat
         // verdict is finalized against.
-        let (result, cert_assumption) = match self.semantics {
+        let (result, cert_assumption) = match self.core.semantics {
             Semantics::Exactly => (
                 self.solver.solve_with(&[self.target_act[k]]),
                 self.target_act[k],
@@ -258,6 +192,7 @@ impl IncrementalUnroll {
                 (r, sel)
             }
         };
+        let certify = self.core.budget.certify;
         match result {
             SolveResult::Sat => {
                 let value = |l: Lit| self.solver.lit_value_model(l).unwrap_or(false);
@@ -271,57 +206,60 @@ impl IncrementalUnroll {
                         .map(|f| f.iter().map(|&l| value(l)).collect())
                         .collect(),
                 };
-                if self.semantics == Semantics::Within {
+                if self.core.semantics == Semantics::Within {
                     if let Some(t) = trace.states.iter().position(|s| self.model.eval_target(s)) {
                         trace.states.truncate(t + 1);
                         trace.inputs.truncate(t);
                     }
                 }
                 debug_assert_eq!(self.model.check_trace(&trace), Ok(()));
-                let certified = self
-                    .budget
-                    .certify
-                    .then(|| self.model.check_trace(&trace).is_ok());
+                let certified = certify.then(|| self.model.check_trace(&trace).is_ok());
                 (BmcResult::Reachable(Some(trace)), certified)
             }
             SolveResult::Unsat => {
-                let certified = self
-                    .budget
-                    .certify
-                    .then(|| self.solver.proof_certifies(&[cert_assumption]));
+                let certified = certify.then(|| self.solver.proof_certifies(&[cert_assumption]));
                 (BmcResult::Unreachable, certified)
             }
-            SolveResult::Unknown => (BmcResult::Unknown(self.budget.unknown_reason()), None),
+            SolveResult::Unknown => (BmcResult::Unknown(self.core.budget.unknown_reason()), None),
         }
     }
 }
 
-impl Session for IncrementalUnroll {
-    fn name(&self) -> &'static str {
-        "sat-unroll"
+impl Formulation for IncrementalUnroll {
+    fn core(&self) -> &SessionCore {
+        &self.core
     }
 
-    fn semantics(&self) -> Semantics {
-        self.semantics
+    fn core_mut(&mut self) -> &mut SessionCore {
+        &mut self.core
     }
 
-    fn check_bound(&mut self, k: usize) -> BmcOutcome {
-        IncrementalUnroll::check_bound(self, k)
-    }
-
-    fn set_cancel(&mut self, token: crate::engine::CancelToken) {
-        self.budget.cancel = token;
-    }
-
-    fn cumulative_stats(&self) -> RunStats {
-        self.total.clone()
+    fn decide(&mut self, k: usize, stop: Option<String>) -> BmcOutcome {
+        let certify = self.core.budget.certify;
+        let mark = SolverMark::new(&mut self.solver, certify);
+        let (result, covered) = match stop {
+            Some(reason) => (BmcResult::Unknown(reason), None),
+            None => self.solve_bound(k),
+        };
+        let stats = mark.stats(
+            &self.solver,
+            self.alloc.num_vars(),
+            self.encoded_clauses,
+            self.encoded_lits,
+        );
+        let certificate = mark.certificate(&mut self.solver, certify, covered);
+        BmcOutcome {
+            result,
+            stats,
+            certificate,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::CancelToken;
+    use crate::engine::{CancelToken, Session};
     use sebmc_model::builders::{counter_with_reset, lfsr, shift_register, traffic_light};
     use sebmc_model::explicit;
 

@@ -26,6 +26,7 @@ use sebmc_sat::{SolveResult, Solver};
 
 use crate::engine::{Budget, Engine, RunStats, Semantics};
 use crate::frame::{encode_path, FrameEncoder};
+use crate::session::SolverMark;
 use crate::unroll::UnrollSat;
 
 /// Outcome of a k-induction run.
@@ -109,6 +110,7 @@ fn step_case(model: &Model, k: usize, budget: &Budget, start: Instant) -> (Solve
 
     let call_start = Instant::now();
     let mut solver = Solver::new();
+    let mark = SolverMark::new(&mut solver, false);
     solver.set_limits(budget.sat_limits(start));
     let result = if !solver.add_cnf(&cnf) {
         SolveResult::Unsat
@@ -117,16 +119,13 @@ fn step_case(model: &Model, k: usize, budget: &Budget, start: Instant) -> (Solve
     };
     let stats = RunStats {
         duration: call_start.elapsed(),
-        encode_vars: cnf.num_vars(),
-        encode_clauses: cnf.num_clauses(),
-        encode_lits: cnf.num_literals(),
-        peak_formula_lits: solver.stats().peak_live_lits,
-        peak_formula_bytes: solver.stats().peak_bytes(),
-        peak_watch_bytes: solver.stats().peak_watch_bytes,
-        peak_proof_bytes: solver.stats().peak_proof_bytes,
-        solver_effort: solver.stats().conflicts,
         bounds_checked: 1,
-        ..RunStats::default()
+        ..mark.stats(
+            &solver,
+            cnf.num_vars(),
+            cnf.num_clauses(),
+            cnf.num_literals(),
+        )
     };
     (result, stats)
 }

@@ -34,15 +34,14 @@
 //! smaller bounds already pruned.
 
 use std::collections::{HashMap, HashSet};
-use std::time::Instant;
 
 use sebmc_logic::{Cnf, Lit, VarAlloc};
 use sebmc_model::{Model, Trace};
-use sebmc_proof::Certificate;
 use sebmc_sat::{SolveResult, Solver};
 
-use crate::engine::{BmcOutcome, BmcResult, Budget, Engine, RunStats, Semantics, Session};
+use crate::engine::{BmcOutcome, BmcResult, Budget, Engine, Semantics, Session};
 use crate::frame::FrameEncoder;
+use crate::session::{Formulation, SessionCore, SolverMark};
 
 /// Tuning knobs of the jSAT procedure (ablated in experiment E5).
 #[derive(Clone, Debug)]
@@ -188,8 +187,8 @@ impl Engine for JSat {
 
     fn start(&self, model: &Model, semantics: Semantics, budget: Budget) -> Box<dyn Session> {
         let config = self.config.clone();
-        crate::reduce::start_with_reduction(model, semantics, budget, |m, sem, b| {
-            Box::new(JSatSession::new(m, sem, config, b))
+        crate::session::open(model, semantics, budget, |m, sem, b| {
+            JSatSession::new(m, sem, config, b)
         })
     }
 }
@@ -301,19 +300,16 @@ impl Formula4 {
 
 /// An open jSAT session: formula (4), the incremental solver with its
 /// learnt clauses, and the failed-state cache, all persisting across
-/// [`JSatSession::check_bound`] calls.
+/// [`Session::check_bound`] calls.
 #[derive(Debug)]
 pub struct JSatSession {
+    core: SessionCore,
     model: Model,
-    semantics: Semantics,
     config: JSatConfig,
-    budget: Budget,
-    started: Instant,
     f4: Formula4,
     alloc: VarAlloc,
     cache: FailedCache,
     stats: JSatStats,
-    total: RunStats,
     /// Incremental Unsat SAT calls made while deciding the current
     /// bound (certification accounting; reset per `check_bound`).
     bound_unsat_calls: u64,
@@ -334,16 +330,13 @@ impl JSatSession {
         let f4 = build_formula4(model, &budget);
         let alloc = VarAlloc::starting_at(f4.solver.num_vars());
         JSatSession {
+            core: SessionCore::new("jsat", "jsat", semantics, budget),
             model: model.clone(),
-            semantics,
             config,
-            budget,
-            started: Instant::now(),
             f4,
             alloc,
             cache: FailedCache::default(),
             stats: JSatStats::default(),
-            total: RunStats::default(),
             bound_unsat_calls: 0,
             bound_unsat_certified: 0,
         }
@@ -357,7 +350,7 @@ impl JSatSession {
     /// Certification bookkeeping for one incremental Unsat call: the
     /// proof must have finalized a core covered by `assumptions`.
     fn note_unsat_call(&mut self, assumptions: &[Lit]) {
-        if !self.budget.certify {
+        if !self.core.budget.certify {
             return;
         }
         self.bound_unsat_calls += 1;
@@ -366,100 +359,8 @@ impl JSatSession {
         }
     }
 
-    /// Decides bound `k`, reusing the formula, learnt clauses and
-    /// failed-state cache from earlier bounds.
-    pub fn check_bound(&mut self, k: usize) -> BmcOutcome {
-        self.budget.progress.on_bound("jsat", k);
-        let call_start = Instant::now();
-        let conflicts_before = self.f4.solver.stats().conflicts;
-        let cert_before = if self.budget.certify {
-            self.f4.solver.proof_summary()
-        } else {
-            None
-        };
-        self.bound_unsat_calls = 0;
-        self.bound_unsat_certified = 0;
-        let fault_oom = self.budget.fault_hit_engine() == sebmc_logic::fault::FaultVerdict::Oom;
-        let result = if fault_oom {
-            BmcResult::Unknown("budget exhausted".into())
-        } else if self.budget.expired(self.started) {
-            BmcResult::Unknown(self.budget.unknown_reason())
-        } else {
-            self.f4
-                .solver
-                .set_limits(self.budget.sat_limits(self.started));
-            let mut frames: Vec<Frame> = Vec::new();
-            let result = self.search(k, &mut frames);
-            // Retire the blocking clauses of whatever frames were still
-            // on the stack when the search exited (witness found or
-            // budget/cancellation abort) so they don't linger into the
-            // session's next bound.
-            for f in frames {
-                self.f4.solver.add_clause([!f.act]);
-            }
-            result
-        };
-        let stats = RunStats {
-            duration: call_start.elapsed(),
-            encode_vars: self.f4.base_vars,
-            encode_clauses: self.f4.base_clauses,
-            encode_lits: self.f4.base_lits,
-            peak_formula_lits: self.f4.solver.stats().peak_live_lits,
-            peak_formula_bytes: self.f4.solver.stats().peak_bytes(),
-            peak_watch_bytes: self.f4.solver.stats().peak_watch_bytes,
-            peak_proof_bytes: self.f4.solver.stats().peak_proof_bytes,
-            solver_effort: self.f4.solver.stats().conflicts - conflicts_before,
-            bounds_checked: 1,
-            ..RunStats::default()
-        };
-        self.total.absorb(&stats);
-        if let BmcResult::Reachable(Some(ref t)) = result {
-            debug_assert_eq!(self.model.check_trace(t), Ok(()));
-        }
-        let certificate = self.bound_certificate(cert_before, &result);
-        BmcOutcome {
-            result,
-            stats,
-            certificate,
-        }
-    }
-
-    /// Per-bound certificate: checker counters accumulated by this
-    /// call, plus whether the bound's verdict is covered — an
-    /// Unreachable bound needs every incremental Unsat call certified
-    /// (or, for a top-level inconsistency, a verified empty clause); a
-    /// Reachable bound needs its witness to replay.
-    fn bound_certificate(
-        &mut self,
-        before: Option<Certificate>,
-        result: &BmcResult,
-    ) -> Option<Certificate> {
-        if !self.budget.certify {
-            return None;
-        }
-        let now = self.f4.solver.proof_summary().unwrap_or_default();
-        let mut cert = match before {
-            Some(b) => now.delta_since(&b),
-            None => now,
-        };
-        let certified = match result {
-            BmcResult::Unreachable => Some(if self.bound_unsat_calls == 0 {
-                self.f4.solver.proof_certifies(&[])
-            } else {
-                self.bound_unsat_calls == self.bound_unsat_certified
-            }),
-            BmcResult::Reachable(Some(t)) => Some(self.model.check_trace(t).is_ok()),
-            BmcResult::Reachable(None) => Some(false),
-            BmcResult::Unknown(_) => None,
-        };
-        if let Some(ok) = certified {
-            cert.bounds_attempted = 1;
-            cert.bounds_certified = u64::from(ok);
-        }
-        Some(cert)
-    }
-
     fn search(&mut self, k: usize, frames: &mut Vec<Frame>) -> BmcResult {
+        let semantics = self.core.semantics;
         // Degenerate bound: is some initial state a target state?
         if k == 0 {
             self.stats.sat_calls += 1;
@@ -476,7 +377,7 @@ impl JSatSession {
                     self.note_unsat_call(&assumptions);
                     BmcResult::Unreachable
                 }
-                SolveResult::Unknown => BmcResult::Unknown(self.budget.unknown_reason()),
+                SolveResult::Unknown => BmcResult::Unknown(self.core.budget.unknown_reason()),
             };
         }
 
@@ -495,8 +396,8 @@ impl JSatSession {
                 // globally unsatisfiable (e.g. unsatisfiable constraints).
                 return BmcResult::Unreachable;
             }
-            if self.budget.expired(self.started) {
-                return BmcResult::Unknown(self.budget.unknown_reason());
+            if self.core.expired() {
+                return BmcResult::Unknown(self.core.budget.unknown_reason());
             }
             if frames.is_empty() {
                 // Select a (new) initial state.
@@ -508,14 +409,13 @@ impl JSatSession {
                         // Block it as an initial choice for when we return.
                         let guard = self.f4.act_init_block;
                         self.f4.block_state(guard, &self.f4.u_lits.clone(), &s0);
-                        if self.semantics == Semantics::Within && self.model.eval_target(&s0) {
+                        if semantics == Semantics::Within && self.model.eval_target(&s0) {
                             return BmcResult::Reachable(Some(Trace {
                                 states: vec![s0],
                                 inputs: vec![],
                             }));
                         }
-                        if self.config.use_failed_cache
-                            && self.cache.is_hopeless(self.semantics, &s0, k)
+                        if self.config.use_failed_cache && self.cache.is_hopeless(semantics, &s0, k)
                         {
                             self.stats.cache_hits += 1;
                             continue;
@@ -536,7 +436,7 @@ impl JSatSession {
                         return BmcResult::Unreachable;
                     }
                     SolveResult::Unknown => {
-                        return BmcResult::Unknown(self.budget.unknown_reason())
+                        return BmcResult::Unknown(self.core.budget.unknown_reason())
                     }
                 }
                 continue;
@@ -564,7 +464,7 @@ impl JSatSession {
                     let reached_target = if depth + 1 == k {
                         true // act_target_v was assumed
                     } else {
-                        self.semantics == Semantics::Within && self.model.eval_target(&succ)
+                        semantics == Semantics::Within && self.model.eval_target(&succ)
                     };
                     if reached_target {
                         let mut states: Vec<Vec<bool>> =
@@ -580,7 +480,7 @@ impl JSatSession {
                     }
                     let remaining = k - (depth + 1);
                     if self.config.use_failed_cache
-                        && self.cache.is_hopeless(self.semantics, &succ, remaining)
+                        && self.cache.is_hopeless(semantics, &succ, remaining)
                     {
                         self.stats.cache_hits += 1;
                         continue;
@@ -603,7 +503,7 @@ impl JSatSession {
                         if self.cache.len() >= self.config.max_cache_entries {
                             self.cache.clear();
                         }
-                        self.cache.record(self.semantics, &popped.state, k - depth);
+                        self.cache.record(semantics, &popped.state, k - depth);
                     }
                     // Retire the frame's blocking clauses and
                     // periodically reclaim their memory.
@@ -618,31 +518,73 @@ impl JSatSession {
                         pops_since_simplify = 0;
                     }
                 }
-                SolveResult::Unknown => return BmcResult::Unknown(self.budget.unknown_reason()),
+                SolveResult::Unknown => {
+                    return BmcResult::Unknown(self.core.budget.unknown_reason())
+                }
             }
         }
     }
 }
 
-impl Session for JSatSession {
-    fn name(&self) -> &'static str {
-        "jsat"
+impl Formulation for JSatSession {
+    fn core(&self) -> &SessionCore {
+        &self.core
     }
 
-    fn semantics(&self) -> Semantics {
-        self.semantics
+    fn core_mut(&mut self) -> &mut SessionCore {
+        &mut self.core
     }
 
-    fn check_bound(&mut self, k: usize) -> BmcOutcome {
-        JSatSession::check_bound(self, k)
-    }
-
-    fn set_cancel(&mut self, token: crate::engine::CancelToken) {
-        self.budget.cancel = token;
-    }
-
-    fn cumulative_stats(&self) -> RunStats {
-        self.total.clone()
+    fn decide(&mut self, k: usize, stop: Option<String>) -> BmcOutcome {
+        let certify = self.core.budget.certify;
+        let mark = SolverMark::new(&mut self.f4.solver, certify);
+        self.bound_unsat_calls = 0;
+        self.bound_unsat_certified = 0;
+        let result = match stop {
+            Some(reason) => BmcResult::Unknown(reason),
+            None => {
+                self.f4.solver.set_limits(self.core.sat_limits());
+                let mut frames: Vec<Frame> = Vec::new();
+                let result = self.search(k, &mut frames);
+                // Retire the blocking clauses of whatever frames were
+                // still on the stack when the search exited (witness
+                // found or budget/cancellation abort) so they don't
+                // linger into the session's next bound.
+                for f in frames {
+                    self.f4.solver.add_clause([!f.act]);
+                }
+                result
+            }
+        };
+        if let BmcResult::Reachable(Some(ref t)) = result {
+            debug_assert_eq!(self.model.check_trace(t), Ok(()));
+        }
+        let stats = mark.stats(
+            &self.f4.solver,
+            self.f4.base_vars,
+            self.f4.base_clauses,
+            self.f4.base_lits,
+        );
+        // An Unreachable bound is covered when every incremental Unsat
+        // call was certified (or, for a top-level inconsistency, the
+        // empty clause was verified); a Reachable one when its witness
+        // replays.
+        let covered = match &result {
+            _ if !certify => None,
+            BmcResult::Unreachable if self.bound_unsat_calls == 0 => {
+                Some(self.f4.solver.proof_certifies(&[]))
+            }
+            BmcResult::Unreachable => Some(self.bound_unsat_calls == self.bound_unsat_certified),
+            BmcResult::Reachable(Some(t)) => Some(self.model.check_trace(t).is_ok()),
+            BmcResult::Reachable(None) => Some(false),
+            BmcResult::Unknown(_) => None,
+        };
+        let certificate = mark.certificate(&mut self.f4.solver, certify, covered);
+        BmcOutcome {
+            result,
+            stats,
+            certificate,
+        }
     }
 }
 

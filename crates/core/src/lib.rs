@@ -52,7 +52,7 @@ pub mod induction;
 pub mod jsat;
 pub mod portfolio;
 pub mod qbf_enc;
-pub mod reduce;
+mod session;
 pub mod squaring;
 pub mod unroll;
 
@@ -67,8 +67,8 @@ pub use portfolio::{
     engine_panic_reason, truncate_panic_payload, DeepeningPortfolio, PortfolioBoundOutcome,
     PortfolioEntry, SweepProgress,
 };
-pub use qbf_enc::{encode_qbf_linear, QbfBackend, QbfEncoding, QbfLinear, QbfLinearSession};
-pub use reduce::{start_with_reduction, LiftingSession};
+pub use qbf_enc::{encode_qbf_linear, QbfBackend, QbfEncoding, QbfLinear, QbfSession};
 pub use sebmc_proof::Certificate;
-pub use squaring::{encode_qbf_squaring, QbfSquaring, QbfSquaringSession};
+pub use session::lift_verdict;
+pub use squaring::{encode_qbf_squaring, QbfSquaring};
 pub use unroll::{encode_unrolled, UnrollSat};

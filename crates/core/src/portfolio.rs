@@ -22,9 +22,9 @@
 //! reusable. An external cancellation still propagates into the race.
 //! A racing engine that panics is caught and surfaced as
 //! [`BmcResult::Unknown`] rather than taking the whole portfolio down,
-//! and cancelled losers report their partial [`RunStats`] (via
-//! [`PortfolioEntry::cumulative`]) so racing effort is accounted
-//! honestly.
+//! and cancelled losers report the partial [`RunStats`] of their bound,
+//! which `sweep` folds into [`SweepProgress::stats`] with every other
+//! entry's, so racing effort is accounted honestly.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -48,14 +48,9 @@ pub struct PortfolioEntry {
     /// Engine name.
     pub engine: &'static str,
     /// The engine's outcome for the bound. Cancelled losers report
-    /// `Unknown("cancelled")`; a panicking racer reports
-    /// `Unknown("engine panicked: …")`.
+    /// `Unknown("cancelled")` with the stats of the work they did; a
+    /// panicking racer reports `Unknown("engine panicked: …")`.
     pub outcome: BmcOutcome,
-    /// The engine session's cumulative stats *including* this bound —
-    /// present even when the engine lost and was cancelled mid-solve,
-    /// so the effort burnt by losers is never dropped from the
-    /// accounting ([`DeepeningPortfolio::cumulative_stats`] sums it).
-    pub cumulative: RunStats,
 }
 
 /// Renders a panic payload (the argument of `panic!`) as text.
@@ -148,7 +143,9 @@ pub struct SweepProgress {
     /// nobody decided folds every entry's partial certificate.
     pub cert: Option<Certificate>,
     /// Every entry's per-bound stats, absorbed as bounds finish: a
-    /// panic can only lose the in-flight bound's effort.
+    /// panic can only lose the in-flight bound's effort. This is the
+    /// one fold of per-bound stats above the sessions; job reports and
+    /// the CLI's `--deepen` print it.
     pub stats: RunStats,
 }
 
@@ -188,8 +185,8 @@ fn check_on(session: &mut dyn Session, k: usize) -> (bool, BmcOutcome) {
 /// decided by the first engine to decide it (see the module docs).
 ///
 /// An engine whose session panics in a race is retired for the rest of
-/// the run (reported as `Unknown("engine panicked: …")` per bound); its
-/// last known cumulative stats stay in the accounting.
+/// the run (reported as `Unknown("engine panicked: …")` per bound); the
+/// bounds it finished stay in the accounting.
 ///
 /// The caller's [`Budget`] token is only *read*: an external
 /// cancellation (or the budget deadline) aborts the current bound
@@ -215,9 +212,6 @@ pub struct DeepeningPortfolio {
     sessions: Vec<Result<Box<dyn Session>, String>>,
     budget: Budget,
     started: Instant,
-    /// Last known cumulative stats per engine, refreshed after every
-    /// bound (kept even after a racer's session panics).
-    last_cumulative: Vec<RunStats>,
 }
 
 impl DeepeningPortfolio {
@@ -254,16 +248,11 @@ impl DeepeningPortfolio {
                 })
                 .collect()
         };
-        let last_cumulative = sessions
-            .iter()
-            .map(|s| s.as_ref().map(|s| s.cumulative_stats()).unwrap_or_default())
-            .collect();
         DeepeningPortfolio {
             names: engines.iter().map(|e| e.name()).collect(),
             sessions,
             budget,
             started,
-            last_cumulative,
         }
     }
 
@@ -279,7 +268,6 @@ impl DeepeningPortfolio {
     pub fn check_bound(&mut self, k: usize) -> PortfolioBoundOutcome {
         let (slots, winner) = if let [Ok(session)] = &mut self.sessions[..] {
             let (supported, outcome) = check_on(session.as_mut(), k);
-            self.last_cumulative[0] = session.cumulative_stats();
             let winner = (!outcome.result.is_unknown()).then_some(0);
             (vec![(supported, outcome)], winner)
         } else {
@@ -292,7 +280,6 @@ impl DeepeningPortfolio {
             .map(|(idx, (_, outcome))| PortfolioEntry {
                 engine: self.names[idx],
                 outcome,
-                cumulative: self.last_cumulative[idx].clone(),
             })
             .collect();
         PortfolioBoundOutcome {
@@ -332,8 +319,7 @@ impl DeepeningPortfolio {
                         // Re-arm with this bound's child token: a
                         // cancellation here must not outlive the bound.
                         session.set_cancel(race);
-                        let (supported, outcome) = check_on(session.as_mut(), k);
-                        (supported, outcome, session.cumulative_stats())
+                        check_on(session.as_mut(), k)
                     }));
                     let run = run.map_err(|payload| engine_panic_reason(name, payload.as_ref()));
                     let _ = tx.send((idx, run));
@@ -341,13 +327,12 @@ impl DeepeningPortfolio {
             }
             while pending > 0 {
                 match rx.recv_timeout(BRIDGE_POLL) {
-                    Ok((idx, Ok((supported, outcome, cumulative)))) => {
+                    Ok((idx, Ok((supported, outcome)))) => {
                         if winner.is_none() && !outcome.result.is_unknown() {
                             winner = Some(idx);
                             // Decided: this bound's losers can stop.
                             race.cancel();
                         }
-                        self.last_cumulative[idx] = cumulative;
                         slots[idx] = (supported, outcome);
                         pending -= 1;
                     }
@@ -391,7 +376,7 @@ impl DeepeningPortfolio {
     /// let mut progress = SweepProgress::default();
     /// assert!(p.sweep(&mut progress, 10).is_reachable());
     /// assert_eq!(progress.bound, Some(4));
-    /// assert_eq!(p.cumulative_stats().bounds_checked, 5); // bounds 0..=4
+    /// assert_eq!(progress.stats.bounds_checked, 5); // bounds 0..=4
     /// ```
     pub fn sweep(&mut self, progress: &mut SweepProgress, max_bound: usize) -> BmcResult {
         for k in progress.next_bound..=max_bound {
@@ -431,28 +416,6 @@ impl DeepeningPortfolio {
             }
         }
         sweep_verdict(max_bound, progress.skipped)
-    }
-
-    /// Per-engine cumulative stats (engine name, session totals) as of
-    /// the last bound each engine replied to.
-    pub fn engine_stats(&self) -> Vec<(&'static str, RunStats)> {
-        self.names
-            .iter()
-            .copied()
-            .zip(self.last_cumulative.iter().cloned())
-            .collect()
-    }
-
-    /// The portfolio's total effort: every engine's cumulative stats
-    /// folded with [`RunStats::absorb`] — durations and solver effort
-    /// *summed* across engines (losers included, so the cost of racing
-    /// is never hidden), sizes and peaks maxed.
-    pub fn cumulative_stats(&self) -> RunStats {
-        let mut total = RunStats::default();
-        for s in &self.last_cumulative {
-            total.absorb(s);
-        }
-        total
     }
 }
 
@@ -494,7 +457,9 @@ mod tests {
     }
 
     /// A deliberately slow engine: sleeps in short slices, polling the
-    /// cancel token, for up to 10 s before answering Unreachable.
+    /// cancel token, for up to 10 s before answering Unreachable. Its
+    /// effort is its running check count, so a test can tell one
+    /// surviving session from fresh ones.
     struct SlowEngine;
     struct SlowSession {
         budget: Budget,
@@ -536,6 +501,7 @@ mod tests {
             };
             let stats = RunStats {
                 duration: call_start.elapsed(),
+                solver_effort: self.total.bounds_checked as u64 + 1,
                 bounds_checked: 1,
                 ..RunStats::default()
             };
@@ -584,8 +550,8 @@ mod tests {
         assert!(out.verdict().is_reachable());
     }
 
-    /// A cancelled loser's effort must stay visible: its cumulative
-    /// stats ride along in the entry and in the portfolio total.
+    /// A cancelled loser's effort must stay visible: its partial stats
+    /// ride along in its entry and in the sweep's total.
     #[test]
     fn cancelled_losers_keep_their_partial_stats() {
         let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(UnrollSat), Box::new(SlowEngine)];
@@ -594,12 +560,17 @@ mod tests {
         let loser = &out.entries[1];
         assert!(loser.outcome.result.is_unknown());
         assert!(
-            loser.cumulative.duration > Duration::ZERO,
+            loser.outcome.stats.duration > Duration::ZERO,
             "the loser's burnt wall-clock must be accounted"
         );
-        assert_eq!(loser.cumulative.bounds_checked, 1);
-        let total = p.cumulative_stats();
-        assert!(total.duration >= loser.cumulative.duration);
+        assert_eq!(loser.outcome.stats.bounds_checked, 1);
+        let mut progress = SweepProgress {
+            next_bound: 2,
+            ..SweepProgress::default()
+        };
+        assert!(p.sweep(&mut progress, 2).is_reachable());
+        let total = progress.stats;
+        assert!(total.duration > Duration::ZERO);
         assert_eq!(total.bounds_checked, 2, "both engines' checks counted");
     }
 
@@ -706,8 +677,14 @@ mod tests {
         let engines: Vec<Box<dyn Engine + Send>> =
             vec![Box::new(UnrollSat), Box::new(JSat::default())];
         let mut p = DeepeningPortfolio::start(&m, Semantics::Exactly, engines, Budget::none());
+        let mut checked = 0;
         for k in 0..3 {
             let out = p.check_bound(k);
+            checked += out
+                .entries
+                .iter()
+                .map(|e| e.outcome.stats.bounds_checked)
+                .sum::<usize>();
             assert!(out.supported);
             assert!(
                 out.verdict().is_unreachable(),
@@ -716,11 +693,15 @@ mod tests {
             );
         }
         let out = p.check_bound(3);
+        checked += out
+            .entries
+            .iter()
+            .map(|e| e.outcome.stats.bounds_checked)
+            .sum::<usize>();
         assert!(out.verdict().is_reachable());
         let w = out.winning_entry().expect("someone wins");
         assert!(!w.engine.is_empty());
-        let total = p.cumulative_stats();
-        assert!(total.bounds_checked >= 4, "all racing effort accounted");
+        assert!(checked >= 4, "all racing effort accounted");
     }
 
     /// The heart of per-bound racing: a loser cancelled at bound k must
@@ -729,6 +710,7 @@ mod tests {
     fn cancelled_loser_survives_into_the_next_bound() {
         let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(UnrollSat), Box::new(SlowEngine)];
         let mut p = start(engines, Budget::none());
+        let mut slow_effort = 0;
         for k in [2usize, 2, 2] {
             let begin = Instant::now();
             let out = p.check_bound(k);
@@ -743,11 +725,11 @@ mod tests {
                 out.entries[1].outcome.result,
                 BmcResult::Unknown("cancelled".into())
             );
+            assert_eq!(out.entries[1].engine, "slow");
+            slow_effort = out.entries[1].outcome.stats.solver_effort;
         }
         // Three races -> the slow session accumulated three checks.
-        let stats = p.engine_stats();
-        assert_eq!(stats[1].0, "slow");
-        assert_eq!(stats[1].1.bounds_checked, 3);
+        assert_eq!(slow_effort, 3);
     }
 
     #[test]

@@ -13,14 +13,14 @@
 //! solvers (QDPLL search or universal expansion), reproducing the
 //! paper's negative result about those solvers.
 
-use std::time::Instant;
-
 use sebmc_logic::{tseitin, Aig, AigRef, Cnf, Lit, Var, VarAlloc};
 use sebmc_model::Model;
 use sebmc_qbf::{ExpansionLimits, ExpansionSolver, QbfFormula, QbfResult, QdpllSolver, Quantifier};
 
 use crate::engine::{BmcOutcome, BmcResult, Budget, Engine, RunStats, Semantics, Session};
 use crate::frame::input_map;
+use crate::session::{Formulation, SessionCore};
+use crate::squaring::{encode_initial_target, encode_qbf_squaring};
 
 /// Which general-purpose QBF solver an engine uses.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -134,58 +134,6 @@ pub fn encode_qbf_linear(model: &Model, k: usize) -> QbfEncoding {
     QbfEncoding { formula, z_lits }
 }
 
-/// Runs a QBF backend under a session budget (deadline measured from
-/// `start`, byte cap lowered to a matrix-literal cap at 4 bytes per
-/// literal, cancellation polled at the solver's safe points); returns
-/// the verdict and the stats of the call: the matrix sizes, the solver
-/// effort and its peak formula size. Callers add `duration` and
-/// `bounds_checked`.
-pub(crate) fn solve_qbf(
-    backend: QbfBackend,
-    formula: &QbfFormula,
-    budget: &Budget,
-    start: Instant,
-) -> (BmcResult, RunStats) {
-    let matrix = formula.matrix();
-    let (r, effort, peak) = match backend {
-        QbfBackend::Qdpll => {
-            let mut solver = QdpllSolver::with_limits(budget.qbf_limits(start));
-            let r = solver.solve(formula);
-            (r, solver.stats().decisions, matrix.num_literals())
-        }
-        QbfBackend::Expansion => {
-            let mut solver = ExpansionSolver::with_limits(ExpansionLimits {
-                max_matrix_literals: budget
-                    .max_formula_bytes
-                    .map_or(10_000_000, |b| b / std::mem::size_of::<Lit>()),
-                base: budget.qbf_limits(start),
-            });
-            let r = solver.solve(formula);
-            let peak = solver.stats().peak_matrix_literals;
-            (
-                r,
-                solver.stats().expanded_universals,
-                peak.max(matrix.num_literals()),
-            )
-        }
-    };
-    let result = match r {
-        QbfResult::True => BmcResult::Reachable(None),
-        QbfResult::False => BmcResult::Unreachable,
-        QbfResult::Unknown => BmcResult::Unknown(budget.unknown_reason()),
-    };
-    let stats = RunStats {
-        encode_vars: matrix.num_vars(),
-        encode_clauses: matrix.num_clauses(),
-        encode_lits: matrix.num_literals(),
-        peak_formula_lits: peak,
-        peak_formula_bytes: peak * std::mem::size_of::<Lit>(),
-        solver_effort: effort,
-        ..RunStats::default()
-    };
-    (result, stats)
-}
-
 /// Formulation (2) engine: single-`TR` QBF solved by a general-purpose
 /// QBF solver.
 ///
@@ -216,90 +164,156 @@ impl QbfLinear {
     }
 }
 
-/// An open formulation-(2) session. The QBF encoding is monolithic per
-/// bound, so the reusable state is the (possibly self-loop-transformed)
-/// model, the budget clock and the cumulative statistics.
+impl Engine for QbfLinear {
+    fn name(&self) -> &'static str {
+        QbfShape::Linear.name(self.backend)
+    }
+
+    fn start(&self, model: &Model, semantics: Semantics, budget: Budget) -> Box<dyn Session> {
+        crate::session::open(model, semantics, budget, |m, sem, b| {
+            QbfSession::new(QbfShape::Linear, self.backend, m, sem, b)
+        })
+    }
+}
+
+/// Which QBF formulation a [`QbfSession`] builds per bound.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum QbfShape {
+    /// Formulation (2), [`encode_qbf_linear`].
+    Linear,
+    /// Formulation (3), [`encode_qbf_squaring`].
+    Squaring,
+}
+
+impl QbfShape {
+    /// The engine (and session) name of this shape on `backend`.
+    pub(crate) fn name(self, backend: QbfBackend) -> &'static str {
+        match (self, backend) {
+            (QbfShape::Linear, QbfBackend::Qdpll) => "qbf-linear-qdpll",
+            (QbfShape::Linear, QbfBackend::Expansion) => "qbf-linear-expansion",
+            (QbfShape::Squaring, QbfBackend::Qdpll) => "qbf-squaring-qdpll",
+            (QbfShape::Squaring, QbfBackend::Expansion) => "qbf-squaring-expansion",
+        }
+    }
+}
+
+/// An open session of formulation (2) or (3). The QBF encoding is
+/// monolithic per bound, so the reusable state is the (possibly
+/// self-loop-transformed) model, the budget clock and the cumulative
+/// statistics.
 #[derive(Debug)]
-pub struct QbfLinearSession {
+pub struct QbfSession {
+    core: SessionCore,
+    shape: QbfShape,
     backend: QbfBackend,
-    semantics: Semantics,
     /// Already self-loop-transformed under `Within` semantics — the
     /// transform runs once per session, not once per bound.
     model: Model,
-    budget: Budget,
-    started: Instant,
-    total: RunStats,
 }
 
-impl QbfLinearSession {
+impl QbfSession {
     /// Opens a session; applies the self-loop transform now if needed.
-    pub fn new(backend: QbfBackend, model: &Model, semantics: Semantics, budget: Budget) -> Self {
+    pub(crate) fn new(
+        shape: QbfShape,
+        backend: QbfBackend,
+        model: &Model,
+        semantics: Semantics,
+        budget: Budget,
+    ) -> Self {
         let model = match semantics {
             Semantics::Exactly => model.clone(),
             Semantics::Within => model.with_self_loops(),
         };
-        QbfLinearSession {
-            backend,
-            semantics,
-            model,
-            budget,
-            started: Instant::now(),
-            total: RunStats::default(),
-        }
-    }
-}
-
-impl Session for QbfLinearSession {
-    fn name(&self) -> &'static str {
-        match self.backend {
-            QbfBackend::Qdpll => "qbf-linear-qdpll",
-            QbfBackend::Expansion => "qbf-linear-expansion",
-        }
-    }
-
-    fn semantics(&self) -> Semantics {
-        self.semantics
-    }
-
-    fn check_bound(&mut self, k: usize) -> BmcOutcome {
-        let call_start = Instant::now();
-        let (result, mut stats) = if self.budget.expired(self.started) {
-            (
-                BmcResult::Unknown(self.budget.unknown_reason()),
-                RunStats::default(),
-            )
-        } else {
-            let enc = encode_qbf_linear(&self.model, k);
-            solve_qbf(self.backend, &enc.formula, &self.budget, self.started)
+        let label = match shape {
+            QbfShape::Linear => "qbf-linear",
+            QbfShape::Squaring => "qbf-squaring",
         };
-        stats.duration = call_start.elapsed();
-        stats.bounds_checked = 1;
-        self.total.absorb(&stats);
+        QbfSession {
+            core: SessionCore::new(shape.name(backend), label, semantics, budget),
+            shape,
+            backend,
+            model,
+        }
+    }
+
+    /// Runs the back-end on `formula` under the session budget (byte
+    /// cap lowered to a matrix-literal cap at 4 bytes per literal,
+    /// cancellation polled at the solver's safe points): the verdict
+    /// with the matrix sizes, the solver effort and its peak formula
+    /// size.
+    fn solve(&self, formula: &QbfFormula) -> BmcOutcome {
+        let budget = &self.core.budget;
+        let limits = budget.qbf_limits(self.core.started);
+        let matrix = formula.matrix();
+        let (r, effort, peak) = match self.backend {
+            QbfBackend::Qdpll => {
+                let mut solver = QdpllSolver::with_limits(limits);
+                let r = solver.solve(formula);
+                (r, solver.stats().decisions, matrix.num_literals())
+            }
+            QbfBackend::Expansion => {
+                let mut solver = ExpansionSolver::with_limits(ExpansionLimits {
+                    max_matrix_literals: budget
+                        .max_formula_bytes
+                        .map_or(10_000_000, |b| b / std::mem::size_of::<Lit>()),
+                    base: limits,
+                });
+                let r = solver.solve(formula);
+                let peak = solver.stats().peak_matrix_literals;
+                (
+                    r,
+                    solver.stats().expanded_universals,
+                    peak.max(matrix.num_literals()),
+                )
+            }
+        };
+        let result = match r {
+            QbfResult::True => BmcResult::Reachable(None),
+            QbfResult::False => BmcResult::Unreachable,
+            QbfResult::Unknown => BmcResult::Unknown(budget.unknown_reason()),
+        };
+        let stats = RunStats {
+            encode_vars: matrix.num_vars(),
+            encode_clauses: matrix.num_clauses(),
+            encode_lits: matrix.num_literals(),
+            peak_formula_lits: peak,
+            peak_formula_bytes: peak * std::mem::size_of::<Lit>(),
+            solver_effort: effort,
+            ..RunStats::default()
+        };
         BmcOutcome::new(result, stats)
     }
-
-    fn set_cancel(&mut self, token: crate::engine::CancelToken) {
-        self.budget.cancel = token;
-    }
-
-    fn cumulative_stats(&self) -> RunStats {
-        self.total.clone()
-    }
 }
 
-impl Engine for QbfLinear {
-    fn name(&self) -> &'static str {
-        match self.backend {
-            QbfBackend::Qdpll => "qbf-linear-qdpll",
-            QbfBackend::Expansion => "qbf-linear-expansion",
-        }
+impl Formulation for QbfSession {
+    fn core(&self) -> &SessionCore {
+        &self.core
     }
 
-    fn start(&self, model: &Model, semantics: Semantics, budget: Budget) -> Box<dyn Session> {
-        let backend = self.backend;
-        crate::reduce::start_with_reduction(model, semantics, budget, |m, sem, b| {
-            Box::new(QbfLinearSession::new(backend, m, sem, b))
-        })
+    fn core_mut(&mut self) -> &mut SessionCore {
+        &mut self.core
+    }
+
+    fn supports_bound(&self, k: usize) -> bool {
+        self.shape == QbfShape::Linear || k == 0 || k.is_power_of_two()
+    }
+
+    fn decide(&mut self, k: usize, stop: Option<String>) -> BmcOutcome {
+        if let Some(reason) = stop {
+            return BmcOutcome::unknown(reason, RunStats::default());
+        }
+        let formula = match self.shape {
+            QbfShape::Linear => encode_qbf_linear(&self.model, k).formula,
+            QbfShape::Squaring if k == 0 => encode_initial_target(&self.model),
+            QbfShape::Squaring if k.is_power_of_two() => {
+                encode_qbf_squaring(&self.model, k).formula
+            }
+            QbfShape::Squaring => {
+                let reason = format!("iterative squaring checks only power-of-two bounds, got {k}");
+                return BmcOutcome::unknown(reason, RunStats::default());
+            }
+        };
+        self.solve(&formula)
     }
 }
 
@@ -405,8 +419,13 @@ mod tests {
     #[test]
     fn session_accumulates_and_caches_self_loops() {
         let m = lfsr(3, 4);
-        let mut s =
-            QbfLinearSession::new(QbfBackend::Expansion, &m, Semantics::Within, Budget::none());
+        let mut s = QbfSession::new(
+            QbfShape::Linear,
+            QbfBackend::Expansion,
+            &m,
+            Semantics::Within,
+            Budget::none(),
+        );
         assert!(s.check_bound(3).result.is_unreachable());
         assert!(s.check_bound(5).result.is_reachable());
         let total = s.cumulative_stats();

@@ -13,15 +13,13 @@
 //! self-loop trick ([`Model::with_self_loops`]) rounds other bounds up
 //! under within-`k` semantics.
 
-use std::time::Instant;
-
 use sebmc_logic::{tseitin, Aig, AigRef, Cnf, Lit, Var, VarAlloc};
 use sebmc_model::Model;
 use sebmc_qbf::{QbfFormula, Quantifier};
 
-use crate::engine::{BmcOutcome, BmcResult, Budget, Engine, RunStats, Semantics, Session};
+use crate::engine::{Budget, Engine, Semantics, Session};
 use crate::frame::input_map;
-use crate::qbf_enc::{import_tr, solve_qbf, QbfBackend, QbfEncoding};
+use crate::qbf_enc::{import_tr, QbfBackend, QbfEncoding, QbfSession, QbfShape};
 
 /// Encodes "a target state is reachable in exactly `k` steps" by
 /// iterative squaring.
@@ -140,13 +138,34 @@ pub fn encode_qbf_squaring(model: &Model, k: usize) -> QbfEncoding {
     }
 }
 
+/// Encodes the bound-0 case squaring cannot express, "some initial
+/// state is a target state", as the purely existential QBF
+/// `∃Z. I(Z) ∧ F(Z)`, so the same back-end decides it.
+pub(crate) fn encode_initial_target(model: &Model) -> QbfFormula {
+    let n = model.num_state_vars();
+    let mut g = Aig::new();
+    let z = g.inputs(n);
+    let map = input_map(model, &z, None, AigRef::FALSE);
+    let init_root = g.import(model.aig(), &[model.init_ref()], &map)[0];
+    let target_root = g.import(model.aig(), &[model.target_ref()], &map)[0];
+    let both = g.and(init_root, target_root);
+    let mut alloc = VarAlloc::new();
+    let lits = alloc.fresh_lits(n);
+    let mut cnf = Cnf::new();
+    let root = tseitin::encode(&g, &[both], &lits, &mut alloc, &mut cnf)[0];
+    cnf.add_unit(root);
+    cnf.ensure_vars(alloc.num_vars());
+    QbfFormula::new(cnf)
+}
+
 /// Formulation (3) engine: iterative-squaring QBF solved by a
 /// general-purpose QBF solver.
 ///
 /// * [`Semantics::Exactly`]: only power-of-two bounds are checkable
 ///   (the paper's restriction); other bounds yield
-///   [`BmcResult::Unknown`]. Bound 0 degenerates to an initial-state
-///   intersection check, solved directly.
+///   [`BmcResult::Unknown`](crate::BmcResult::Unknown). Bound 0
+///   degenerates to an initial-state intersection check, solved
+///   directly.
 /// * [`Semantics::Within`]: the model is given self-loops (so exact-`k`
 ///   reachability becomes within-`k`), which still only supports
 ///   power-of-two bounds — the iterative procedure of the paper checks
@@ -174,128 +193,14 @@ impl QbfSquaring {
     }
 }
 
-/// An open formulation-(3) session. Like the linear QBF session, the
-/// encoding is rebuilt per bound; the session keeps the (possibly
-/// self-loop-transformed) model, the budget clock and the cumulative
-/// statistics.
-#[derive(Debug)]
-pub struct QbfSquaringSession {
-    backend: QbfBackend,
-    semantics: Semantics,
-    /// Already self-loop-transformed under `Within` semantics.
-    model: Model,
-    budget: Budget,
-    started: Instant,
-    total: RunStats,
-}
-
-impl QbfSquaringSession {
-    /// Opens a session; applies the self-loop transform now if needed.
-    pub fn new(backend: QbfBackend, model: &Model, semantics: Semantics, budget: Budget) -> Self {
-        let model = match semantics {
-            Semantics::Exactly => model.clone(),
-            Semantics::Within => model.with_self_loops(),
-        };
-        QbfSquaringSession {
-            backend,
-            semantics,
-            model,
-            budget,
-            started: Instant::now(),
-            total: RunStats::default(),
-        }
-    }
-
-    /// Bound-0 degenerate case: is some initial state a target state?
-    fn check_zero(&self) -> (BmcResult, RunStats) {
-        // Encode I(Z)∧F(Z) as a purely existential QBF and reuse the
-        // same backend, keeping the engine self-contained.
-        let model = &self.model;
-        let n = model.num_state_vars();
-        let mut g = Aig::new();
-        let z = g.inputs(n);
-        let map = input_map(model, &z, None, AigRef::FALSE);
-        let init_root = g.import(model.aig(), &[model.init_ref()], &map)[0];
-        let target_root = g.import(model.aig(), &[model.target_ref()], &map)[0];
-        let both = g.and(init_root, target_root);
-        let mut alloc = VarAlloc::new();
-        let lits = alloc.fresh_lits(n);
-        let mut cnf = Cnf::new();
-        let root = tseitin::encode(&g, &[both], &lits, &mut alloc, &mut cnf)[0];
-        cnf.add_unit(root);
-        cnf.ensure_vars(alloc.num_vars());
-        solve_qbf(
-            self.backend,
-            &QbfFormula::new(cnf),
-            &self.budget,
-            self.started,
-        )
-    }
-}
-
-impl Session for QbfSquaringSession {
-    fn name(&self) -> &'static str {
-        match self.backend {
-            QbfBackend::Qdpll => "qbf-squaring-qdpll",
-            QbfBackend::Expansion => "qbf-squaring-expansion",
-        }
-    }
-
-    fn semantics(&self) -> Semantics {
-        self.semantics
-    }
-
-    fn supports_bound(&self, k: usize) -> bool {
-        k == 0 || k.is_power_of_two()
-    }
-
-    fn check_bound(&mut self, k: usize) -> BmcOutcome {
-        let call_start = Instant::now();
-        let (result, mut stats) = if self.budget.expired(self.started) {
-            (
-                BmcResult::Unknown(self.budget.unknown_reason()),
-                RunStats::default(),
-            )
-        } else if k == 0 {
-            self.check_zero()
-        } else if !k.is_power_of_two() {
-            (
-                BmcResult::Unknown(format!(
-                    "iterative squaring checks only power-of-two bounds, got {k}"
-                )),
-                RunStats::default(),
-            )
-        } else {
-            let enc = encode_qbf_squaring(&self.model, k);
-            solve_qbf(self.backend, &enc.formula, &self.budget, self.started)
-        };
-        stats.duration = call_start.elapsed();
-        stats.bounds_checked = 1;
-        self.total.absorb(&stats);
-        BmcOutcome::new(result, stats)
-    }
-
-    fn set_cancel(&mut self, token: crate::engine::CancelToken) {
-        self.budget.cancel = token;
-    }
-
-    fn cumulative_stats(&self) -> RunStats {
-        self.total.clone()
-    }
-}
-
 impl Engine for QbfSquaring {
     fn name(&self) -> &'static str {
-        match self.backend {
-            QbfBackend::Qdpll => "qbf-squaring-qdpll",
-            QbfBackend::Expansion => "qbf-squaring-expansion",
-        }
+        QbfShape::Squaring.name(self.backend)
     }
 
     fn start(&self, model: &Model, semantics: Semantics, budget: Budget) -> Box<dyn Session> {
-        let backend = self.backend;
-        crate::reduce::start_with_reduction(model, semantics, budget, |m, sem, b| {
-            Box::new(QbfSquaringSession::new(backend, m, sem, b))
+        crate::session::open(model, semantics, budget, |m, sem, b| {
+            QbfSession::new(QbfShape::Squaring, self.backend, m, sem, b)
         })
     }
 }
@@ -303,6 +208,7 @@ impl Engine for QbfSquaring {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{BmcOutcome, BmcResult};
     use sebmc_model::builders::{johnson_counter, lfsr, token_ring, traffic_light};
     use sebmc_model::explicit;
 

@@ -57,9 +57,7 @@ impl Engine for UnrollSat {
     }
 
     fn start(&self, model: &Model, semantics: Semantics, budget: Budget) -> Box<dyn Session> {
-        crate::reduce::start_with_reduction(model, semantics, budget, |m, sem, b| {
-            Box::new(IncrementalUnroll::with_budget(m, sem, b))
-        })
+        crate::session::open(model, semantics, budget, IncrementalUnroll::with_budget)
     }
 }
 

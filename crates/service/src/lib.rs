@@ -131,7 +131,8 @@ use std::time::{Duration, Instant};
 use crate::queue::PendingJob;
 
 use sebmc::{
-    truncate_panic_payload, BmcResult, CancelToken, DeepeningPortfolio, RunStats, SweepProgress,
+    lift_verdict, truncate_panic_payload, BmcResult, CancelToken, DeepeningPortfolio, RunStats,
+    SweepProgress,
 };
 use sebmc_logic::fault::{FaultSite, FaultVerdict};
 use sebmc_model::Trace;
@@ -552,21 +553,21 @@ pub(crate) fn process_job(
     }
 
     let run_start = Instant::now();
-    // Admission-time static reduction: runs once, *before* the memory
-    // governor, so reservations and every attempt's encoding see the
-    // post-reduction cone. The attempts' budgets carry `reduce =
-    // false` so no session re-runs the analysis on the already-reduced
-    // model; the winning witness is lifted back below.
+    // Outside the per-attempt panic containment: a retry resumes the
+    // sweep at `progress.next_bound`, keeping every decided bound.
+    let mut progress = SweepProgress::default();
+    // Admission-time static reduction: runs once per job, so every
+    // engine of a race and every retry shares one reduced model. The
+    // attempts' budgets carry `reduce = false` so no session re-runs
+    // the analysis on the already-reduced model; the winning witness
+    // is lifted back below.
     let mut recon: Option<sebmc_analysis::Reconstruction> = None;
-    let mut reduction_counters = (0usize, 0usize, 0usize);
     if q.job.budget.reduce {
         q.job.budget.reduce = false;
         if let Some(red) = sebmc_analysis::reduce(&q.job.model) {
-            reduction_counters = (
-                red.analysis.latches_swept(),
-                red.analysis.coi_latches,
-                red.analysis.inputs_removed(),
-            );
+            progress.stats.latches_swept = red.analysis.latches_swept();
+            progress.stats.coi_latches = red.analysis.coi_latches;
+            progress.stats.inputs_removed = red.analysis.inputs_removed();
             q.job.model = red.model;
             recon = Some(red.recon);
         }
@@ -654,14 +655,6 @@ pub(crate) fn process_job(
         _ => None,
     };
 
-    // Outside the per-attempt panic containment: a retry resumes the
-    // sweep at `progress.next_bound`, keeping every decided bound.
-    let mut progress = SweepProgress::default();
-    (
-        progress.stats.latches_swept,
-        progress.stats.coi_latches,
-        progress.stats.inputs_removed,
-    ) = reduction_counters;
     let mut failures: Vec<FailureReport> = Vec::new();
     let mut consumed = Duration::ZERO;
     let mut resumed_from: Option<usize> = None;
@@ -856,24 +849,13 @@ pub(crate) fn process_job(
             }
         }
     };
-    let mut verdict = verdict;
-
     // Lift the winning witness from the reduced model back to the
     // original variable order before anything downstream (witness
-    // streaming, certification replay) sees it. A failed lift is a
-    // reduction bug: degrade to Unknown rather than surface a trace
-    // the submitted model rejects.
-    if let Some(recon) = &recon {
-        if let BmcResult::Reachable(Some(reduced_trace)) = &verdict {
-            verdict = match recon.lift_trace(reduced_trace) {
-                Ok(lifted) => match recon.original().check_trace(&lifted) {
-                    Ok(()) => BmcResult::Reachable(Some(lifted)),
-                    Err(why) => BmcResult::Unknown(format!("reduction lift failed: {why}")),
-                },
-                Err(why) => BmcResult::Unknown(format!("reduction lift failed: {why}")),
-            };
-        }
-    }
+    // streaming, certification replay) sees it.
+    let mut verdict = match &recon {
+        Some(recon) => lift_verdict(recon, verdict),
+        None => verdict,
+    };
 
     // Witness streaming: persist the trace and drop it from the
     // report. On a write error the in-memory trace is kept — a verdict

@@ -53,7 +53,7 @@ fn main() {
     let verdict = sweep.sweep(&mut progress, 16);
     let trace = verdict.witness().expect("jsat yields a witness");
     let bound = progress.bound.expect("reachable");
-    let total = sweep.cumulative_stats();
+    let total = &progress.stats;
     println!("  grant to the last client first reachable at bound {bound}");
     println!(
         "  session totals: {} bounds, {} solver conflicts, peak {} B",

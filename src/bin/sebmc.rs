@@ -1095,7 +1095,7 @@ fn main() -> ExitCode {
             &model,
             bound,
             &result,
-            &p.cumulative_stats(),
+            &progress.stats,
             progress.cert.as_ref(),
         )
     } else {

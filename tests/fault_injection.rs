@@ -36,35 +36,45 @@ fn retries(n: u32) -> RetryPolicy {
 /// are untouched.
 #[test]
 fn injected_engine_panic_is_retried_and_resumes_at_last_decided_bound() {
-    let jobs = vec![
-        // Engine safe point fires once per check_bound: hits 1 and 2 decide
-        // bounds 0 and 1; hit 3 panics at bound 2's entry.
-        Job::new(shift_register(4), vec![EngineKind::Unroll], 8)
+    // Engine safe point fires once per check_bound: hits 1 and 2 decide
+    // bounds 0 and 1; hit 3 panics at bound 2's entry.
+    let crashing = |engine| {
+        Job::new(shift_register(4), vec![engine], 8)
             .with_budget(budget_with_fault("panic@engine:3"))
-            .with_retry(retries(2)),
+            .with_retry(retries(2))
+    };
+    let jobs = vec![
+        crashing(EngineKind::Unroll),
         Job::new(token_ring(3), vec![EngineKind::Jsat], 4),
+        crashing(EngineKind::QbfLinear),
     ];
     let r = ServiceHandle::run_batch(ServiceConfig::with_workers(2), jobs);
-    assert_eq!(r.jobs.len(), 2, "no job lost to the injected panic");
-    let j = &r.jobs[0];
-    assert!(j.verdict.is_reachable(), "retry recovered: {}", j.verdict);
-    assert_eq!(j.bound, Some(4));
-    assert_eq!(j.attempts, 2, "one crash, one clean retry");
-    assert_eq!(
-        j.resumed_from,
-        Some(2),
-        "bounds 0..=1 were decided before the crash; the retry starts at 2"
-    );
-    assert_eq!(j.failures.len(), 1);
-    assert_eq!(j.failures[0].attempt, 1);
-    assert_eq!(j.failures[0].bound_reached, Some(1));
-    assert!(
-        j.failures[0].reason.contains("injected fault"),
-        "{}",
-        j.failures[0].reason
-    );
-    assert!(!j.quarantined);
-    assert_eq!(r.jobs_retried, 1);
+    assert_eq!(r.jobs.len(), 3, "no job lost to the injected panic");
+    for j in [&r.jobs[0], &r.jobs[2]] {
+        let engine = &j.engines[0];
+        assert!(
+            j.verdict.is_reachable(),
+            "{engine}: retry recovered: {}",
+            j.verdict
+        );
+        assert_eq!(j.bound, Some(4), "{engine}");
+        assert_eq!(j.attempts, 2, "{engine}: one crash, one clean retry");
+        assert_eq!(
+            j.resumed_from,
+            Some(2),
+            "{engine}: bounds 0..=1 were decided before the crash; the retry starts at 2"
+        );
+        assert_eq!(j.failures.len(), 1, "{engine}");
+        assert_eq!(j.failures[0].attempt, 1, "{engine}");
+        assert_eq!(j.failures[0].bound_reached, Some(1), "{engine}");
+        assert!(
+            j.failures[0].reason.contains("injected fault"),
+            "{engine}: {}",
+            j.failures[0].reason
+        );
+        assert!(!j.quarantined, "{engine}");
+    }
+    assert_eq!(r.jobs_retried, 2);
     assert!(r.quarantined.is_empty());
     assert!(r.jobs[1].verdict.is_reachable(), "sibling unaffected");
     assert!(r.jobs[1].failures.is_empty());
@@ -307,6 +317,10 @@ fn seeded_fault_matrix_never_loses_a_job() {
                 "ring",
             ),
             (Job::new(traffic_light(), vec![EngineKind::Unroll], 3), "tl"),
+            (
+                Job::new(token_ring(3), vec![EngineKind::QbfLinear], 3),
+                "ring-qbf",
+            ),
         ];
         let n = models.len();
         let mut jobs = Vec::new();

@@ -65,6 +65,8 @@ fn per_bound_verdicts_agree_with_the_oracle_across_the_suite() {
 
 /// A deliberately slow engine whose session survives cancellation: it
 /// sleeps in 2 ms slices polling its budget, for up to 30 s per bound.
+/// Its effort is its running check count, so a test can tell one
+/// surviving session from fresh ones.
 struct SlowEngine;
 struct SlowSession {
     budget: Budget,
@@ -106,6 +108,7 @@ impl Session for SlowSession {
         };
         let stats = RunStats {
             duration: call.elapsed(),
+            solver_effort: self.total.bounds_checked as u64 + 1,
             bounds_checked: 1,
             ..RunStats::default()
         };
@@ -129,6 +132,7 @@ fn losers_are_cancelled_promptly_and_survive_across_bounds() {
     let model = token_ring(4);
     let engines: Vec<Box<dyn Engine + Send>> = vec![Box::new(UnrollSat), Box::new(SlowEngine)];
     let mut p = DeepeningPortfolio::start(&model, Semantics::Exactly, engines, Budget::none());
+    let mut slow_effort = 0;
     for k in 0..3usize {
         let start = Instant::now();
         let out = p.check_bound(k);
@@ -143,14 +147,16 @@ fn losers_are_cancelled_promptly_and_survive_across_bounds() {
             BmcResult::Unknown("cancelled".into()),
             "bound {k}: the sleeper must have been cancelled, not finished"
         );
+        // Its burnt time is visible in the entry the sweep folds.
+        let loser = &out.entries[1];
+        assert_eq!(loser.engine, "slow");
+        assert!(loser.outcome.stats.duration > Duration::ZERO, "bound {k}");
+        assert_eq!(loser.outcome.stats.bounds_checked, 1, "bound {k}");
+        slow_effort = loser.outcome.stats.solver_effort;
     }
-    // Three races → the *same* slow session accumulated three checks
-    // (a fresh session per bound would report one).
-    let stats = p.engine_stats();
-    assert_eq!(stats[1].0, "slow");
-    assert_eq!(stats[1].1.bounds_checked, 3, "loser session survived");
-    // And its burnt time is visible in the portfolio accounting.
-    assert!(p.cumulative_stats().duration >= stats[1].1.duration);
+    // Three races → the *same* slow session made three checks (a fresh
+    // session per bound would report one).
+    assert_eq!(slow_effort, 3, "loser session survived");
 }
 
 /// Racing effort is accounted honestly end-to-end: a service job run

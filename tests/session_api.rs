@@ -2,6 +2,7 @@
 //! session-vs-one-shot agreement, and the solver-state reuse that the
 //! deepening loop buys.
 
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sebmc_repro::bmc::{
@@ -10,6 +11,7 @@ use sebmc_repro::bmc::{
 };
 use sebmc_repro::model::builders::{counter_with_enable, shift_register, token_ring};
 use sebmc_repro::model::{explicit, suite13_small};
+use sebmc_repro::telemetry::{Progress, ProgressHandle, ProgressSink};
 
 /// Every engine must notice a token that fired *before* the check even
 /// started, without doing any real work.
@@ -39,6 +41,53 @@ fn pre_fired_token_returns_unknown_immediately() {
             "{}: pre-fired token must not cost real work",
             Engine::name(engine.as_ref())
         );
+    }
+}
+
+/// Counts the `bound` progress events, by engine label.
+#[derive(Default)]
+struct BoundCounter(Mutex<Vec<&'static str>>);
+
+impl ProgressSink for BoundCounter {
+    fn progress(&self, _p: &Progress) {}
+
+    fn bound_start(&self, engine: &'static str, _k: usize) {
+        self.0.lock().unwrap().push(engine);
+    }
+}
+
+/// Every engine's `check_bound` passes the engine fault-injection safe
+/// point (an injected `oom` ends the bound as `budget exhausted`) and
+/// announces the bound to the progress sink exactly once, under the
+/// engine's label.
+#[test]
+fn every_engine_hits_the_engine_safe_point_and_announces_each_bound() {
+    let engines: Vec<(Box<dyn Engine>, &str)> = vec![
+        (Box::new(UnrollSat), "unroll"),
+        (Box::new(JSat::default()), "jsat"),
+        (Box::new(QbfLinear::new(QbfBackend::Qdpll)), "qbf-linear"),
+        (
+            Box::new(QbfSquaring::new(QbfBackend::Expansion)),
+            "qbf-squaring",
+        ),
+    ];
+    let model = shift_register(2);
+    for (engine, label) in &engines {
+        let sink = Arc::new(BoundCounter::default());
+        let budget = Budget {
+            fault: "oom@engine:1".parse().expect("fault plan"),
+            progress: ProgressHandle::new(sink.clone()),
+            ..Budget::default()
+        };
+        let mut session = engine.start(&model, Semantics::Exactly, budget);
+        assert_eq!(
+            session.check_bound(1).result,
+            BmcResult::Unknown("budget exhausted".into()),
+            "{label}: the injected oom must stop the first bound"
+        );
+        assert!(session.check_bound(2).result.is_reachable(), "{label}");
+        assert!(session.check_bound(1).result.is_unreachable(), "{label}");
+        assert_eq!(*sink.0.lock().unwrap(), vec![*label; 3], "{label}");
     }
 }
 
