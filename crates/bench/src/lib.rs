@@ -1,7 +1,7 @@
 //! Shared infrastructure for the benchmark harness binaries.
 //!
 //! Each binary in `src/bin/` regenerates one table or figure of the
-//! paper (see `EXPERIMENTS.md` at the repository root for the index):
+//! paper; this list is the index of experiments E1–E5:
 //!
 //! * `table1` — the §3 solved-instance comparison (E1),
 //! * `fig_growth` — formula size vs bound per formulation (E2),

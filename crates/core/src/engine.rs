@@ -345,7 +345,8 @@ impl Budget {
 }
 
 /// Size and effort metrics for one engine run — the raw material of
-/// the experiment tables (see `EXPERIMENTS.md`).
+/// the experiment tables (E1–E5, indexed in the `sebmc-bench` crate
+/// docs, `crates/bench/src/lib.rs`).
 ///
 /// For a [`Session`], the per-bound [`BmcOutcome::stats`] describe one
 /// `check_bound` call while [`Session::cumulative_stats`] aggregates

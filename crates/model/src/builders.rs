@@ -5,8 +5,7 @@
 //! module provides thirteen *parameterized* synthetic hardware models
 //! with the same workload shape: synchronous sequential circuits with a
 //! size-diverse mix of reachable (SAT) and unreachable (UNSAT)
-//! reachability queries. See `DESIGN.md` §2 for the substitution
-//! rationale.
+//! reachability queries.
 //!
 //! Every builder returns a [`Model`] with a documented minimal witness
 //! length (or a proof sketch of unreachability), so the explicit-state

@@ -10,7 +10,8 @@
 //!   small models; every symbolic engine is validated against it.
 //! * [`builders`] / [`suite`] — the thirteen synthetic benchmark
 //!   families standing in for the paper's thirteen proprietary Intel
-//!   test cases (see `DESIGN.md` §2).
+//!   test cases, which are not available (the [`builders`] module
+//!   docs say what the families keep of them).
 //!
 //! # Example
 //!

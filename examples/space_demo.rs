@@ -2,7 +2,8 @@
 //!
 //! Prints the size of the formula each formulation keeps in memory for
 //! bounds 1..=32 on one mid-size circuit — a miniature of the paper's
-//! §2 analysis (experiment E2 in EXPERIMENTS.md runs the full version):
+//! §2 analysis (experiment E2, `crates/bench`'s `fig_growth` binary,
+//! runs the full version):
 //!
 //! * formulation (1) grows by one `TR` copy per bound,
 //! * formulation (2) grows by `O(n)` per bound with a constant number

@@ -1,6 +1,7 @@
 //! Miniature versions of the paper's headline claims, asserted as
 //! tests so regressions in the reproduction's *shape* are caught early.
-//! The full-scale runs live in `crates/bench` (see EXPERIMENTS.md).
+//! The full-scale runs live in `crates/bench`, whose crate docs
+//! (`crates/bench/src/lib.rs`) index experiments E1–E5.
 
 use sebmc_repro::bmc::{
     encode_qbf_linear, encode_qbf_squaring, encode_unrolled, Budget, Engine, JSat, QbfBackend,
