@@ -255,7 +255,9 @@ impl QbfSession {
                 let mut solver = ExpansionSolver::with_limits(ExpansionLimits {
                     max_matrix_literals: budget
                         .max_formula_bytes
-                        .map_or(10_000_000, |b| b / std::mem::size_of::<Lit>()),
+                        .map_or(ExpansionLimits::default().max_matrix_literals, |b| {
+                            b / std::mem::size_of::<Lit>()
+                        }),
                     base: limits,
                 });
                 let r = solver.solve(formula);

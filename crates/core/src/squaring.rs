@@ -209,8 +209,9 @@ impl Engine for QbfSquaring {
 mod tests {
     use super::*;
     use crate::engine::{BmcOutcome, BmcResult};
-    use sebmc_model::builders::{johnson_counter, lfsr, token_ring, traffic_light};
+    use sebmc_model::builders::{fifo, johnson_counter, lfsr, token_ring, traffic_light};
     use sebmc_model::explicit;
+    use sebmc_qbf::{ExpansionSolver, QbfResult};
 
     /// Decides one bound on a fresh session.
     fn check(engine: &dyn Engine, model: &Model, k: usize, semantics: Semantics) -> BmcOutcome {
@@ -295,6 +296,33 @@ mod tests {
         assert!(check(&e, &m, 2, Semantics::Within).result.is_unreachable());
         // Non-power-of-two within bounds are outside the technique.
         assert!(check(&e, &m, 5, Semantics::Within).result.is_unknown());
+    }
+
+    /// Pins the expansion back-end's verdict and counts on three
+    /// squaring encodings: how the expansion stores its matrices must
+    /// not change what it hands the SAT solver.
+    #[test]
+    fn expansion_counts_on_squaring_encodings() {
+        let cases = [
+            (traffic_light(), 2, QbfResult::False, 6, 22_176, 4_284),
+            (traffic_light(), 4, QbfResult::False, 12, 2_340_864, 475_209),
+            (fifo(1), 2, QbfResult::True, 12, 3_594_240, 683_865),
+        ];
+        for (model, k, verdict, expanded, peak, duplicated) in cases {
+            let mut solver = ExpansionSolver::new();
+            let got = solver.solve(&encode_qbf_squaring(&model, k).formula);
+            let stats = solver.stats();
+            assert_eq!(got, verdict, "bound {k}");
+            assert_eq!(
+                (
+                    stats.expanded_universals,
+                    stats.peak_matrix_literals,
+                    stats.duplicated_vars
+                ),
+                (expanded, peak, duplicated),
+                "bound {k}"
+            );
+        }
     }
 
     #[test]

@@ -218,14 +218,6 @@ impl Cnf {
         self.num_literals
     }
 
-    /// Approximate heap size of the formula in bytes (literals at 4
-    /// bytes plus per-clause vector overhead). This is the space proxy
-    /// used by the E2/E4 experiments.
-    pub fn size_bytes(&self) -> usize {
-        self.num_literals * std::mem::size_of::<Lit>()
-            + self.clauses.len() * std::mem::size_of::<Clause>()
-    }
-
     /// The clauses of the formula.
     pub fn clauses(&self) -> &[Clause] {
         &self.clauses
@@ -358,7 +350,6 @@ mod tests {
         assert_eq!(cnf.num_vars(), 5);
         assert_eq!(cnf.num_clauses(), 2);
         assert_eq!(cnf.num_literals(), 3);
-        assert!(cnf.size_bytes() > 0);
     }
 
     #[test]

@@ -11,21 +11,43 @@
 //! on the paper's encodings (2) and (3) with `2n` universal state
 //! variables this blows up immediately, which is exactly the observed
 //! 2005 behaviour. A growth budget turns the blow-up into a clean
-//! [`QbfResult::Unknown`].
+//! [`QbfResult::Unknown`]. Only the inner existentials that occur in
+//! the matrix are duplicated: one that occurs in no clause needs no
+//! second name, however many universals are expanded over it.
+//!
+//! **Storage.** The solver copies only the quantifier prefix of its
+//! input. The first expansion reads the caller's matrix; every later
+//! one reads the previous result. Expanded matrices live in two
+//! reusable flat buffers, each holding every clause's literals back to
+//! back plus one `u32` end offset per clause, which swap roles at each
+//! expansion: one is read while the other is written. The last
+//! expansion builds no matrix. It streams its two copies clause by
+//! clause into the CDCL solver's `add_clause`, so the largest matrix
+//! exists only as the solver's own copy, and both buffers are freed
+//! before the search starts.
+//!
+//! **Growth guard.** Before each expansion the solver gives up with
+//! [`QbfResult::Unknown`] when the next matrix could exceed
+//! [`ExpansionLimits::max_matrix_literals`], that is when twice the
+//! current literal count is over the cap, or over `u32::MAX`, the
+//! largest clause end a buffer can hold. The guard counts only the
+//! next copy's literals: not its clause ends, not the buffer it reads
+//! and not the CDCL solver's copy.
 
 use std::time::Instant;
 
-use sebmc_logic::{Clause, Cnf, Var};
+use sebmc_logic::{Clause, Cnf, Lit, Var};
 use sebmc_sat::{Limits as SatLimits, SolveResult, Solver};
 
-use crate::formula::{QbfFormula, QuantBlock, Quantifier};
+use crate::formula::{QbfFormula, Quantifier};
 use crate::qdpll::{QbfLimits, QbfResult};
 
 /// Budgets for the expansion solver.
 #[derive(Clone, Debug)]
 pub struct ExpansionLimits {
     /// Maximum number of matrix literals the expansion may reach before
-    /// giving up (the memory-explosion guard).
+    /// giving up (the memory-explosion guard). Values above `u32::MAX`
+    /// act as `u32::MAX`.
     pub max_matrix_literals: usize,
     /// Budgets passed to the final SAT call (and used for the deadline
     /// during expansion).
@@ -46,7 +68,9 @@ impl Default for ExpansionLimits {
 pub struct ExpansionStats {
     /// Universal variables expanded.
     pub expanded_universals: u64,
-    /// Peak matrix literal count reached during expansion.
+    /// Peak literal count of an expanded matrix. The last expansion's
+    /// copies, streamed into the SAT solver, count in full, also past a
+    /// top-level conflict.
     pub peak_matrix_literals: usize,
     /// Fresh variables introduced by duplication.
     pub duplicated_vars: u64,
@@ -101,24 +125,69 @@ impl ExpansionSolver {
     /// Decides the truth of `qbf`.
     pub fn solve(&mut self, qbf: &QbfFormula) -> QbfResult {
         self.stats = ExpansionStats::default();
-        let mut work = qbf.clone();
-        work.close();
-        debug_assert!(work.validate().is_ok());
-        let (mut prefix, mut matrix) = work.into_parts();
+        let mut sat = Solver::new();
+        sat.set_limits(SatLimits {
+            deadline: self.limits.base.deadline,
+            cancel: self.limits.base.cancel.clone(),
+            ..SatLimits::none()
+        });
+        // The expansion's buffers are freed when it returns, before the
+        // search starts.
+        match self.expand_into(qbf, &mut sat) {
+            None => QbfResult::Unknown,
+            Some(false) => QbfResult::False,
+            Some(true) => match sat.solve() {
+                SolveResult::Sat => QbfResult::True,
+                SolveResult::Unsat => QbfResult::False,
+                SolveResult::Unknown => QbfResult::Unknown,
+            },
+        }
+    }
 
-        // Expand universals from the innermost universal block outward.
+    /// Expands every universal of `qbf`, innermost first, and streams
+    /// the purely existential result into `sat`. Returns `None` when
+    /// the deadline, the cancel flag or the growth guard stops the
+    /// expansion, else whether `sat` is free of a top-level conflict.
+    fn expand_into(&mut self, qbf: &QbfFormula, sat: &mut Solver) -> Option<bool> {
+        let cap = self.limits.max_matrix_literals.min(u32::MAX as usize);
+        let input = qbf.matrix();
+        // Free matrix variables are outermost existentials, never inner
+        // to a universal, so the prefix needs no closing.
+        let mut prefix = qbf.prefix().to_vec();
+        let mut num_vars = input.num_vars();
+        let (mut lits, mut clauses) = (input.num_literals(), input.num_clauses());
+        // `rename[v]` is `v`'s name in the `u := 1` copy. Only inner
+        // existentials are ever renamed, and the inner variables only
+        // grow as the expansion moves outward, so every other variable
+        // keeps its own name.
+        let mut rename: Vec<Var> = (0..num_vars as u32).map(Var::new).collect();
+        let mut occurs = Vec::new();
+        let (mut cur, mut next) = (FlatMatrix::default(), FlatMatrix::default());
+        let mut ok = true;
         while let Some(ub) = prefix
             .iter()
             .rposition(|b| b.quantifier == Quantifier::ForAll)
         {
-            if self.deadline_passed() {
-                return QbfResult::Unknown;
+            if self.deadline_passed() || 2 * lits > cap {
+                return None;
             }
-            // All blocks after `ub` are existential: collect their vars.
-            let inner_exists: Vec<Var> = prefix[ub + 1..]
-                .iter()
-                .flat_map(|b| b.vars.iter().copied())
-                .collect();
+            let first = self.stats.expanded_universals == 0;
+            // Every block after `ub` is existential. Its variables that
+            // occur in the matrix get fresh names, numbered in prefix
+            // order from `num_vars` on.
+            occurs.clear();
+            occurs.resize(num_vars, false);
+            for l in source_clauses(input, &cur, first).flatten() {
+                occurs[l.var().index()] = true;
+            }
+            let fresh = num_vars;
+            for &e in prefix[ub + 1..].iter().flat_map(|b| &b.vars) {
+                if occurs[e.index()] {
+                    rename[e.index()] = Var::new(num_vars as u32);
+                    num_vars += 1;
+                }
+            }
+            rename.extend((fresh as u32..num_vars as u32).map(Var::new));
             let u = prefix[ub]
                 .vars
                 .pop()
@@ -126,84 +195,40 @@ impl ExpansionSolver {
             if prefix[ub].vars.is_empty() {
                 prefix.remove(ub);
             }
-            match self.expand_one(u, &inner_exists, &matrix) {
-                Some((new_matrix, renamed)) => {
-                    matrix = new_matrix;
-                    self.stats.expanded_universals += 1;
-                    self.stats.peak_matrix_literals =
-                        self.stats.peak_matrix_literals.max(matrix.num_literals());
-                    // The duplicated variables join (or form) the
-                    // innermost existential block.
-                    if !renamed.is_empty() {
-                        self.stats.duplicated_vars += renamed.len() as u64;
-                        if let Some(last) = prefix.last_mut() {
-                            if last.quantifier == Quantifier::Exists {
-                                last.vars.extend(renamed);
-                            } else {
-                                prefix.push(QuantBlock {
-                                    quantifier: Quantifier::Exists,
-                                    vars: renamed,
-                                });
-                            }
-                        } else {
-                            prefix.push(QuantBlock {
-                                quantifier: Quantifier::Exists,
-                                vars: renamed,
-                            });
-                        }
-                    }
-                }
-                None => return QbfResult::Unknown,
+            let source = source_clauses(input, &cur, first);
+            if prefix.iter().any(|b| b.quantifier == Quantifier::ForAll) {
+                next.reset(2 * lits, 2 * clauses);
+                expand(source, u, &rename, |c| next.push(c));
+                (lits, clauses) = (next.lits.len(), next.ends.len());
+                std::mem::swap(&mut cur, &mut next);
+            } else {
+                // The last expansion frees the idle buffer and streams
+                // its copies straight into the SAT solver, counting them
+                // also past a top-level conflict.
+                next = FlatMatrix::default();
+                sat.ensure_vars(num_vars);
+                lits = 0;
+                expand(source, u, &rename, |c| {
+                    lits += c.len();
+                    ok = ok && sat.add_clause(c.iter().copied());
+                });
+            }
+            self.stats.expanded_universals += 1;
+            self.stats.peak_matrix_literals = self.stats.peak_matrix_literals.max(lits);
+            if num_vars > fresh {
+                self.stats.duplicated_vars += (num_vars - fresh) as u64;
+                // The fresh names join the innermost existential block.
+                prefix
+                    .last_mut()
+                    .expect("renamed variables are inner to a universal")
+                    .vars
+                    .extend((fresh as u32..num_vars as u32).map(Var::new));
             }
         }
-
-        // Purely existential: SAT.
-        let mut sat = Solver::new();
-        sat.set_limits(SatLimits {
-            deadline: self.limits.base.deadline,
-            cancel: self.limits.base.cancel.clone(),
-            ..SatLimits::none()
-        });
-        if !sat.add_cnf(&matrix) {
-            return QbfResult::False;
+        if self.stats.expanded_universals == 0 {
+            ok = sat.add_cnf(input);
         }
-        match sat.solve() {
-            SolveResult::Sat => QbfResult::True,
-            SolveResult::Unsat => QbfResult::False,
-            SolveResult::Unknown => QbfResult::Unknown,
-        }
-    }
-
-    /// Expands a single universal variable; returns the new matrix and
-    /// the fresh names introduced for `inner_exists`, or `None` if the
-    /// growth budget is hit.
-    fn expand_one(&self, u: Var, inner_exists: &[Var], matrix: &Cnf) -> Option<(Cnf, Vec<Var>)> {
-        // Upper bound on result size: 2× current.
-        if matrix.num_literals() * 2 > self.limits.max_matrix_literals {
-            return None;
-        }
-        let mut next_var = matrix.num_vars() as u32;
-        let mut rename: Vec<Option<Var>> = vec![None; matrix.num_vars()];
-        let mut renamed = Vec::with_capacity(inner_exists.len());
-        for &e in inner_exists {
-            let fresh = Var::new(next_var);
-            next_var += 1;
-            rename[e.index()] = Some(fresh);
-            renamed.push(fresh);
-        }
-        let mut out = Cnf::with_vars(matrix.num_vars());
-        // Copy 1: u := false (drop ¬u-satisfied clauses, strip u lits).
-        // Copy 2: u := true, inner existentials renamed.
-        for clause in matrix.iter() {
-            if let Some(c) = substitute(clause, u, false, None) {
-                out.push(c);
-            }
-            if let Some(c) = substitute(clause, u, true, Some(&rename)) {
-                out.push(c);
-            }
-        }
-        out.ensure_vars(next_var as usize);
-        Some((out, renamed))
+        Some(ok)
     }
 
     fn deadline_passed(&self) -> bool {
@@ -219,29 +244,81 @@ impl ExpansionSolver {
     }
 }
 
-/// Applies `u := value` to a clause; returns `None` if the clause is
-/// satisfied. If `rename` is given, maps variables through it.
-fn substitute(
-    clause: &Clause,
-    u: Var,
-    value: bool,
-    rename: Option<&[Option<Var>]>,
-) -> Option<Clause> {
-    let mut out = Clause::new();
-    for &l in clause {
-        if l.var() == u {
-            if l.apply(value) {
-                return None; // clause satisfied
-            }
-            continue; // literal falsified: drop
-        }
-        let mapped = match rename.and_then(|r| r[l.var().index()]) {
-            Some(fresh) => fresh.lit(l.is_positive()),
-            None => l,
-        };
-        out.push(mapped);
+/// A CNF matrix stored flat: every clause's literals back to back in
+/// `lits`, and in `ends` the offset one past each clause's last literal.
+#[derive(Debug, Default)]
+struct FlatMatrix {
+    lits: Vec<Lit>,
+    ends: Vec<u32>,
+}
+
+impl FlatMatrix {
+    /// Empties the matrix, keeping its buffers, and makes room for up
+    /// to `lits` literals in `clauses` clauses.
+    fn reset(&mut self, lits: usize, clauses: usize) {
+        self.lits.clear();
+        self.lits.reserve(lits);
+        self.ends.clear();
+        self.ends.reserve(clauses);
     }
-    Some(out)
+
+    /// Appends one clause. The growth guard keeps the literal count
+    /// within `u32::MAX`.
+    fn push(&mut self, clause: &[Lit]) {
+        self.lits.extend_from_slice(clause);
+        self.ends.push(self.lits.len() as u32);
+    }
+
+    /// The clauses, in order.
+    fn clauses(&self) -> impl Iterator<Item = &[Lit]> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let clause = &self.lits[start..end as usize];
+            start = end as usize;
+            clause
+        })
+    }
+}
+
+/// The clauses of the matrix about to be expanded: the caller's before
+/// the `first` expansion, the last expansion's flat buffer after it.
+fn source_clauses<'a>(
+    input: &'a Cnf,
+    cur: &'a FlatMatrix,
+    first: bool,
+) -> impl Iterator<Item = &'a [Lit]> + 'a {
+    let from_input = if first { input.num_clauses() } else { 0 };
+    input
+        .iter()
+        .take(from_input)
+        .map(Clause::lits)
+        .chain(cur.clauses())
+}
+
+/// Hands `emit` the two copies of every clause of `matrix`, in clause
+/// order: under `u := 0` as it is, then under `u := 1` with each
+/// variable `v` renamed to `rename[v]`. A copy the value of `u`
+/// satisfies is dropped, and `u`'s falsified literal is left out.
+fn expand<'a>(
+    matrix: impl Iterator<Item = &'a [Lit]>,
+    u: Var,
+    rename: &[Var],
+    mut emit: impl FnMut(&[Lit]),
+) {
+    let mut copy = Vec::new();
+    for clause in matrix {
+        let kept = clause.iter().filter(|l| l.var() != u);
+        if !clause.contains(&u.negative()) {
+            copy.clear();
+            copy.extend(kept.clone());
+            emit(&copy);
+        }
+        if !clause.contains(&u.positive()) {
+            copy.clear();
+            copy.extend(kept.map(|l| rename[l.var().index()].lit(l.is_positive())));
+            emit(&copy);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -254,7 +331,8 @@ mod tests {
 
     fn check(qbf: &QbfFormula) {
         let expect = qbf.eval_semantic();
-        let got = ExpansionSolver::new().solve(qbf);
+        let mut solver = ExpansionSolver::new();
+        let got = solver.solve(qbf);
         assert_eq!(
             got,
             if expect {
@@ -263,6 +341,11 @@ mod tests {
                 QbfResult::False
             },
             "expansion disagrees with semantics on {qbf}"
+        );
+        assert_eq!(
+            solver.stats().expanded_universals,
+            qbf.num_universals() as u64,
+            "every universal of {qbf} is expanded"
         );
     }
 
@@ -328,7 +411,62 @@ mod tests {
         m.add_unit(v(0).positive());
         m.add_unit(v(0).negative());
         let q = QbfFormula::new(m);
-        assert_eq!(ExpansionSolver::new().solve(&q), QbfResult::False);
+        let mut s = ExpansionSolver::new();
+        assert_eq!(s.solve(&q), QbfResult::False);
+        // No universal: the matrix goes to CDCL as it is.
+        assert_eq!(s.stats().expanded_universals, 0);
+        assert_eq!(s.stats().peak_matrix_literals, 0);
+        assert_eq!(s.stats().duplicated_vars, 0);
+    }
+
+    #[test]
+    fn conflict_in_streamed_copy_still_counts_its_literals() {
+        // ∀u ∃e. (e) ∧ (¬e) streams (e), (e'), (¬e), (¬e'): the third
+        // clause is a top-level conflict, and the fourth still counts.
+        let (u, e) = (v(0), v(1));
+        let mut m = Cnf::new();
+        m.add_unit(e.positive());
+        m.add_unit(e.negative());
+        let mut q = QbfFormula::new(m);
+        q.push_block(Quantifier::ForAll, [u]);
+        q.push_block(Quantifier::Exists, [e]);
+        let mut s = ExpansionSolver::new();
+        assert_eq!(s.solve(&q), QbfResult::False);
+        assert_eq!(s.stats().expanded_universals, 1);
+        assert_eq!(s.stats().peak_matrix_literals, 4);
+        assert_eq!(s.stats().duplicated_vars, 1);
+    }
+
+    #[test]
+    fn existentials_in_no_clause_are_not_duplicated() {
+        // ∀u₁…u₁₂ ∃e₁…e₈ over an empty matrix is trivially true, and no
+        // existential occurs, so none needs a second name.
+        let mut q = QbfFormula::new(Cnf::new());
+        q.push_block(Quantifier::ForAll, (0..12).map(v));
+        q.push_block(Quantifier::Exists, (12..20).map(v));
+        let mut s = ExpansionSolver::new();
+        assert_eq!(s.solve(&q), QbfResult::True);
+        assert_eq!(s.stats().expanded_universals, 12);
+        assert_eq!(s.stats().duplicated_vars, 0);
+    }
+
+    #[test]
+    fn cancel_before_the_call_expands_nothing() {
+        let mut m = Cnf::new();
+        m.add_equiv(v(0).positive(), v(1).positive());
+        let mut q = QbfFormula::new(m);
+        q.push_block(Quantifier::ForAll, [v(0)]);
+        q.push_block(Quantifier::Exists, [v(1)]);
+        let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let mut s = ExpansionSolver::with_limits(ExpansionLimits {
+            base: QbfLimits {
+                cancel: Some(cancel),
+                ..QbfLimits::none()
+            },
+            ..ExpansionLimits::default()
+        });
+        assert_eq!(s.solve(&q), QbfResult::Unknown);
+        assert_eq!(s.stats().expanded_universals, 0);
     }
 
     #[test]

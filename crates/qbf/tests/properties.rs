@@ -61,12 +61,22 @@ fn qdpll_matches_semantics() {
     });
 }
 
+/// Also: existentials that occur in no clause, bound innermost, change
+/// neither the truth nor the number of variables the expansion
+/// duplicates.
 #[test]
 fn expansion_matches_semantics() {
     sweep(0xE4A5, 192, |rng| {
         let qbf = random_qbf(rng);
-        let expect = qbf.eval_semantic();
-        assert_eq!(ExpansionSolver::new().solve(&qbf), bool_result(expect));
+        let expect = bool_result(qbf.eval_semantic());
+        let mut solver = ExpansionSolver::new();
+        assert_eq!(solver.solve(&qbf), expect);
+        let duplicated = solver.stats().duplicated_vars;
+        let mut padded = qbf.clone();
+        let vars = qbf.matrix().num_vars() as u32;
+        padded.push_block(Quantifier::Exists, (vars..vars + 2).map(Var::new));
+        assert_eq!(solver.solve(&padded), expect);
+        assert_eq!(solver.stats().duplicated_vars, duplicated);
     });
 }
 

@@ -154,6 +154,34 @@ fn huge_header_max_var_sizes_no_allocation() {
     std::fs::remove_file(path).ok();
 }
 
+/// Iterative squaring on the 148-byte `traffic_light` export expands
+/// 12 universals to 2,340,864 literals at bound 4 and stops at the
+/// default growth guard (10M literals) at bound 8. Under a 160 MiB
+/// address-space limit bound 4 is decided and bound 8 ends unknown,
+/// instead of either aborting on a failed allocation.
+#[test]
+fn qbf_squaring_expansion_fits_160_mib() {
+    let file = aiger::model_to_aiger(&traffic_light()).expect("export");
+    let path = write_temp_aag("traffic-expand", &aiger::to_ascii_string(&file));
+    let path = path.to_str().unwrap();
+    for (bound, code, reason) in [("4", 20, "null"), ("8", 0, "\"budget exhausted\"")] {
+        let out = Command::new("sh")
+            .args(["-c", "ulimit -v 163840; exec \"$0\" \"$@\""])
+            .arg(env!("CARGO_BIN_EXE_sebmc-cli"))
+            .args([path, "--engine", "qbf-squaring", "--bound", bound, "--json"])
+            .output()
+            .expect("run sebmc under sh");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(code), "bound {bound}: {stderr}");
+        assert!(
+            stdout.contains(&format!("\"reason\":{reason},")),
+            "bound {bound}: {stdout}"
+        );
+    }
+    std::fs::remove_file(path).ok();
+}
+
 /// A valid AIGER file may declare no latches: the state is the empty
 /// vector and the property a constant. Every engine decides it, at one
 /// bound and deepening, and so does a batch job.
