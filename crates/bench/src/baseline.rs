@@ -92,6 +92,7 @@ mod tests {
             include_str!("../../../BENCH_pr3.json"),
             include_str!("../../../BENCH_pr5.json"),
             include_str!("../../../BENCH_pr10.json"),
+            include_str!("../../../BENCH_pr20.json"),
         ] {
             assert!(Json::parse(doc).is_ok());
             assert!(!extract_medians(doc).is_empty());

@@ -4,8 +4,10 @@
 //! workloads of `cargo bench --bench propagation`, built from
 //! [`sebmc_bench::workloads`]) and compares the fresh medians against
 //! the checked-in baselines (`BENCH_pr1.json`, `BENCH_pr3.json`,
-//! `BENCH_pr5.json`, `BENCH_pr10.json`). Absolute nanoseconds drift
-//! between machines, so
+//! `BENCH_pr5.json`, `BENCH_pr10.json`, `BENCH_pr20.json`), together
+//! with one QDPLL search (`qdpll/token_ring4_k3`: formulation (2) on
+//! `token_ring(4)` at bound 3, every sample asserting the verdict and
+//! the search counts). Absolute nanoseconds drift between machines, so
 //! the tolerance is deliberately generous: the gate fails only on a
 //! **> 1.5×** slowdown against the *slowest* checked-in baseline for
 //! each bench.
@@ -41,16 +43,19 @@ use sebmc_bench::baseline::baseline_median;
 use sebmc_bench::microbench::{json_array, run, Sample};
 use sebmc_bench::workloads::{chain_instance, churn_instance, pigeonhole_instance};
 use sebmc_bench::{flag, flag_u64};
+use sebmc_model::builders::token_ring;
 use sebmc_proof::StreamingChecker;
+use sebmc_qbf::{QbfResult, QdpllSolver};
 use sebmc_sat::{Limits, SolveResult};
 use sebmc_telemetry::Telemetry;
 
 /// The checked-in baseline files, in the order they were minted.
-const BASELINE_FILES: [&str; 4] = [
+const BASELINE_FILES: [&str; 5] = [
     "BENCH_pr1.json",
     "BENCH_pr3.json",
     "BENCH_pr5.json",
     "BENCH_pr10.json",
+    "BENCH_pr20.json",
 ];
 
 /// Benches that are measured and recorded but never gate: the PR 5
@@ -118,6 +123,7 @@ fn main() -> ExitCode {
         ..Limits::none()
     });
     assert_eq!(tel_on.solve_with(&tel_on_heads), SolveResult::Sat);
+    let token_ring_k3 = sebmc::encode_qbf_linear(&token_ring(4), 3).formula;
 
     let fresh: Vec<Sample> = vec![
         run("propagation/binary_chain_30k", 3, samples, || {
@@ -146,6 +152,16 @@ fn main() -> ExitCode {
         }),
         run("telemetry/chain30k_progress_on", 3, samples, || {
             tel_on.solve_with(&tel_on_heads)
+        }),
+        // The QDPLL search: the same verdict and counts on every sample.
+        run("qdpll/token_ring4_k3", 1, samples, || {
+            let mut solver = QdpllSolver::new();
+            assert_eq!(solver.solve(&token_ring_k3), QbfResult::True);
+            let stats = solver.stats();
+            assert_eq!(
+                (stats.decisions, stats.conflicts, stats.satisfactions),
+                (31_072, 528, 17_656)
+            );
         }),
     ];
 

@@ -322,7 +322,9 @@ impl Formulation for QbfSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sebmc_model::builders::{johnson_counter, lfsr, token_ring, traffic_light};
+    use sebmc_model::builders::{
+        fifo, johnson_counter, lfsr, shift_register, token_ring, traffic_light,
+    };
     use sebmc_model::explicit;
 
     /// Decides one bound on a fresh session.
@@ -373,6 +375,33 @@ mod tests {
             let expect = explicit::reachable_in_exactly(&m, k);
             assert_eq!(got.is_reachable(), expect, "bound {k}");
             assert!(!got.is_unknown());
+        }
+    }
+
+    /// The QDPLL search on formulation (2) over unreduced models: its
+    /// verdict and its decision, conflict and satisfaction counts.
+    #[test]
+    fn qdpll_search_counts_on_linear_encodings() {
+        let cases = [
+            (shift_register(4), 1, QbfResult::False, 32, 1, 14),
+            (shift_register(4), 2, QbfResult::False, 619, 16, 262),
+            (shift_register(4), 3, QbfResult::False, 8_949, 256, 3_698),
+            (johnson_counter(4), 3, QbfResult::False, 5_037, 256, 3_420),
+            (token_ring(4), 1, QbfResult::False, 2_083, 8, 1_084),
+            (fifo(1), 1, QbfResult::False, 275, 4, 120),
+            (fifo(1), 2, QbfResult::True, 31_669, 104, 11_660),
+        ];
+        for (model, k, verdict, decisions, conflicts, satisfactions) in cases {
+            let mut solver = QdpllSolver::new();
+            let got = solver.solve(&encode_qbf_linear(&model, k).formula);
+            let stats = solver.stats();
+            assert_eq!(got, verdict, "{} bound {k}", model.name());
+            assert_eq!(
+                (stats.decisions, stats.conflicts, stats.satisfactions),
+                (decisions, conflicts, satisfactions),
+                "{} bound {k}",
+                model.name()
+            );
         }
     }
 

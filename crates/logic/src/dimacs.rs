@@ -49,9 +49,9 @@ impl ParseDimacsError {
 ///
 /// # Errors
 ///
-/// Returns [`ParseDimacsError`] on missing/malformed headers, non-integer
-/// tokens, literals out of the declared range, unterminated clauses, or
-/// clause-count mismatches.
+/// Returns [`ParseDimacsError`] on missing/malformed headers, a variable
+/// count above 2^31, non-integer tokens, literals out of the declared
+/// range, unterminated clauses, or clause-count mismatches.
 ///
 /// # Example
 ///
@@ -103,6 +103,12 @@ pub fn parse(input: &str) -> Result<Cnf, ParseDimacsError> {
             if parts.next().is_some() {
                 return Err(ParseDimacsError::new(lineno, "trailing tokens in header"));
             }
+            if nv > Lit::MAX_DIMACS_VAR {
+                return Err(ParseDimacsError::new(
+                    lineno,
+                    format!("variable count {nv} exceeds 2^31"),
+                ));
+            }
             declared = Some((nv, nc));
             continue;
         }
@@ -112,19 +118,17 @@ pub fn parse(input: &str) -> Result<Cnf, ParseDimacsError> {
             let value: i64 = tok.parse().map_err(|_| {
                 ParseDimacsError::new(lineno, format!("invalid literal token '{tok}'"))
             })?;
+            if value.unsigned_abs() > nv as u64 {
+                return Err(ParseDimacsError::new(
+                    lineno,
+                    format!("literal {value} exceeds declared {nv} variables"),
+                ));
+            }
             match Lit::from_dimacs(value) {
                 None => {
                     cnf.push(std::mem::take(&mut current));
                 }
-                Some(lit) => {
-                    if lit.var().index() >= nv {
-                        return Err(ParseDimacsError::new(
-                            lineno,
-                            format!("literal {value} exceeds declared {nv} variables"),
-                        ));
-                    }
-                    current.push(lit);
-                }
+                Some(lit) => current.push(lit),
             }
         }
     }
@@ -258,8 +262,19 @@ mod tests {
 
     #[test]
     fn error_out_of_range_literal() {
-        let err = parse("p cnf 2 1\n3 0\n").unwrap_err();
-        assert!(err.message.contains("exceeds"), "{err}");
+        for (input, line) in [
+            ("p cnf 2 1\n3 0\n", 2),
+            // Variable numbers above 2^31 have no literal: they must not
+            // wrap onto a small variable.
+            ("p cnf 2 1\n4294967297 0\n", 2),
+            ("p cnf 2147483649 1\n2147483649 0\n", 1),
+        ] {
+            let err = parse(input).unwrap_err();
+            assert!(err.message.contains("exceeds"), "{err}");
+            assert_eq!(err.line, line, "{err}");
+        }
+        let cnf = parse("p cnf 2147483648 1\n-2147483648 0\n").unwrap();
+        assert_eq!(cnf.clauses()[0].lits()[0].to_dimacs(), -2147483648);
     }
 
     #[test]

@@ -82,9 +82,17 @@ impl fmt::Display for Var {
 pub struct Lit(u32);
 
 impl Lit {
+    /// The largest variable number a DIMACS literal may carry: the
+    /// packed code has 31 bits for the variable index.
+    pub const MAX_DIMACS_VAR: usize = 1 << 31;
+
     /// Creates a literal from a variable and polarity (`true` = positive).
     #[inline]
     pub fn new(var: Var, positive: bool) -> Self {
+        debug_assert!(
+            var.index() < Lit::MAX_DIMACS_VAR,
+            "variable {var} has no literal"
+        );
         Lit(var.0 << 1 | u32::from(!positive))
     }
 
@@ -141,13 +149,22 @@ impl Lit {
     /// Parses a literal from the signed DIMACS convention.
     ///
     /// Returns `None` for `0` (the DIMACS clause terminator).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the variable number is above [`Lit::MAX_DIMACS_VAR`]
+    /// (parsers reject such input before converting it).
     #[inline]
     pub fn from_dimacs(value: i64) -> Option<Self> {
         if value == 0 {
             return None;
         }
-        let var = Var::new((value.unsigned_abs() - 1) as u32);
-        Some(Lit::new(var, value > 0))
+        let number = value.unsigned_abs();
+        assert!(
+            number <= Lit::MAX_DIMACS_VAR as u64,
+            "DIMACS variable {number} is above 2^31"
+        );
+        Some(Lit::new(Var::new((number - 1) as u32), value > 0))
     }
 }
 

@@ -46,8 +46,9 @@ impl ParseQdimacsError {
 ///
 /// # Errors
 ///
-/// Returns [`ParseQdimacsError`] for malformed headers, quantifier lines
-/// after the first clause, unterminated lines, or out-of-range literals.
+/// Returns [`ParseQdimacsError`] for malformed headers, a variable count
+/// above 2^31, quantifier lines after the first clause, unterminated
+/// lines, or out-of-range literals.
 ///
 /// # Example
 ///
@@ -81,12 +82,18 @@ pub fn parse(input: &str) -> Result<QbfFormula, ParseQdimacsError> {
             if parts.len() != 4 || parts[1] != "cnf" {
                 return Err(ParseQdimacsError::new(lineno, "malformed 'p cnf' header"));
             }
-            let nv = parts[2]
+            let nv: usize = parts[2]
                 .parse()
                 .map_err(|_| ParseQdimacsError::new(lineno, "invalid variable count"))?;
             let nc = parts[3]
                 .parse()
                 .map_err(|_| ParseQdimacsError::new(lineno, "invalid clause count"))?;
+            if nv > Lit::MAX_DIMACS_VAR {
+                return Err(ParseQdimacsError::new(
+                    lineno,
+                    format!("variable count {nv} exceeds 2^31"),
+                ));
+            }
             declared = Some((nv, nc));
             continue;
         }
@@ -142,19 +149,17 @@ pub fn parse(input: &str) -> Result<QbfFormula, ParseQdimacsError> {
             let value: i64 = tok.parse().map_err(|_| {
                 ParseQdimacsError::new(lineno, format!("invalid literal token '{tok}'"))
             })?;
+            if value.unsigned_abs() > nv as u64 {
+                return Err(ParseQdimacsError::new(
+                    lineno,
+                    format!("literal {value} exceeds declared {nv} variables"),
+                ));
+            }
             match Lit::from_dimacs(value) {
                 None => {
                     cnf.add_clause(std::mem::take(&mut current));
                 }
-                Some(lit) => {
-                    if lit.var().index() >= nv {
-                        return Err(ParseQdimacsError::new(
-                            lineno,
-                            format!("literal {value} exceeds declared {nv} variables"),
-                        ));
-                    }
-                    current.push(lit);
-                }
+                Some(lit) => current.push(lit),
             }
         }
     }
@@ -264,10 +269,18 @@ mod tests {
 
     #[test]
     fn error_out_of_range() {
-        let err = parse("p cnf 2 1\ne 5 0\n1 0\n").unwrap_err();
-        assert!(err.message.contains("exceeds"), "{err}");
-        let err = parse("p cnf 2 1\ne 1 2 0\n5 0\n").unwrap_err();
-        assert!(err.message.contains("exceeds"), "{err}");
+        for (input, line) in [
+            ("p cnf 2 1\ne 5 0\n1 0\n", 2),
+            ("p cnf 2 1\ne 1 2 0\n5 0\n", 3),
+            // Variable numbers above 2^31 have no literal: they must not
+            // wrap onto a small variable.
+            ("p cnf 2 1\ne 1 2 0\n4294967297 0\n", 3),
+            ("p cnf 4294967297 1\ne 4294967297 0\n4294967297 0\n", 1),
+        ] {
+            let err = parse(input).unwrap_err();
+            assert!(err.message.contains("exceeds"), "{err}");
+            assert_eq!(err.line, line, "{err}");
+        }
     }
 
     #[test]

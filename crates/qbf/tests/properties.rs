@@ -4,7 +4,7 @@
 //! property style; the case number on failure reproduces the input).
 
 use sebmc_logic::rng::SplitMix64;
-use sebmc_logic::{Cnf, Var};
+use sebmc_logic::{Cnf, Lit, Var};
 use sebmc_qbf::{qdimacs, ExpansionSolver, QbfFormula, QbfResult, QdpllSolver, Quantifier};
 
 /// A random closed prenex-CNF formula over 2–6 variables.
@@ -33,6 +33,60 @@ fn random_qbf(rng: &mut SplitMix64) -> QbfFormula {
     qbf
 }
 
+/// A random formula over 2–7 variables in shapes [`random_qbf`] never
+/// makes: variables left out of the prefix (free), empty clauses,
+/// clauses over universals only, repeated literals and tautologies.
+fn random_open_qbf(rng: &mut SplitMix64) -> QbfFormula {
+    let vars = rng.range_inclusive(2, 7);
+    let mut blocks = Vec::new();
+    let mut universals = Vec::new();
+    let mut quant = if rng.coin() {
+        Quantifier::ForAll
+    } else {
+        Quantifier::Exists
+    };
+    let mut block = Vec::new();
+    for v in (0..vars).map(|v| Var::new(v as u32)) {
+        if rng.below(4) == 0 {
+            continue; // free
+        }
+        if quant == Quantifier::ForAll {
+            universals.push(v);
+        }
+        block.push(v);
+        if rng.coin() {
+            blocks.push((quant, std::mem::take(&mut block)));
+            quant = quant.dual();
+        }
+    }
+    blocks.push((quant, block));
+    let random_lit = |rng: &mut SplitMix64| Var::new(rng.below(vars) as u32).lit(rng.coin());
+    let mut m = Cnf::with_vars(vars);
+    for _ in 0..rng.range_inclusive(1, 9) {
+        let len = rng.range_inclusive(1, 4);
+        let clause: Vec<Lit> = match rng.below(16) {
+            0 => Vec::new(),
+            1 | 2 if !universals.is_empty() => (0..len)
+                .map(|_| universals[rng.below(universals.len())].lit(rng.coin()))
+                .collect(),
+            3 => {
+                let l = random_lit(rng);
+                let mut c: Vec<Lit> = (0..len).map(|_| random_lit(rng)).collect();
+                c.extend([l, !l]);
+                c
+            }
+            // Drawn from at most 7 variables, repeats are common.
+            _ => (0..len).map(|_| random_lit(rng)).collect(),
+        };
+        m.add_clause(clause);
+    }
+    let mut qbf = QbfFormula::new(m);
+    for (q, vars) in blocks {
+        qbf.push_block(q, vars);
+    }
+    qbf
+}
+
 fn sweep(seed: u64, cases: u64, check: impl Fn(&mut SplitMix64)) {
     for case in 0..cases {
         let mut rng = SplitMix64::new(seed ^ (case.wrapping_mul(0x9e37_79b9)));
@@ -56,6 +110,11 @@ fn bool_result(b: bool) -> QbfResult {
 fn qdpll_matches_semantics() {
     sweep(0x0D11, 192, |rng| {
         let qbf = random_qbf(rng);
+        let expect = qbf.eval_semantic();
+        assert_eq!(QdpllSolver::new().solve(&qbf), bool_result(expect));
+    });
+    sweep(0x0D12, 384, |rng| {
+        let qbf = random_open_qbf(rng);
         let expect = qbf.eval_semantic();
         assert_eq!(QdpllSolver::new().solve(&qbf), bool_result(expect));
     });
