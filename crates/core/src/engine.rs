@@ -28,7 +28,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::time::{Duration, Instant};
 
 use sebmc_logic::json::{obj, Json};
@@ -123,9 +123,34 @@ impl fmt::Display for BmcResult {
 /// safe points — the SAT solver every 64 conflicts, the QDPLL solver
 /// per decision, jSAT between incremental SAT calls — and return
 /// [`BmcResult::Unknown`] ("cancelled") promptly after it fires.
+///
+/// Tokens form a tree: [`CancelToken::child_of`] makes a token that
+/// also fires when any of its parents fires, so a harness can stop one
+/// raced bound or one service attempt without touching the tokens
+/// above it. A parent's [`CancelToken::cancel`] sets the flag of every
+/// live descendant before it returns, so a solver polls only its own
+/// [`CancelToken::flag`].
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
+    node: Arc<CancelNode>,
+}
+
+#[derive(Debug, Default)]
+struct CancelNode {
     flag: Arc<AtomicBool>,
+    /// Children, held weakly so a finished child is freed. `cancel`
+    /// sets `flag` and empties the list under this lock, and
+    /// `child_of` reads `flag` under it, so a new child is either
+    /// fired by `cancel` or starts fired.
+    children: Mutex<Vec<Weak<CancelNode>>>,
+}
+
+impl CancelNode {
+    /// Every update leaves the child list valid, so a poisoned lock
+    /// holds a usable list.
+    fn children(&self) -> MutexGuard<'_, Vec<Weak<CancelNode>>> {
+        self.children.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 impl CancelToken {
@@ -134,22 +159,53 @@ impl CancelToken {
         CancelToken::default()
     }
 
-    /// Fires the token. All clones observe the cancellation; firing is
-    /// idempotent and cannot be undone.
+    /// A fresh token that reads as cancelled once it or any of
+    /// `parents` has fired; under a fired parent it starts fired.
+    /// Firing the child never fires a parent.
+    pub fn child_of(parents: &[&CancelToken]) -> Self {
+        let child = CancelToken::new();
+        for parent in parents {
+            let mut children = parent.node.children();
+            if parent.is_cancelled() {
+                child.node.flag.store(true, Ordering::Relaxed);
+                break;
+            }
+            // Dropping dead entries only when the list is full keeps it
+            // within twice the most children alive at once, at O(1)
+            // amortised per child.
+            if children.len() == children.capacity() {
+                children.retain(|c| c.strong_count() > 0);
+            }
+            children.push(Arc::downgrade(&child.node));
+        }
+        child
+    }
+
+    /// Fires the token and, before returning, every live descendant.
+    /// All clones observe the cancellation; firing is idempotent and
+    /// cannot be undone.
     pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Relaxed);
+        let mut children = self.node.children();
+        self.node.flag.store(true, Ordering::Relaxed);
+        // Firing the children under the lock makes a concurrent
+        // `cancel` of this token wait until they are fired. Locks are
+        // only ever nested parent before child, so this cannot deadlock.
+        for node in children.drain(..).filter_map(|c| c.upgrade()) {
+            CancelToken { node }.cancel();
+        }
     }
 
     /// Whether the token has fired.
     pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Relaxed)
+        self.node.flag.load(Ordering::Relaxed)
     }
 
     /// The raw shared flag, for plumbing into solver-level limit
     /// structs ([`sebmc_sat::Limits::cancel`],
-    /// [`sebmc_qbf::QbfLimits::cancel`]).
+    /// [`sebmc_qbf::QbfLimits::cancel`]). A direct store into it fires
+    /// this token but none of its children.
     pub fn flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.flag)
+        Arc::clone(&self.node.flag)
     }
 }
 
@@ -594,6 +650,58 @@ mod tests {
         assert_eq!(clone.unknown_reason(), "cancelled");
         // A *fresh* budget has its own flag.
         assert!(!Budget::none().cancel.is_cancelled());
+    }
+
+    #[test]
+    fn a_parents_cancel_reaches_a_grandchild_before_it_returns() {
+        let parent = CancelToken::new();
+        let child = CancelToken::child_of(&[&parent]);
+        let grandchild = CancelToken::child_of(&[&child]);
+        let flag = grandchild.flag();
+        parent.cancel();
+        assert!(flag.load(Ordering::Relaxed));
+        assert!(child.is_cancelled() && grandchild.is_cancelled());
+    }
+
+    #[test]
+    fn a_child_of_a_fired_parent_starts_fired() {
+        let parent = CancelToken::new();
+        parent.cancel();
+        let fresh = CancelToken::new();
+        assert!(CancelToken::child_of(&[&fresh, &parent]).is_cancelled());
+        assert!(!fresh.is_cancelled());
+    }
+
+    #[test]
+    fn firing_a_child_leaves_every_parent_clear() {
+        let (a, b) = (CancelToken::new(), CancelToken::new());
+        let child = CancelToken::child_of(&[&a, &b]);
+        let sibling = CancelToken::child_of(&[&a]);
+        child.cancel();
+        assert!(child.is_cancelled());
+        assert!(!a.is_cancelled() && !b.is_cancelled() && !sibling.is_cancelled());
+    }
+
+    #[test]
+    fn any_one_of_several_parents_fires_the_child() {
+        for fired in 0..3 {
+            let parents = [CancelToken::new(), CancelToken::new(), CancelToken::new()];
+            let child = CancelToken::child_of(&[&parents[0], &parents[1], &parents[2]]);
+            parents[fired].cancel();
+            assert!(child.is_cancelled(), "parent {fired}");
+        }
+    }
+
+    #[test]
+    fn a_parents_child_list_stays_bounded() {
+        let parent = CancelToken::new();
+        let live = CancelToken::child_of(&[&parent]);
+        for _ in 0..10_000 {
+            drop(CancelToken::child_of(&[&parent]));
+        }
+        assert!(parent.node.children().capacity() <= 8);
+        parent.cancel();
+        assert!(live.is_cancelled(), "pruning keeps the live child");
     }
 
     #[test]

@@ -55,18 +55,6 @@ pub enum InductionResult {
     },
 }
 
-impl InductionResult {
-    /// `true` if the property was proven safe.
-    pub fn is_proved(&self) -> bool {
-        matches!(self, InductionResult::Proved { .. })
-    }
-
-    /// `true` if a counterexample was found.
-    pub fn is_falsified(&self) -> bool {
-        matches!(self, InductionResult::Falsified { .. })
-    }
-}
-
 /// A k-induction verdict together with the run's cumulative solver
 /// statistics (base-case session totals plus every step-case solve).
 #[derive(Debug)]
@@ -133,6 +121,11 @@ fn step_case(model: &Model, k: usize, budget: &Budget, start: Instant) -> (Solve
 /// Runs k-induction with increasing depth up to `max_depth`,
 /// returning the verdict together with cumulative run statistics.
 ///
+/// The verdict is [`InductionResult::Proved`] as soon as a step case is
+/// unsatisfiable, [`InductionResult::Falsified`] when the base case
+/// finds a counterexample, and [`InductionResult::Exhausted`] after
+/// `max_depth` inconclusive rounds.
+///
 /// The budget's wall clock starts now and covers every base and step
 /// case; its cancel token aborts the run at the next case boundary (or
 /// inside a solver, at the solver's safe points).
@@ -189,17 +182,6 @@ pub fn k_induction_run(model: &Model, max_depth: usize, budget: &Budget) -> Indu
     finish(InductionResult::Exhausted { max_depth }, stats)
 }
 
-/// Runs k-induction with increasing depth up to `max_depth`.
-///
-/// Returns [`InductionResult::Proved`] as soon as a step case is
-/// unsatisfiable, [`InductionResult::Falsified`] when the base case
-/// finds a counterexample, [`InductionResult::Exhausted`] after
-/// `max_depth` inconclusive rounds. See [`k_induction_run`] for the
-/// variant that also reports cumulative run statistics.
-pub fn k_induction(model: &Model, max_depth: usize, budget: &Budget) -> InductionResult {
-    k_induction_run(model, max_depth, budget).result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +191,7 @@ mod tests {
 
     #[test]
     fn proves_traffic_light_safe() {
-        let r = k_induction(&traffic_light(), 8, &Budget::none());
+        let r = k_induction_run(&traffic_light(), 8, &Budget::none()).result;
         match r {
             InductionResult::Proved { k } => assert!(k <= 2, "traffic proves shallow, got {k}"),
             other => panic!("expected proof, got {other:?}"),
@@ -222,7 +204,7 @@ mod tests {
         // invariant strengthening; plain k-induction with simple-path
         // constraints needs k = 17 here — the paper's point that "the
         // induction depth [can be] exponential in the size of the model".
-        let r = k_induction(&peterson(), 20, &Budget::none());
+        let r = k_induction_run(&peterson(), 20, &Budget::none()).result;
         match r {
             InductionResult::Proved { k } => {
                 assert!(k >= 10, "expected a deep induction proof, got {k}");
@@ -234,7 +216,7 @@ mod tests {
     #[test]
     fn falsifies_reachable_targets_with_valid_cex() {
         let m = shift_register(4);
-        let r = k_induction(&m, 10, &Budget::none());
+        let r = k_induction_run(&m, 10, &Budget::none()).result;
         match r {
             InductionResult::Falsified { cex } => {
                 assert_eq!(cex.len(), 4, "minimal counterexample");
@@ -268,7 +250,7 @@ mod tests {
             b.build().unwrap()
         };
         assert!(!sebmc_model::explicit::reachable_within(&m, 16));
-        let r = k_induction(&m, 16, &Budget::none());
+        let r = k_induction_run(&m, 16, &Budget::none()).result;
         match r {
             InductionResult::Proved { k } => {
                 assert!(k >= 2, "needs non-trivial depth, proved at {k}");
@@ -283,7 +265,7 @@ mod tests {
         // base finds nothing and induction cannot conclude either way
         // for this shallow horizon... all-ones IS reachable, so with
         // max_depth 3 the result must be Exhausted (cex needs k=4).
-        let r = k_induction(&johnson_counter(4), 3, &Budget::none());
+        let r = k_induction_run(&johnson_counter(4), 3, &Budget::none()).result;
         assert!(
             matches!(r, InductionResult::Exhausted { max_depth: 3 }),
             "{r:?}"
@@ -292,11 +274,12 @@ mod tests {
 
     #[test]
     fn budget_gives_unknown() {
-        let r = k_induction(
+        let r = k_induction_run(
             &counter_with_enable(6),
             20,
             &Budget::with_timeout(std::time::Duration::from_nanos(1)),
-        );
+        )
+        .result;
         assert!(matches!(r, InductionResult::Unknown { .. }), "{r:?}");
     }
 
@@ -304,7 +287,7 @@ mod tests {
     fn deep_counter_proof() {
         // counter_with_enable(3) target is 7, reachable — falsified.
         let m = counter_with_enable(3);
-        let r = k_induction(&m, 10, &Budget::none());
-        assert!(r.is_falsified());
+        let r = k_induction_run(&m, 10, &Budget::none()).result;
+        assert!(matches!(r, InductionResult::Falsified { .. }), "{r:?}");
     }
 }

@@ -61,7 +61,7 @@ pub use engine::{
 };
 pub use fingerprint::model_fingerprint;
 pub use inc_unroll::IncrementalUnroll;
-pub use induction::{k_induction, k_induction_run, InductionResult, InductionRun};
+pub use induction::{k_induction_run, InductionResult, InductionRun};
 pub use jsat::{JSat, JSatConfig, JSatSession, JSatStats};
 pub use portfolio::{
     engine_panic_reason, truncate_panic_payload, DeepeningPortfolio, PortfolioBoundOutcome,

@@ -17,9 +17,11 @@
 //! service job attempt, a batch retry that resumes at the first
 //! undecided bound, and `sebmc --deepen` all run it.
 //!
-//! A race runs on a **child** token; the caller's own token (in the
-//! passed [`Budget`]) is only read, never fired, so the budget stays
-//! reusable. An external cancellation still propagates into the race.
+//! A race runs on a [`CancelToken::child_of`] the caller's token (in
+//! the passed [`Budget`]): the caller's `cancel()` reaches every racer
+//! before it returns, while the portfolio never fires the caller's
+//! token, so the budget stays reusable. The budget's deadline fires the
+//! race token once, at the end of the one wait on the racers' replies.
 //! A racing engine that panics is caught and surfaced as
 //! [`BmcResult::Unknown`] rather than taking the whole portfolio down,
 //! and cancelled losers report the partial [`RunStats`] of their bound,
@@ -29,7 +31,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use sebmc_model::Model;
 use sebmc_proof::Certificate;
@@ -37,10 +39,6 @@ use sebmc_proof::Certificate;
 use crate::engine::{
     BmcOutcome, BmcResult, Budget, CancelToken, Engine, RunStats, Semantics, Session,
 };
-
-/// How often a race polls for an external cancellation of the caller's
-/// budget while waiting on engine replies.
-const BRIDGE_POLL: Duration = Duration::from_millis(2);
 
 /// The outcome of one engine at one bound of a portfolio.
 #[derive(Debug)]
@@ -293,7 +291,11 @@ impl DeepeningPortfolio {
     /// each, returning every engine's `(supported, outcome)` and the
     /// winner.
     fn race(&mut self, k: usize) -> (Vec<(bool, BmcOutcome)>, Option<usize>) {
-        let race = CancelToken::new();
+        // An external cancellation of the caller's token reaches the
+        // racers through the tree; the portfolio's own deadline fires
+        // this token below.
+        let race = CancelToken::child_of(&[&self.budget.cancel]);
+        let mut deadline = self.budget.deadline_from(self.started);
         let (tx, rx) = mpsc::channel();
         // A retired engine reports why; every live one replies below.
         let mut slots: Vec<(bool, BmcOutcome)> = self
@@ -326,8 +328,14 @@ impl DeepeningPortfolio {
                 });
             }
             while pending > 0 {
-                match rx.recv_timeout(BRIDGE_POLL) {
-                    Ok((idx, Ok((supported, outcome)))) => {
+                let reply = match deadline {
+                    Some(d) => rx
+                        .recv_timeout(d.saturating_duration_since(Instant::now()))
+                        .ok(),
+                    None => Some(rx.recv().expect("the race keeps a sender")),
+                };
+                match reply {
+                    Some((idx, Ok((supported, outcome)))) => {
                         if winner.is_none() && !outcome.result.is_unknown() {
                             winner = Some(idx);
                             // Decided: this bound's losers can stop.
@@ -336,18 +344,15 @@ impl DeepeningPortfolio {
                         slots[idx] = (supported, outcome);
                         pending -= 1;
                     }
-                    Ok((idx, Err(reason))) => {
+                    Some((idx, Err(reason))) => {
                         slots[idx].1 = BmcOutcome::unknown(reason.clone(), RunStats::default());
                         retired.push((idx, reason));
                         pending -= 1;
                     }
-                    // Bridge the caller's budget into the race: an
-                    // external cancellation or the shared deadline
-                    // aborts this bound promptly.
-                    Err(_) => {
-                        if self.budget.expired(self.started) {
-                            race.cancel();
-                        }
+                    // The shared deadline passed: abort this bound once.
+                    None => {
+                        race.cancel();
+                        deadline = None;
                     }
                 }
             }
@@ -593,7 +598,7 @@ mod tests {
     }
 
     /// Firing the caller's token externally must still stop the whole
-    /// portfolio (via the bridge into the race token).
+    /// portfolio (the race token is its child).
     #[test]
     fn external_cancellation_stops_the_portfolio() {
         let budget = Budget::none();

@@ -54,12 +54,6 @@ impl AigRef {
         self.0 & 1 == 1
     }
 
-    /// Whether this reference is one of the two constants.
-    #[inline]
-    pub fn is_const(self) -> bool {
-        self.node() == 0
-    }
-
     /// The packed code (`node << 1 | complement`).
     #[inline]
     pub fn code(self) -> usize {

@@ -400,11 +400,6 @@ impl StreamingChecker {
         }
     }
 
-    /// Capacity of the in-flight ring buffer.
-    pub fn ring_capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
     /// Drains every buffered byte through the decoder into the checker.
     fn drain_ring(&mut self) {
         let mut chunk = [0u8; 128];

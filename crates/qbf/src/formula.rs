@@ -116,11 +116,6 @@ impl QbfFormula {
         &mut self.matrix
     }
 
-    /// Consumes the formula, returning prefix and matrix.
-    pub fn into_parts(self) -> (Vec<QuantBlock>, Cnf) {
-        (self.prefix, self.matrix)
-    }
-
     /// Binds every matrix variable missing from the prefix in a new
     /// *outermost* existential block (the QDIMACS free-variable rule).
     pub fn close(&mut self) {
@@ -152,27 +147,6 @@ impl QbfFormula {
         );
     }
 
-    /// Quantifier of `v`, or `None` if unbound.
-    pub fn quantifier_of(&self, v: Var) -> Option<Quantifier> {
-        self.level_of(v).map(|l| self.prefix[l].quantifier)
-    }
-
-    /// Index of the prefix block binding `v` (0 = outermost), or `None`.
-    pub fn level_of(&self, v: Var) -> Option<usize> {
-        self.prefix.iter().position(|b| b.vars.contains(&v))
-    }
-
-    /// A dense lookup table: `table[v] = Some((block_index, quantifier))`.
-    pub fn level_table(&self) -> Vec<Option<(usize, Quantifier)>> {
-        let mut table = vec![None; self.matrix.num_vars()];
-        for (i, b) in self.prefix.iter().enumerate() {
-            for v in &b.vars {
-                table[v.index()] = Some((i, b.quantifier));
-            }
-        }
-        table
-    }
-
     /// Number of universally quantified variables — the paper tracks
     /// this per encoding (constant for (2), growing for (3)).
     pub fn num_universals(&self) -> usize {
@@ -196,11 +170,6 @@ impl QbfFormula {
     /// merging; 0 for a purely existential formula).
     pub fn num_alternations(&self) -> usize {
         self.prefix.len().saturating_sub(1)
-    }
-
-    /// Total bound variables.
-    pub fn num_bound_vars(&self) -> usize {
-        self.prefix.iter().map(|b| b.vars.len()).sum()
     }
 
     /// Checks structural sanity: no variable bound twice, every matrix
@@ -410,20 +379,6 @@ mod tests {
         m.add_unit(pos(0));
         let q = QbfFormula::new(m);
         assert!(q.eval_semantic());
-    }
-
-    #[test]
-    fn level_table_and_lookup() {
-        let mut q = QbfFormula::new(Cnf::with_vars(3));
-        q.push_block(Quantifier::Exists, [v(0)]);
-        q.push_block(Quantifier::ForAll, [v(2)]);
-        assert_eq!(q.quantifier_of(v(0)), Some(Quantifier::Exists));
-        assert_eq!(q.quantifier_of(v(2)), Some(Quantifier::ForAll));
-        assert_eq!(q.quantifier_of(v(1)), None);
-        let table = q.level_table();
-        assert_eq!(table[0], Some((0, Quantifier::Exists)));
-        assert_eq!(table[1], None);
-        assert_eq!(table[2], Some((1, Quantifier::ForAll)));
     }
 
     #[test]

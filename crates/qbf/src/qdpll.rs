@@ -64,13 +64,6 @@ pub enum QbfResult {
     Unknown,
 }
 
-impl QbfResult {
-    /// `true` when a definite verdict was reached.
-    pub fn is_decided(self) -> bool {
-        self != QbfResult::Unknown
-    }
-}
-
 /// Resource budgets for a QBF solve call.
 #[derive(Clone, Debug, Default)]
 pub struct QbfLimits {

@@ -147,11 +147,6 @@ impl SolveResult {
     pub fn is_sat(self) -> bool {
         self == SolveResult::Sat
     }
-
-    /// `true` for [`SolveResult::Unsat`].
-    pub fn is_unsat(self) -> bool {
-        self == SolveResult::Unsat
-    }
 }
 
 /// Resource budgets for a single `solve` call.
@@ -470,11 +465,6 @@ impl Solver {
             "install the proof sink before the first clause"
         );
         self.proof = Some(sink);
-    }
-
-    /// Whether a proof sink is installed.
-    pub fn has_proof(&self) -> bool {
-        self.proof.is_some()
     }
 
     /// Exact bytes of proof stream emitted so far (0 without a sink).

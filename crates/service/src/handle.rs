@@ -1,14 +1,13 @@
 //! The long-lived service handle: workers that outlive any one batch.
 //!
-//! The worker pool and the cancellation bridge start once
-//! ([`ServiceHandle::start`]) and stay alive across jobs; submissions
-//! ([`ServiceHandle::submit`]) return immediately with a job id;
-//! finished reports are picked up as they land, from any client
-//! ([`ServiceHandle::next_report`]) or from one
-//! ([`ServiceHandle::next_report_for`]); and
-//! the pool is torn down exactly once, by an explicit
-//! [`ServiceHandle::shutdown`] that either drains the queue
-//! ([`ShutdownMode::Graceful`]) or cancels it ([`ShutdownMode::Now`]).
+//! The worker pool starts once ([`ServiceHandle::start`]) and stays
+//! alive across jobs; submissions ([`ServiceHandle::submit`]) return
+//! immediately with a job id; finished reports are picked up as they
+//! land, from any client ([`ServiceHandle::next_report`]) or from one
+//! ([`ServiceHandle::next_report_for`]); and the pool is torn down
+//! exactly once, by an explicit [`ServiceHandle::shutdown`] that
+//! either drains the queue ([`ShutdownMode::Graceful`]) or cancels it
+//! ([`ShutdownMode::Now`]).
 //! Either way **every accepted job ends in exactly one [`JobReport`]**
 //! — shutdown returns the reports nobody collected. Batch mode
 //! ([`ServiceHandle::run_batch`]) and the `sebmc serve` daemon are both
@@ -35,7 +34,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -43,10 +41,10 @@ use std::time::{Duration, Instant};
 use sebmc::model_fingerprint;
 
 use crate::cache::{CacheKey, ResultCache};
-use crate::job::{Job, RetryPolicy};
+use crate::job::Job;
 use crate::queue::{JobQueue, PendingJob};
 use crate::report::{JobReport, ServiceReport};
-use crate::{abort_report, lock_unpoisoned, process_job, BridgeSlot, MemGovernor, ServiceConfig};
+use crate::{abort_report, lock_unpoisoned, process_job, MemGovernor, ServiceConfig, SHED_REASON};
 
 /// Why a submission was refused (the job is handed back untouched
 /// inside the error).
@@ -129,7 +127,7 @@ impl QueueState {
     }
 }
 
-/// Everything the workers, the bridge, and the handle share.
+/// Everything the workers and the handle share.
 struct Shared {
     config: ServiceConfig,
     queue: Mutex<QueueState>,
@@ -141,9 +139,6 @@ struct Shared {
     done: Mutex<HashMap<usize, (u64, JobReport)>>,
     done_cv: Condvar,
     governor: MemGovernor,
-    /// One cancellation-bridge slot per worker.
-    slots: Vec<Mutex<Option<BridgeSlot>>>,
-    stop_bridge: AtomicBool,
     cache: Option<Mutex<ResultCache>>,
 }
 
@@ -182,12 +177,10 @@ impl Shared {
 pub struct ServiceHandle {
     shared: Arc<Shared>,
     workers: Mutex<Vec<JoinHandle<()>>>,
-    bridge: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl ServiceHandle {
-    /// Starts the worker pool and cancellation bridge; submissions are
-    /// picked up immediately.
+    /// Starts the worker pool; submissions are picked up immediately.
     pub fn start(config: ServiceConfig) -> Self {
         Self::start_inner(config, false)
     }
@@ -206,7 +199,6 @@ impl ServiceHandle {
             .result_cache_bytes
             .map(|b| Mutex::new(ResultCache::new(b)));
         let governor = MemGovernor::new(config.max_total_bytes);
-        let slots = (0..workers).map(|_| Mutex::new(None)).collect();
         let shared = Arc::new(Shared {
             config,
             queue: Mutex::new(QueueState {
@@ -227,8 +219,6 @@ impl ServiceHandle {
             done: Mutex::new(HashMap::new()),
             done_cv: Condvar::new(),
             governor,
-            slots,
-            stop_bridge: AtomicBool::new(false),
             cache,
         });
         let mut pool = Vec::with_capacity(workers);
@@ -237,19 +227,13 @@ impl ServiceHandle {
             pool.push(
                 thread::Builder::new()
                     .name(format!("sebmc-worker-{wid}"))
-                    .spawn(move || worker_loop(&sh, wid))
+                    .spawn(move || worker_loop(&sh))
                     .expect("spawn service worker"),
             );
         }
-        let sh = Arc::clone(&shared);
-        let bridge = thread::Builder::new()
-            .name("sebmc-bridge".into())
-            .spawn(move || bridge_loop(&sh))
-            .expect("spawn cancellation bridge");
         ServiceHandle {
             shared,
             workers: Mutex::new(pool),
-            bridge: Mutex::new(Some(bridge)),
         }
     }
 
@@ -312,16 +296,11 @@ impl ServiceHandle {
     /// unchanged).
     pub(crate) fn submit_at(
         &self,
-        mut job: Job,
+        job: Job,
         client: u64,
         submitted: Instant,
     ) -> Result<usize, SubmitError> {
         let shared = &self.shared;
-        if let Some(defaults) = &shared.config.retry_defaults {
-            if job.retry == RetryPolicy::default() {
-                job.retry = defaults.clone();
-            }
-        }
         // Fingerprinting walks the whole AIG — do it before taking the
         // queue lock.
         let cache_key = shared.cache.as_ref().map(|_| CacheKey {
@@ -503,10 +482,6 @@ impl ServiceHandle {
         for w in pool {
             let _ = w.join();
         }
-        self.shared.stop_bridge.store(true, Ordering::Relaxed);
-        if let Some(b) = lock_unpoisoned(&self.bridge).take() {
-            let _ = b.join();
-        }
         let mut left: Vec<JobReport> = lock_unpoisoned(&self.shared.done)
             .drain()
             .map(|(_, (_, r))| r)
@@ -528,7 +503,7 @@ impl Drop for ServiceHandle {
 /// pickup block (pop, duplicate merging, governor enrollment,
 /// per-client accounting) runs under the queue lock so scheduling
 /// decisions are atomic.
-fn worker_loop(shared: &Shared, wid: usize) {
+fn worker_loop(shared: &Shared) {
     let telemetry = shared.config.telemetry.as_deref();
     loop {
         let picked = {
@@ -608,13 +583,7 @@ fn worker_loop(shared: &Shared, wid: usize) {
         let byte_cap = picked.job.budget.max_formula_bytes;
         let priority = picked.job.priority;
         let report = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            process_job(
-                picked,
-                &shared.config,
-                &shared.slots[wid],
-                &shared.governor,
-                queue_wait,
-            )
+            process_job(picked, &shared.config, &shared.governor, queue_wait)
         }))
         .unwrap_or_else(|_| {
             let mut r = abort_report(
@@ -632,7 +601,6 @@ fn worker_loop(shared: &Shared, wid: usize) {
             r
         });
         shared.governor.release(id);
-        *lock_unpoisoned(&shared.slots[wid]) = None;
         let mut evicted = 0usize;
         if let (Some(cache), Some(key)) = (&shared.cache, cache_key) {
             evicted = lock_unpoisoned(cache).insert(key, &report);
@@ -653,8 +621,7 @@ fn worker_loop(shared: &Shared, wid: usize) {
             if report.quarantined {
                 t.metrics.jobs_quarantined.inc();
             }
-            if matches!(&report.verdict, sebmc::BmcResult::Unknown(r) if r == "shed: memory pressure")
-            {
+            if matches!(&report.verdict, sebmc::BmcResult::Unknown(r) if r == SHED_REASON) {
                 t.metrics.jobs_shed.inc();
             }
             t.metrics
@@ -690,25 +657,6 @@ fn worker_loop(shared: &Shared, wid: usize) {
         // Wake outstanding() watchers and fellow workers alike.
         shared.queue_cv.notify_all();
         shared.publish(client, report);
-    }
-}
-
-/// The cancellation bridge: every [`crate::BRIDGE_POLL`], fan service
-/// cancellations, per-job cancellations, and governor sheds into the
-/// running attempts' child tokens.
-fn bridge_loop(shared: &Shared) {
-    while !shared.stop_bridge.load(Ordering::Relaxed) {
-        let service_cancelled = shared.config.cancel.is_cancelled();
-        for slot in &shared.slots {
-            let guard = lock_unpoisoned(slot);
-            if let Some(s) = guard.as_ref() {
-                if service_cancelled || s.job_token.is_cancelled() || s.shed.load(Ordering::Relaxed)
-                {
-                    s.child.cancel();
-                }
-            }
-        }
-        thread::sleep(crate::BRIDGE_POLL);
     }
 }
 

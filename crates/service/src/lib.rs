@@ -47,21 +47,30 @@
 //!
 //! # Cancellation
 //!
-//! Three cooperative levels, all prompt (engines poll at their solver
-//! safe points):
+//! Cancellation is one tree of [`CancelToken`]s, all prompt (engines
+//! poll their own token's flag at their solver safe points):
 //!
-//! * **Per-bound** (internal): each raced bound runs on a fresh child
-//!   token so cancelling a bound's losers never kills their sessions.
+//! * **Whole-service**: [`ServiceConfig::cancel`]. Firing it stops
+//!   every running job at its next safe point and fails the rest of
+//!   the queue as `Unknown("service cancelled")`.
 //! * **Per-job**: the job's own [`Budget::cancel`](sebmc::Budget)
 //!   token. Keep a clone before submitting; firing it aborts the job
 //!   whether queued (reported `Unknown("cancelled")` without running)
 //!   or mid-solve.
-//! * **Whole-service**: [`ServiceConfig::cancel`]. Firing it stops
-//!   every running job at its next safe point and fails the rest of
-//!   the queue as `Unknown("service cancelled")`.
+//! * **Shed**: a per-job token the memory governor fires (see
+//!   *Degradation* below).
+//! * **Per-attempt**: every attempt runs on
+//!   [`CancelToken::child_of`] those three, so firing any of them
+//!   reaches the running solver before `cancel()` returns.
+//! * **Per-bound** (internal): each raced bound runs on a child of the
+//!   attempt's token, so cancelling a bound's losers never kills their
+//!   sessions.
 //!
-//! The service fires only its own child tokens — a job's token is read,
-//! never fired, so caller-held budgets stay reusable.
+//! A fired attempt token is explained by the first of shed, service
+//! and job token that fired; when none did, the attempt was cancelled
+//! spuriously and is retried. The service fires only tokens it owns —
+//! a job's token is read, never fired, so caller-held budgets stay
+//! reusable.
 //!
 //! # Degradation under memory pressure
 //!
@@ -123,7 +132,6 @@ pub use serve::{serve_on, ServeSummary};
 pub use spec::JobSpec;
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -137,11 +145,12 @@ use sebmc::{
 use sebmc_logic::fault::{FaultSite, FaultVerdict};
 use sebmc_model::Trace;
 
-/// How often the service's cancellation bridge polls job/service
-/// tokens while jobs are running.
-pub(crate) const BRIDGE_POLL: Duration = Duration::from_millis(2);
-/// How often a deferred job re-tries admission under memory pressure.
-const DEFER_POLL: Duration = Duration::from_millis(2);
+/// How long a deferred job sleeps before it re-tries admission under
+/// memory pressure, and a retry backoff before it looks at the job's
+/// tokens again.
+const WAIT_SLICE: Duration = Duration::from_millis(2);
+/// The report reason of a job stopped by the memory governor.
+pub(crate) const SHED_REASON: &str = "shed: memory pressure";
 /// Deferrals before a blocked portfolio job is downgraded to its first
 /// engine.
 const DOWNGRADE_AFTER_DEFERRALS: usize = 25;
@@ -188,10 +197,6 @@ pub struct ServiceConfig {
     /// The whole-service kill switch; keep a clone
     /// ([`CancelToken::clone`]) to stop the service from outside.
     pub cancel: CancelToken,
-    /// Retry/deadline policy applied at submission to every job whose
-    /// own policy is the default — per-job policies always win. `None`
-    /// leaves default-policy jobs untouched.
-    pub retry_defaults: Option<RetryPolicy>,
     /// Result-cache byte budget: decided verdicts are cached keyed on
     /// `(model fingerprint, semantics, bound, certify, reduce)` and
     /// duplicate submissions are answered without solving (see
@@ -230,7 +235,6 @@ impl ServiceConfig {
             witness_dir: None,
             proof_dir: None,
             cancel: CancelToken::new(),
-            retry_defaults: None,
             result_cache_bytes: None,
             max_queue_depth: None,
             priority_aging: DEFAULT_PRIORITY_AGING,
@@ -271,13 +275,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Returns `self` applying `policy` to every submitted job whose
-    /// retry policy is still the default.
-    pub fn with_retry_defaults(mut self, policy: RetryPolicy) -> Self {
-        self.retry_defaults = Some(policy);
-        self
-    }
-
     /// Returns `self` with a result cache of the given byte budget.
     pub fn with_result_cache_bytes(mut self, bytes: usize) -> Self {
         self.result_cache_bytes = Some(bytes);
@@ -311,15 +308,6 @@ impl Default for ServiceConfig {
             std::thread::available_parallelism().map_or(2, |n| n.get().min(4)),
         )
     }
-}
-
-/// A running attempt's tokens, registered with the cancellation
-/// bridge: fire `child` when the job's or the service's token fires,
-/// or when the memory governor sheds this job.
-pub(crate) struct BridgeSlot {
-    pub(crate) job_token: CancelToken,
-    pub(crate) child: CancelToken,
-    pub(crate) shed: Arc<AtomicBool>,
 }
 
 /// Aggregate-memory admission control (see the crate docs).
@@ -358,7 +346,7 @@ struct RunningJob {
     job_id: usize,
     seq: u64,
     reservation: usize,
-    shed: Arc<AtomicBool>,
+    shed: CancelToken,
 }
 
 impl MemGovernor {
@@ -383,7 +371,7 @@ impl MemGovernor {
     /// still-waiting ticket and the memory fits (or nothing else is
     /// running — a service that admits nothing is worse than one that
     /// briefly over-commits a clamped job).
-    fn try_admit(&self, job_id: usize, reservation: usize, shed: &Arc<AtomicBool>) -> bool {
+    fn try_admit(&self, job_id: usize, reservation: usize, shed: &CancelToken) -> bool {
         let Some(cap) = self.max_total else {
             return true;
         };
@@ -423,23 +411,19 @@ impl MemGovernor {
         }
     }
 
-    /// Last-resort load shedding: flags the *youngest* running job
-    /// (highest admission sequence) not already being shed. The bridge
-    /// fires its child token; its report becomes
-    /// `Unknown("shed: memory pressure")`.
-    pub(crate) fn shed_youngest(&self) -> bool {
+    /// Last-resort load shedding: fires the shed token of the
+    /// *youngest* running job (highest admission sequence) not already
+    /// being shed, and with it the job's running attempt; its report
+    /// becomes `Unknown("shed: memory pressure")`.
+    pub(crate) fn shed_youngest(&self) {
         let st = lock_unpoisoned(&self.state);
         let victim = st
             .running
             .iter()
-            .filter(|r| !r.shed.load(Ordering::Relaxed))
+            .filter(|r| !r.shed.is_cancelled())
             .max_by_key(|r| r.seq);
-        match victim {
-            Some(v) => {
-                v.shed.store(true, Ordering::Relaxed);
-                true
-            }
-            None => false,
+        if let Some(v) = victim {
+            v.shed.cancel();
         }
     }
 }
@@ -539,17 +523,15 @@ enum AttemptClass {
 pub(crate) fn process_job(
     mut q: PendingJob,
     config: &ServiceConfig,
-    slot: &Mutex<Option<BridgeSlot>>,
     governor: &MemGovernor,
     queue_wait: Duration,
 ) -> JobReport {
+    // Fired by the memory governor if it sheds this job.
+    let shed = CancelToken::new();
     // Cancelled while queued: reported (queue wait included), never
     // run, solve wall-clock zero.
-    if config.cancel.is_cancelled() {
-        return aborted(&q, "service cancelled", queue_wait, 0);
-    }
-    if q.job.budget.cancel.is_cancelled() {
-        return aborted(&q, "cancelled", queue_wait, 0);
+    if let Some(cause) = cancel_cause(&shed, &config.cancel, &q.job.budget.cancel) {
+        return aborted(&q, cause, queue_wait, 0);
     }
 
     let run_start = Instant::now();
@@ -580,7 +562,6 @@ pub(crate) fn process_job(
     };
 
     // --- Aggregate-memory admission: defer → downgrade → shed. ------
-    let shed = Arc::new(AtomicBool::new(false));
     let mut deferrals = 0usize;
     let mut downgraded = false;
     if let Some(total) = governor.max_total {
@@ -598,11 +579,8 @@ pub(crate) fn process_job(
                 reservation = per_session(byte_cap);
             }
             loop {
-                if config.cancel.is_cancelled() {
-                    return aborted(&q, "service cancelled", queue_wait, deferrals);
-                }
-                if q.job.budget.cancel.is_cancelled() {
-                    return aborted(&q, "cancelled", queue_wait, deferrals);
+                if let Some(cause) = cancel_cause(&shed, &config.cancel, &q.job.budget.cancel) {
+                    return aborted(&q, cause, queue_wait, deferrals);
                 }
                 if governor.try_admit(q.id, reservation, &shed) {
                     break;
@@ -619,7 +597,7 @@ pub(crate) fn process_job(
                 {
                     governor.shed_youngest();
                 }
-                thread::sleep(DEFER_POLL);
+                thread::sleep(WAIT_SLICE);
             }
         }
     }
@@ -667,17 +645,13 @@ pub(crate) fn process_job(
             resumed_from = Some(progress.next_bound);
         }
         // Cancellations/sheds that land between attempts are final.
-        if shed.load(Ordering::Relaxed) {
-            if let Some(t) = &config.telemetry {
-                t.trace("shed", &[("job", id.into()), ("attempt", attempt.into())]);
+        if let Some(cause) = cancel_cause(&shed, &config.cancel, &job.budget.cancel) {
+            if cause == SHED_REASON {
+                if let Some(t) = &config.telemetry {
+                    t.trace("shed", &[("job", id.into()), ("attempt", attempt.into())]);
+                }
             }
-            break BmcResult::Unknown("shed: memory pressure".into());
-        }
-        if config.cancel.is_cancelled() {
-            break BmcResult::Unknown("service cancelled".into());
-        }
-        if job.budget.cancel.is_cancelled() {
-            break BmcResult::Unknown("cancelled".into());
+            break BmcResult::Unknown(cause.into());
         }
         // The attempt runs under whatever the *original* budget has
         // left: retries carry forward consumed wall clock, so a job's
@@ -711,13 +685,8 @@ pub(crate) fn process_job(
             }
         }
 
-        let child = CancelToken::new();
-        *lock_unpoisoned(slot) = Some(BridgeSlot {
-            job_token: job.budget.cancel_token(),
-            child: child.clone(),
-            shed: shed.clone(),
-        });
-        let mut budget = job.budget.clone().with_cancel(child.clone());
+        let attempt_cancel = CancelToken::child_of(&[&config.cancel, &job.budget.cancel, &shed]);
+        let mut budget = job.budget.clone().with_cancel(attempt_cancel);
         budget.max_formula_bytes = byte_cap;
         budget.timeout = attempt_timeout;
         budget.proof_out = proof_out.clone();
@@ -749,7 +718,6 @@ pub(crate) fn process_job(
             DeepeningPortfolio::start(&job.model, job.semantics, built, budget.clone())
                 .sweep(&mut progress, job.max_bound)
         }));
-        *lock_unpoisoned(slot) = None;
         let attempt_elapsed = attempt_start.elapsed();
         consumed += attempt_elapsed;
 
@@ -758,9 +726,7 @@ pub(crate) fn process_job(
             Ok(BmcResult::Unreachable) => AttemptClass::Final(BmcResult::Unreachable),
             Ok(BmcResult::Unknown(r)) => classify_unknown(
                 r,
-                &shed,
-                config,
-                &job,
+                cancel_cause(&shed, &config.cancel, &job.budget.cancel),
                 attempt_clipped,
                 deadline_clipped,
                 attempt_elapsed,
@@ -834,17 +800,14 @@ pub(crate) fn process_job(
                 }
                 let end = Instant::now() + pause;
                 loop {
-                    if job.budget.cancel.is_cancelled()
-                        || config.cancel.is_cancelled()
-                        || shed.load(Ordering::Relaxed)
-                    {
+                    if cancel_cause(&shed, &config.cancel, &job.budget.cancel).is_some() {
                         break;
                     }
                     let left = end.saturating_duration_since(Instant::now());
                     if left.is_zero() {
                         break;
                     }
-                    thread::sleep(left.min(BRIDGE_POLL));
+                    thread::sleep(left.min(WAIT_SLICE));
                 }
             }
         }
@@ -914,34 +877,40 @@ pub(crate) fn process_job(
     }
 }
 
+/// Why a job's tokens stopped it, or `None` if none of them fired. A
+/// shed explains a stop before a service cancellation, and both before
+/// the job's own token.
+fn cancel_cause(
+    shed: &CancelToken,
+    service: &CancelToken,
+    job: &CancelToken,
+) -> Option<&'static str> {
+    [
+        (shed, SHED_REASON),
+        (service, "service cancelled"),
+        (job, "cancelled"),
+    ]
+    .into_iter()
+    .find_map(|(token, cause)| token.is_cancelled().then_some(cause))
+}
+
 /// Sorts an attempt's `Unknown` into final verdicts vs retryable
-/// failures. Order matters: a shed or an external cancellation
-/// *explains* a fired child token; only an unexplained one is the
-/// injected/spurious kind worth retrying.
-#[allow(clippy::too_many_arguments)]
+/// failures, given the [`cancel_cause`] of the job's tokens.
 fn classify_unknown(
     reason: String,
-    shed: &Arc<AtomicBool>,
-    config: &ServiceConfig,
-    job: &Job,
+    cause: Option<&'static str>,
     attempt_clipped: bool,
     deadline_clipped: bool,
     attempt_elapsed: Duration,
     attempt_timeout: Option<Duration>,
 ) -> AttemptClass {
     if reason == "cancelled" {
-        if shed.load(Ordering::Relaxed) {
-            return AttemptClass::Final(BmcResult::Unknown("shed: memory pressure".into()));
-        }
-        if config.cancel.is_cancelled() {
-            return AttemptClass::Final(BmcResult::Unknown("service cancelled".into()));
-        }
-        if job.budget.cancel.is_cancelled() {
-            return AttemptClass::Final(BmcResult::Unknown("cancelled".into()));
-        }
-        // The attempt's child token fired, but nobody legitimate fired
-        // it: a spurious (injected or stray) cancellation.
-        return AttemptClass::Retry("spurious cancellation".into());
+        return match cause {
+            Some(cause) => AttemptClass::Final(BmcResult::Unknown(cause.into())),
+            // The attempt's token fired, but none of its parents did: a
+            // spurious (injected or stray) cancellation.
+            None => AttemptClass::Retry("spurious cancellation".into()),
+        };
     }
     if reason == "budget exhausted" {
         if deadline_clipped {

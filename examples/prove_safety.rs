@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use sebmc_repro::bmc::{k_induction, Budget, InductionResult};
+use sebmc_repro::bmc::{k_induction_run, Budget, InductionResult};
 use sebmc_repro::model::builders::{peterson, traffic_light};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
             model.num_state_vars()
         );
         let start = Instant::now();
-        match k_induction(&model, 32, &Budget::none()) {
+        match k_induction_run(&model, 32, &Budget::none()).result {
             InductionResult::Proved { k } => {
                 println!(
                     "  PROVED safe at every depth — induction depth {k}, {:?}\n",

@@ -1,8 +1,11 @@
 //! Portfolio-level deepening: per-bound races over live engine
 //! sessions (`DeepeningPortfolio`) — verdict agreement against the
-//! explicit-state oracle, loser-cancellation promptness, and honest
+//! explicit-state oracle, loser-cancellation promptness, the caller's
+//! cancellation reaching the racers through the token tree, and honest
 //! loser-stats accounting.
 
+use std::sync::{mpsc, Barrier};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use sebmc_repro::bmc::{
@@ -157,6 +160,91 @@ fn losers_are_cancelled_promptly_and_survive_across_bounds() {
     // Three races → the *same* slow session made three checks (a fresh
     // session per bound would report one).
     assert_eq!(slow_effort, 3, "loser session survived");
+}
+
+/// An engine whose sessions hand every token they are armed with to
+/// the test, then wait for it to fire.
+struct ArmedEngine(mpsc::Sender<CancelToken>);
+struct ArmedSession {
+    armed: mpsc::Sender<CancelToken>,
+    cancel: CancelToken,
+}
+
+impl Engine for ArmedEngine {
+    fn name(&self) -> &'static str {
+        "armed"
+    }
+    fn start(&self, _m: &Model, _s: Semantics, budget: Budget) -> Box<dyn Session> {
+        Box::new(ArmedSession {
+            armed: self.0.clone(),
+            cancel: budget.cancel,
+        })
+    }
+}
+
+impl Session for ArmedSession {
+    fn name(&self) -> &'static str {
+        "armed"
+    }
+    fn semantics(&self) -> Semantics {
+        Semantics::Exactly
+    }
+    fn check_bound(&mut self, _k: usize) -> BmcOutcome {
+        while !self.cancel.is_cancelled() {
+            thread::sleep(Duration::from_millis(1));
+        }
+        BmcOutcome::unknown("cancelled", RunStats::default())
+    }
+    fn set_cancel(&mut self, token: CancelToken) {
+        self.armed.send(token.clone()).expect("the test listens");
+        self.cancel = token;
+    }
+    fn cumulative_stats(&self) -> RunStats {
+        RunStats::default()
+    }
+}
+
+/// A race token is a child of the caller's token, so the caller's
+/// `cancel()` has reached every racer's token by the time it returns.
+#[test]
+fn the_callers_cancel_reaches_every_racer_before_it_returns() {
+    let (tx, rx) = mpsc::channel();
+    let budget = Budget::none();
+    let caller = budget.cancel_token();
+    let engines: Vec<Box<dyn Engine + Send>> =
+        vec![Box::new(ArmedEngine(tx.clone())), Box::new(ArmedEngine(tx))];
+    let mut p = DeepeningPortfolio::start(&token_ring(4), Semantics::Exactly, engines, budget);
+    thread::scope(|s| {
+        let race = s.spawn(|| p.check_bound(0));
+        let armed: Vec<CancelToken> = (0..2).map(|_| rx.recv().expect("racer armed")).collect();
+        assert!(armed.iter().all(|t| !t.is_cancelled()));
+        caller.cancel();
+        for (i, token) in armed.iter().enumerate() {
+            assert!(token.is_cancelled(), "racer {i} still armed after cancel()");
+        }
+        let out = race.join().expect("race thread");
+        assert_eq!(*out.verdict(), BmcResult::Unknown("cancelled".into()));
+    });
+}
+
+/// Race tokens made while another thread fires their parent all end
+/// fired: each is either reached by the fire or starts fired.
+#[test]
+fn children_made_while_the_parent_fires_all_end_fired() {
+    let parent = CancelToken::new();
+    let start = Barrier::new(2);
+    let children = thread::scope(|s| {
+        let maker = s.spawn(|| {
+            start.wait();
+            (0..2_000)
+                .map(|_| CancelToken::child_of(&[&parent]))
+                .collect::<Vec<_>>()
+        });
+        start.wait();
+        parent.cancel();
+        maker.join().expect("maker thread")
+    });
+    assert!(children.iter().all(CancelToken::is_cancelled));
 }
 
 /// Racing effort is accounted honestly end-to-end: a service job run
