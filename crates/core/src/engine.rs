@@ -431,7 +431,9 @@ pub struct RunStats {
     /// watch-list storage plus its per-literal range table — reported
     /// alongside `peak_formula_bytes` so the paper's memory accounting
     /// covers the whole clause database, not just the clauses. 0 for
-    /// QBF engines (their matrices carry no watch structures).
+    /// QBF engines: QDPLL keeps no watch lists, and the expansion
+    /// back-end's last copy, which is solved by CDCL, is not counted
+    /// yet.
     pub peak_watch_bytes: usize,
     /// Exact bytes of binary-DRAT proof stream emitted so far (0
     /// unless [`Budget::certify`] is on and the engine logs proofs).

@@ -222,15 +222,6 @@ impl Aig {
         acc
     }
 
-    /// Disjunction of all references in `refs` (false if empty).
-    pub fn or_many(&mut self, refs: &[AigRef]) -> AigRef {
-        let mut acc = AigRef::FALSE;
-        for &r in refs {
-            acc = self.or(acc, r);
-        }
-        acc
-    }
-
     /// Word equality: `⋀ aᵢ ↔ bᵢ`.
     ///
     /// # Panics
@@ -562,16 +553,12 @@ mod tests {
     fn and_many_or_many_edge_cases() {
         let mut aig = Aig::new();
         assert_eq!(aig.and_many(&[]), AigRef::TRUE);
-        assert_eq!(aig.or_many(&[]), AigRef::FALSE);
         let a = aig.input();
         let b = aig.input();
         let c = aig.input();
         let f = aig.and_many(&[a, b, c]);
         assert!(aig.eval(&[true, true, true], &[f])[0]);
         assert!(!aig.eval(&[true, false, true], &[f])[0]);
-        let g = aig.or_many(&[a, b, c]);
-        assert!(aig.eval(&[false, false, true], &[g])[0]);
-        assert!(!aig.eval(&[false, false, false], &[g])[0]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::lit::{Lit, Var};
+use crate::lit::Lit;
 
 /// A disjunction of literals.
 ///
@@ -265,21 +265,6 @@ impl Cnf {
         }
         n == 0 && self.clauses.iter().all(|c| !c.is_empty())
     }
-
-    /// Returns the set of variables that occur in some clause.
-    pub fn occurring_vars(&self) -> Vec<Var> {
-        let mut seen = vec![false; self.num_vars];
-        for c in self.iter() {
-            for l in c {
-                seen[l.var().index()] = true;
-            }
-        }
-        seen.iter()
-            .enumerate()
-            .filter(|(_, &s)| s)
-            .map(|(i, _)| Var::new(i as u32))
-            .collect()
-    }
 }
 
 impl fmt::Debug for Cnf {
@@ -407,15 +392,6 @@ mod tests {
         a.append(&b);
         assert_eq!(a.num_clauses(), 2);
         assert_eq!(a.num_vars(), 2);
-    }
-
-    #[test]
-    fn occurring_vars_reports_used_only() {
-        let mut cnf = Cnf::with_vars(6);
-        cnf.add_binary(lit(1, true), lit(4, false));
-        let occ = cnf.occurring_vars();
-        assert_eq!(occ, vec![Var::new(1), Var::new(4)]);
-        assert_eq!(cnf.num_vars(), 6);
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// Whether this is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
-    }
 }
 
 impl fmt::Display for Json {
@@ -458,7 +453,7 @@ mod tests {
         let arr = v.get("a").and_then(Json::as_arr).unwrap();
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[0].as_u64(), Some(1));
-        assert!(arr[2].get("b").unwrap().is_null());
+        assert_eq!(arr[2].get("b"), Some(&Json::Null));
         assert!(v.get("missing").is_none());
     }
 

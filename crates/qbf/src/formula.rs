@@ -172,27 +172,38 @@ impl QbfFormula {
         self.prefix.len().saturating_sub(1)
     }
 
-    /// Checks structural sanity: no variable bound twice, every matrix
-    /// variable bound. Returns a description of the first violation.
+    /// Checks structural sanity: every bound variable declared, no
+    /// variable bound twice, every matrix variable bound. Returns a
+    /// description of the first violation in that order, naming the
+    /// lowest offending variable of its kind.
+    ///
+    /// Works on a sorted copy of the prefix's variables, so it
+    /// allocates in proportion to the prefix and never to the declared
+    /// variable count (a QDIMACS header alone sets that count).
     pub fn validate(&self) -> Result<(), String> {
-        let mut seen = vec![false; self.matrix.num_vars()];
-        for b in &self.prefix {
-            for v in &b.vars {
-                if v.index() >= seen.len() {
-                    return Err(format!("prefix binds unknown variable {v}"));
-                }
-                if seen[v.index()] {
-                    return Err(format!("variable {v} bound twice"));
-                }
-                seen[v.index()] = true;
-            }
+        let mut bound: Vec<Var> = self
+            .prefix
+            .iter()
+            .flat_map(|b| b.vars.iter().copied())
+            .collect();
+        bound.sort_unstable();
+        if let Some(v) = bound.iter().find(|v| v.index() >= self.matrix.num_vars()) {
+            return Err(format!("prefix binds unknown variable {v}"));
         }
-        for v in self.matrix.occurring_vars() {
-            if !seen[v.index()] {
-                return Err(format!("matrix variable {v} is unbound"));
-            }
+        if let Some(pair) = bound.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(format!("variable {} bound twice", pair[0]));
         }
-        Ok(())
+        let unbound = self
+            .matrix
+            .iter()
+            .flatten()
+            .map(|l| l.var())
+            .filter(|v| bound.binary_search(v).is_err())
+            .min();
+        match unbound {
+            Some(v) => Err(format!("matrix variable {v} is unbound")),
+            None => Ok(()),
+        }
     }
 
     /// Semantic truth of the QBF by exhaustive two-player evaluation.

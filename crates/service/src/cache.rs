@@ -66,9 +66,6 @@ pub struct ResultCache {
     entries: HashMap<CacheKey, Entry>,
     used_bytes: usize,
     tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 /// Estimated in-memory footprint of a cached report: strings, winners,
@@ -99,9 +96,6 @@ impl ResultCache {
             entries: HashMap::new(),
             used_bytes: 0,
             tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
@@ -120,16 +114,6 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// `(hits, misses)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Entries evicted to make room, since construction.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
     /// Whether this report is eligible for caching: a decided verdict
     /// from an untroubled (not quarantined, not shed) run.
     pub fn cacheable(report: &JobReport) -> bool {
@@ -143,28 +127,13 @@ impl ResultCache {
     /// Looks the key up; on a hit, returns the cached report re-keyed
     /// for the new submission (`job_id`/`name` replaced, `cached` set,
     /// solver effort and duration zeroed, queue/solve wall-clock
-    /// zeroed).
+    /// zeroed). Counts nothing: the service counts each job once, as a
+    /// hit where the cache answers it and as a miss where a worker
+    /// runs it.
     pub fn lookup(&mut self, key: &CacheKey, job_id: usize, name: &str) -> Option<JobReport> {
-        let hit = self.lookup_hit(key, job_id, name);
-        if hit.is_none() {
-            self.misses += 1;
-        }
-        hit
-    }
-
-    /// [`ResultCache::lookup`] that counts a hit but not a miss, for a
-    /// caller that looks again before the job runs: the service counts
-    /// each job once, as a miss only when a worker runs it.
-    pub(crate) fn lookup_hit(
-        &mut self,
-        key: &CacheKey,
-        job_id: usize,
-        name: &str,
-    ) -> Option<JobReport> {
         self.tick += 1;
         let e = self.entries.get_mut(key)?;
         e.last_used = self.tick;
-        self.hits += 1;
         let mut r = e.report.clone();
         r.job_id = job_id;
         r.name = name.to_string();
@@ -204,7 +173,6 @@ impl ResultCache {
             };
             let evicted = self.entries.remove(&victim).expect("victim present");
             self.used_bytes -= evicted.bytes;
-            self.evictions += 1;
             evicted_now += 1;
         }
         let mut stored = report.clone();
@@ -283,7 +251,6 @@ mod tests {
         assert_eq!(hit.stats.solver_effort, 0, "no solver effort on a hit");
         assert_eq!(hit.stats.peak_formula_bytes, 1234, "cold-run peaks kept");
         assert_eq!(hit.bounds_checked, 7);
-        assert_eq!(c.stats(), (1, 0));
     }
 
     #[test]
@@ -300,7 +267,6 @@ mod tests {
         let mut k = key(1);
         k.certify = true;
         assert!(c.lookup(&k, 1, "x").is_none(), "certify differs");
-        assert_eq!(c.stats(), (0, 4));
     }
 
     #[test]
@@ -327,7 +293,6 @@ mod tests {
         // Touch key 1 so key 2 is the LRU victim.
         assert!(c.lookup(&key(1), 9, "touch").is_some());
         assert_eq!(c.insert(key(3), &decided(3)), 1, "one entry evicted");
-        assert_eq!(c.evictions(), 1);
         assert_eq!(c.len(), 2);
         assert!(c.used_bytes() <= c.max_total_bytes, "accounting holds");
         assert!(c.lookup(&key(2), 9, "gone").is_none(), "LRU evicted");

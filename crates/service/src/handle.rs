@@ -112,12 +112,6 @@ struct QueueState {
     /// Cache keys on a worker now, each with the duplicates picked up
     /// meanwhile, which wait for its verdict.
     running_keys: HashMap<CacheKey, Vec<PendingJob>>,
-    /// Highest pending-queue depth ever observed (always tracked, so
-    /// [`crate::ServiceReport`] can publish it with or without
-    /// telemetry).
-    high_water: usize,
-    /// Queue pops by *effective* (post-aging) priority level 0..=9.
-    pops: [u64; 10],
 }
 
 impl QueueState {
@@ -153,18 +147,26 @@ impl Shared {
     /// hit.
     fn answer_from_cache(&self, client: u64, priority: u8, mut hit: JobReport) {
         hit.priority = priority;
-        if let Some(t) = self.config.telemetry.as_deref() {
-            t.metrics.jobs_cached.inc();
-            t.metrics.cache_hits.inc();
-            t.trace(
-                "cache_hit",
-                &[
-                    ("job", hit.job_id.into()),
-                    ("name", hit.name.as_str().into()),
-                ],
-            );
-        }
+        let t = &self.config.telemetry;
+        t.metrics.jobs_cached.inc();
+        t.metrics.cache_hits.inc();
+        t.trace(
+            "cache_hit",
+            &[
+                ("job", hit.job_id.into()),
+                ("name", hit.name.as_str().into()),
+            ],
+        );
         self.publish(client, hit);
+    }
+
+    /// Records the pending queue's depth after a push or a pop. Every
+    /// change happens under the queue lock, so the gauge is exact.
+    fn note_depth(&self, st: &QueueState) {
+        let metrics = &self.config.telemetry.metrics;
+        let depth = st.pending.len() as u64;
+        metrics.queue_depth.set(depth);
+        metrics.queue_depth_high_water.set_max(depth);
     }
 }
 
@@ -212,8 +214,6 @@ impl ServiceHandle {
                 running: HashMap::new(),
                 in_flight: 0,
                 running_keys: HashMap::new(),
-                high_water: 0,
-                pops: [0; 10],
             }),
             queue_cv: Condvar::new(),
             done: Mutex::new(HashMap::new()),
@@ -310,49 +310,40 @@ impl ServiceHandle {
             certify: job.budget.certify,
             reduce: job.budget.reduce,
         });
-        let telemetry = shared.config.telemetry.as_deref();
+        let t = &shared.config.telemetry;
         let mut st = lock_unpoisoned(&shared.queue);
         if !st.accepting {
-            if let Some(t) = telemetry {
-                t.metrics.jobs_rejected.inc();
-            }
+            t.metrics.jobs_rejected.inc();
             return Err(SubmitError::ShuttingDown(Box::new(job)));
         }
         if let Some(depth) = shared.config.max_queue_depth {
             if st.pending.len() >= depth {
-                if let Some(t) = telemetry {
-                    t.metrics.jobs_rejected.inc();
-                }
+                t.metrics.jobs_rejected.inc();
                 return Err(SubmitError::Overloaded(Box::new(job)));
             }
         }
         let id = st.next_id;
         st.next_id += 1;
+        t.metrics.jobs_submitted.inc();
         // A miss is not counted here: the job looks again at pickup.
         if let (Some(cache), Some(key)) = (&shared.cache, &cache_key) {
-            if let Some(hit) = lock_unpoisoned(cache).lookup_hit(key, id, &job.name) {
+            if let Some(hit) = lock_unpoisoned(cache).lookup(key, id, &job.name) {
                 drop(st);
-                if let Some(t) = telemetry {
-                    t.metrics.jobs_submitted.inc();
-                }
                 shared.answer_from_cache(client, job.priority, hit);
                 return Ok(id);
             }
         }
         let seq = st.next_seq;
         st.next_seq += 1;
-        if let Some(t) = telemetry {
-            t.metrics.jobs_submitted.inc();
-            t.trace(
-                "submit",
-                &[
-                    ("job", id.into()),
-                    ("name", job.name.as_str().into()),
-                    ("priority", u64::from(job.priority).into()),
-                    ("client", client.into()),
-                ],
-            );
-        }
+        t.trace(
+            "submit",
+            &[
+                ("job", id.into()),
+                ("name", job.name.as_str().into()),
+                ("priority", u64::from(job.priority).into()),
+                ("client", client.into()),
+            ],
+        );
         st.pending.push(PendingJob {
             id,
             job,
@@ -361,12 +352,7 @@ impl ServiceHandle {
             seq,
             cache_key,
         });
-        let depth = st.pending.len();
-        st.high_water = st.high_water.max(depth);
-        if let Some(t) = telemetry {
-            t.metrics.queue_depth.set(depth as u64);
-            t.metrics.queue_depth_high_water.set_max(depth as u64);
-        }
+        shared.note_depth(&st);
         drop(st);
         self.shared.queue_cv.notify_all();
         Ok(id)
@@ -445,20 +431,27 @@ impl ServiceHandle {
         lock_unpoisoned(&self.shared.queue).accepting
     }
 
-    /// `(hits, misses)` of the result cache, `None` when disabled.
+    /// `(hits, misses)` of the result cache, read from
+    /// [`ServiceConfig::telemetry`]'s `cache_hits` and `cache_misses`;
+    /// `None` when the cache is disabled.
     pub fn cache_stats(&self) -> Option<(u64, u64)> {
+        let metrics = &self.shared.config.telemetry.metrics;
         self.shared
             .cache
             .as_ref()
-            .map(|c| lock_unpoisoned(c).stats())
+            .map(|_| (metrics.cache_hits.get(), metrics.cache_misses.get()))
     }
 
-    /// Queue scheduling telemetry: the pending-queue's high-water mark
-    /// and per-effective-priority pop counts (always tracked,
-    /// independent of [`ServiceConfig::telemetry`]).
+    /// Queue scheduling telemetry, read from
+    /// [`ServiceConfig::telemetry`]: the pending queue's high-water
+    /// mark (`queue_depth_high_water`) and the pops per effective
+    /// priority level (`queue_pops`).
     pub fn queue_telemetry(&self) -> (usize, [u64; 10]) {
-        let st = lock_unpoisoned(&self.shared.queue);
-        (st.high_water, st.pops)
+        let metrics = &self.shared.config.telemetry.metrics;
+        (
+            metrics.queue_depth_high_water.get() as usize,
+            std::array::from_fn(|level| metrics.queue_pops[level].get()),
+        )
     }
 
     /// Stops the service and returns every finished-but-uncollected
@@ -504,7 +497,7 @@ impl Drop for ServiceHandle {
 /// per-client accounting) runs under the queue lock so scheduling
 /// decisions are atomic.
 fn worker_loop(shared: &Shared) {
-    let telemetry = shared.config.telemetry.as_deref();
+    let t = &shared.config.telemetry;
     loop {
         let picked = {
             let mut st = lock_unpoisoned(&shared.queue);
@@ -527,19 +520,16 @@ fn worker_loop(shared: &Shared) {
                     continue;
                 };
                 let eff = p.effective_priority(now, shared.config.priority_aging);
-                st.pops[usize::from(eff)] += 1;
-                if let Some(t) = telemetry {
-                    t.metrics.queue_pops[usize::from(eff)].inc();
-                    t.metrics.queue_depth.set(st.pending.len() as u64);
-                    t.trace(
-                        "pop",
-                        &[
-                            ("job", p.id.into()),
-                            ("client", p.client.into()),
-                            ("eff_priority", u64::from(eff).into()),
-                        ],
-                    );
-                }
+                t.metrics.queue_pops[usize::from(eff)].inc();
+                shared.note_depth(&st);
+                t.trace(
+                    "pop",
+                    &[
+                        ("job", p.id.into()),
+                        ("client", p.client.into()),
+                        ("eff_priority", u64::from(eff).into()),
+                    ],
+                );
                 if let (Some(cache), Some(key)) = (&shared.cache, p.cache_key) {
                     if let Some(waiting) = st.running_keys.get_mut(&key) {
                         waiting.push(p);
@@ -550,18 +540,14 @@ fn worker_loop(shared: &Shared) {
                         continue;
                     }
                     st.running_keys.insert(key, Vec::new());
-                    if let Some(t) = telemetry {
-                        t.metrics.cache_misses.inc();
-                    }
+                    t.metrics.cache_misses.inc();
                 }
                 let ticket = st.next_ticket;
                 st.next_ticket += 1;
                 shared.governor.enroll(p.id, ticket);
                 *st.running.entry(p.client).or_insert(0) += 1;
                 st.in_flight += 1;
-                if let Some(t) = telemetry {
-                    t.metrics.jobs_in_flight.add(1);
-                }
+                t.metrics.jobs_in_flight.add(1);
                 break p;
             }
         };
@@ -605,35 +591,33 @@ fn worker_loop(shared: &Shared) {
         if let (Some(cache), Some(key)) = (&shared.cache, cache_key) {
             evicted = lock_unpoisoned(cache).insert(key, &report);
         }
-        if let Some(t) = telemetry {
-            t.metrics.jobs_completed.inc();
-            t.metrics.jobs_in_flight.sub(1);
-            t.metrics.cache_evictions.add(evicted as u64);
-            t.metrics
-                .queue_wait_ms
-                .record(queue_wait.as_millis() as u64);
-            t.metrics
-                .solve_latency_ms
-                .record(report.solve_time.as_millis() as u64);
-            t.metrics
-                .jobs_retried
-                .add(u64::from(report.attempts.saturating_sub(1)));
-            if report.quarantined {
-                t.metrics.jobs_quarantined.inc();
-            }
-            if matches!(&report.verdict, sebmc::BmcResult::Unknown(r) if r == SHED_REASON) {
-                t.metrics.jobs_shed.inc();
-            }
-            t.metrics
-                .peak_arena_bytes
-                .set_max(report.stats.peak_formula_bytes as u64);
-            t.metrics
-                .peak_watch_bytes
-                .set_max(report.stats.peak_watch_bytes as u64);
-            t.metrics
-                .peak_proof_bytes
-                .set_max(report.stats.peak_proof_bytes as u64);
+        t.metrics.jobs_completed.inc();
+        t.metrics.jobs_in_flight.sub(1);
+        t.metrics.cache_evictions.add(evicted as u64);
+        t.metrics
+            .queue_wait_ms
+            .record(queue_wait.as_millis() as u64);
+        t.metrics
+            .solve_latency_ms
+            .record(report.solve_time.as_millis() as u64);
+        t.metrics
+            .jobs_retried
+            .add(u64::from(report.attempts.saturating_sub(1)));
+        if report.quarantined {
+            t.metrics.jobs_quarantined.inc();
         }
+        if matches!(&report.verdict, sebmc::BmcResult::Unknown(r) if r == SHED_REASON) {
+            t.metrics.jobs_shed.inc();
+        }
+        t.metrics
+            .peak_arena_bytes
+            .set_max(report.stats.peak_formula_bytes as u64);
+        t.metrics
+            .peak_watch_bytes
+            .set_max(report.stats.peak_watch_bytes as u64);
+        t.metrics
+            .peak_proof_bytes
+            .set_max(report.stats.peak_proof_bytes as u64);
         {
             let mut st = lock_unpoisoned(&shared.queue);
             if let Some(n) = st.running.get_mut(&client) {
@@ -647,11 +631,12 @@ fn worker_loop(shared: &Shared) {
             // the cache, or queued again when it holds no verdict.
             if let (Some(cache), Some(key)) = (&shared.cache, cache_key) {
                 for w in st.running_keys.remove(&key).unwrap_or_default() {
-                    match lock_unpoisoned(cache).lookup_hit(&key, w.id, &w.job.name) {
+                    match lock_unpoisoned(cache).lookup(&key, w.id, &w.job.name) {
                         Some(hit) => shared.answer_from_cache(w.client, w.job.priority, hit),
                         None => st.pending.push(w),
                     }
                 }
+                shared.note_depth(&st);
             }
         }
         // Wake outstanding() watchers and fellow workers alike.

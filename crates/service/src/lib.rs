@@ -213,12 +213,14 @@ pub struct ServiceConfig {
     /// wait, so low-priority jobs cannot starve behind a stream of
     /// high-priority traffic.
     pub priority_aging: Duration,
-    /// Shared telemetry: metrics counters at every queue/cache/worker
-    /// transition, optional JSONL span tracing, and solver progress
-    /// sinks installed on every attempt's budget. `None` (the default)
-    /// records nothing — every instrumentation site is one `Option`
-    /// branch.
-    pub telemetry: Option<Arc<Telemetry>>,
+    /// The service's only counter store: its metrics registry counts
+    /// every queue, cache and worker transition and the solver progress
+    /// of every attempt, and its trace sink, when it has one, records
+    /// span events. [`ServiceConfig::with_workers`] installs a
+    /// metrics-only [`Telemetry::new`], so each config counts apart;
+    /// two handles that share one `Telemetry` (a cloned config, or one
+    /// instance passed to both) sum their counts.
+    pub telemetry: Arc<Telemetry>,
 }
 
 /// Default [`ServiceConfig::priority_aging`]: one level per 250 ms
@@ -238,7 +240,7 @@ impl ServiceConfig {
             result_cache_bytes: None,
             max_queue_depth: None,
             priority_aging: DEFAULT_PRIORITY_AGING,
-            telemetry: None,
+            telemetry: Arc::new(Telemetry::new()),
         }
     }
 
@@ -295,9 +297,12 @@ impl ServiceConfig {
         self
     }
 
-    /// Returns `self` recording into the given telemetry instance.
+    /// Returns `self` counting into `telemetry` instead of its own
+    /// metrics-only instance: pass one with a trace sink
+    /// ([`Telemetry::with_trace_file`]) to record span events, or keep
+    /// a clone to read the registry from outside the handle.
     pub fn with_telemetry(mut self, telemetry: Arc<Telemetry>) -> Self {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
         self
     }
 }
@@ -526,6 +531,7 @@ pub(crate) fn process_job(
     governor: &MemGovernor,
     queue_wait: Duration,
 ) -> JobReport {
+    let telemetry = &config.telemetry;
     // Fired by the memory governor if it sheds this job.
     let shed = CancelToken::new();
     // Cancelled while queued: reported (queue wait included), never
@@ -647,9 +653,7 @@ pub(crate) fn process_job(
         // Cancellations/sheds that land between attempts are final.
         if let Some(cause) = cancel_cause(&shed, &config.cancel, &job.budget.cancel) {
             if cause == SHED_REASON {
-                if let Some(t) = &config.telemetry {
-                    t.trace("shed", &[("job", id.into()), ("attempt", attempt.into())]);
-                }
+                telemetry.trace("shed", &[("job", id.into()), ("attempt", attempt.into())]);
             }
             break BmcResult::Unknown(cause.into());
         }
@@ -693,17 +697,15 @@ pub(crate) fn process_job(
         // The service attempt dispatch is the third progress safe
         // point: every attempt's budget reports into the shared
         // telemetry (solver polls, engine bound transitions).
-        if let Some(t) = &config.telemetry {
-            budget.progress = t.progress_handle();
-            t.trace(
-                "attempt_start",
-                &[
-                    ("job", id.into()),
-                    ("attempt", attempt.into()),
-                    ("resume_bound", progress.next_bound.into()),
-                ],
-            );
-        }
+        budget.progress = telemetry.progress_handle();
+        telemetry.trace(
+            "attempt_start",
+            &[
+                ("job", id.into()),
+                ("attempt", attempt.into()),
+                ("resume_bound", progress.next_bound.into()),
+            ],
+        );
 
         let attempt_start = Instant::now();
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -739,30 +741,26 @@ pub(crate) fn process_job(
         };
         match class {
             AttemptClass::Final(v) => {
-                if let Some(t) = &config.telemetry {
-                    t.trace(
-                        "attempt_end",
-                        &[
-                            ("job", id.into()),
-                            ("attempt", attempt.into()),
-                            ("outcome", "final".into()),
-                        ],
-                    );
-                }
+                telemetry.trace(
+                    "attempt_end",
+                    &[
+                        ("job", id.into()),
+                        ("attempt", attempt.into()),
+                        ("outcome", "final".into()),
+                    ],
+                );
                 break v;
             }
             AttemptClass::Retry(reason) => {
-                if let Some(t) = &config.telemetry {
-                    t.trace(
-                        "attempt_end",
-                        &[
-                            ("job", id.into()),
-                            ("attempt", attempt.into()),
-                            ("outcome", "retry".into()),
-                            ("reason", reason.as_str().into()),
-                        ],
-                    );
-                }
+                telemetry.trace(
+                    "attempt_end",
+                    &[
+                        ("job", id.into()),
+                        ("attempt", attempt.into()),
+                        ("outcome", "retry".into()),
+                        ("reason", reason.as_str().into()),
+                    ],
+                );
                 failures.push(FailureReport {
                     attempt,
                     bound_reached: progress.last_decided(),
@@ -774,30 +772,26 @@ pub(crate) fn process_job(
                     // failure's reason becomes the verdict; nothing is
                     // dropped.
                     quarantined = true;
-                    if let Some(t) = &config.telemetry {
-                        t.trace(
-                            "quarantine",
-                            &[
-                                ("job", id.into()),
-                                ("attempts", attempt.into()),
-                                ("reason", reason.as_str().into()),
-                            ],
-                        );
-                    }
+                    telemetry.trace(
+                        "quarantine",
+                        &[
+                            ("job", id.into()),
+                            ("attempts", attempt.into()),
+                            ("reason", reason.as_str().into()),
+                        ],
+                    );
                     break BmcResult::Unknown(reason);
                 }
                 // Exponential, jittered, *interruptible* backoff.
                 let pause = policy.backoff_before(attempt);
-                if let Some(t) = &config.telemetry {
-                    t.trace(
-                        "backoff",
-                        &[
-                            ("job", id.into()),
-                            ("attempt", attempt.into()),
-                            ("ms", (pause.as_millis() as u64).into()),
-                        ],
-                    );
-                }
+                telemetry.trace(
+                    "backoff",
+                    &[
+                        ("job", id.into()),
+                        ("attempt", attempt.into()),
+                        ("ms", (pause.as_millis() as u64).into()),
+                    ],
+                );
                 let end = Instant::now() + pause;
                 loop {
                     if cancel_cause(&shed, &config.cancel, &job.budget.cancel).is_some() {

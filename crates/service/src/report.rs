@@ -12,6 +12,8 @@ use std::time::Duration;
 use sebmc::{BmcResult, Certificate, RunStats};
 use sebmc_logic::json::{obj, Json};
 
+use crate::SHED_REASON;
+
 /// One failed attempt of a job, preserved verbatim in the job's report
 /// — a panic, spurious cancellation, or expired attempt deadline never
 /// silently discards the work that led up to it.
@@ -258,7 +260,7 @@ impl ServiceReport {
                 BmcResult::Unreachable => unreachable += 1,
                 BmcResult::Unknown(r) => {
                     unknown += 1;
-                    if r == "shed: memory pressure" {
+                    if r == SHED_REASON {
                         jobs_shed += 1;
                     }
                 }

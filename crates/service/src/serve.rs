@@ -68,9 +68,10 @@ const CONN_POLL: Duration = Duration::from_millis(50);
 pub struct ServeSummary {
     /// Connections accepted over the server's lifetime.
     pub connections: usize,
-    /// Submissions accepted (cache hits included).
+    /// Submissions accepted (cache hits included): the registry's
+    /// `jobs_submitted`.
     pub jobs_submitted: usize,
-    /// Frames refused: malformed, overloaded, or after shutdown began.
+    /// Submissions refused: the registry's `jobs_rejected`.
     pub jobs_rejected: usize,
     /// Reports pushed to their submitting connections.
     pub reports_delivered: usize,
@@ -103,43 +104,30 @@ impl ServeSummary {
 }
 
 /// What every connection shares: the worker pool, the stop flag, the
-/// telemetry behind the `stats` frame, the greeting, and the summary
-/// counters.
+/// telemetry behind the `stats` frame and the summary, the greeting,
+/// and the count of delivered reports.
 struct Daemon {
     handle: ServiceHandle,
     stop: AtomicU8,
     telemetry: Arc<Telemetry>,
     hello: String,
-    submitted: AtomicUsize,
-    rejected: AtomicUsize,
     delivered: AtomicUsize,
 }
 
 /// Runs the daemon on an already-bound listener until a client sends a
 /// shutdown command, then drains (see the module docs) and returns the
 /// run's summary. The listener is consumed and closed on shutdown.
-pub fn serve_on(listener: TcpListener, mut config: ServiceConfig) -> io::Result<ServeSummary> {
+pub fn serve_on(listener: TcpListener, config: ServiceConfig) -> io::Result<ServeSummary> {
     listener.set_nonblocking(true)?;
     let hello = frames::hello(config.workers.max(1), config.result_cache_bytes.is_some());
     let cancel = config.cancel.clone();
-    // The daemon always carries telemetry — the `stats` frame must
-    // answer even when the operator configured none.
-    let telemetry = match &config.telemetry {
-        Some(t) => Arc::clone(t),
-        None => {
-            let t = Arc::new(Telemetry::new());
-            config.telemetry = Some(Arc::clone(&t));
-            t
-        }
-    };
+    let telemetry = Arc::clone(&config.telemetry);
     let started = Instant::now();
     let daemon = Arc::new(Daemon {
         handle: ServiceHandle::start(config),
         stop: AtomicU8::new(RUN),
         telemetry,
         hello,
-        submitted: AtomicUsize::new(0),
-        rejected: AtomicUsize::new(0),
         delivered: AtomicUsize::new(0),
     });
 
@@ -156,16 +144,7 @@ pub fn serve_on(listener: TcpListener, mut config: ServiceConfig) -> io::Result<
                         .expect("spawn connection thread"),
                 );
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                // Idle beat: keep the depth gauge honest even while no
-                // submission or pickup is moving it.
-                daemon
-                    .telemetry
-                    .metrics
-                    .queue_depth
-                    .set(daemon.handle.pending() as u64);
-                thread::sleep(ACCEPT_POLL);
-            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(ACCEPT_POLL),
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
@@ -187,17 +166,17 @@ pub fn serve_on(listener: TcpListener, mut config: ServiceConfig) -> io::Result<
         .into_iter()
         .filter_map(|c| c.join().ok().flatten())
         .collect();
-    let cache = daemon.handle.cache_stats();
     leftover.extend(daemon.handle.shutdown(mode));
     leftover.sort_by_key(|r| r.job_id);
+    let metrics = &daemon.telemetry.metrics;
     daemon.telemetry.flush();
     Ok(ServeSummary {
         connections,
-        jobs_submitted: daemon.submitted.load(Ordering::Relaxed),
-        jobs_rejected: daemon.rejected.load(Ordering::Relaxed),
+        jobs_submitted: metrics.jobs_submitted.get() as usize,
+        jobs_rejected: metrics.jobs_rejected.get() as usize,
         reports_delivered: daemon.delivered.load(Ordering::Relaxed),
         leftover,
-        cache,
+        cache: daemon.handle.cache_stats(),
         uptime: started.elapsed(),
     })
 }
@@ -335,29 +314,30 @@ fn serve_frame(line: &str, conn: &Conn, daemon: &Daemon) -> io::Result<()> {
 /// `submit` until the answer is written, so the pusher cannot write
 /// the job's report (a cache hit lands at once) ahead of its
 /// `accepted`.
+///
+/// A submission the daemon refuses itself (it arrives after shutdown
+/// began, does not decode, or names a model it cannot build) counts in
+/// `jobs_rejected`; the handle counts its own refusals.
 fn submit(frame: &Json, conn: &Conn, daemon: &Daemon) -> io::Result<()> {
-    if daemon.stop.load(Ordering::Relaxed) != RUN {
-        daemon.rejected.fetch_add(1, Ordering::Relaxed);
-        return conn.send(&frames::error("shutting down"));
-    }
-    let job = match JobSpec::from_json(frame).and_then(JobSpec::into_job) {
+    let job = if daemon.stop.load(Ordering::Relaxed) == RUN {
+        JobSpec::from_json(frame).and_then(JobSpec::into_job)
+    } else {
+        Err("shutting down".to_string())
+    };
+    let job = match job {
         Ok(job) => job,
         Err(e) => {
-            daemon.rejected.fetch_add(1, Ordering::Relaxed);
+            daemon.telemetry.metrics.jobs_rejected.inc();
             return conn.send(&frames::error(&e));
         }
     };
     let mut w = lock_unpoisoned(&conn.writer);
     let reply = match daemon.handle.submit_for_client(job, conn.client) {
         Ok(id) => {
-            daemon.submitted.fetch_add(1, Ordering::Relaxed);
             w.owed += 1;
             frames::accepted(id)
         }
-        Err(e) => {
-            daemon.rejected.fetch_add(1, Ordering::Relaxed);
-            frames::error(&e.to_string())
-        }
+        Err(e) => frames::error(&e.to_string()),
     };
     write_frame(&mut w.stream, &reply)
 }

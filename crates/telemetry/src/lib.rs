@@ -84,11 +84,6 @@ impl Telemetry {
         }
     }
 
-    /// Whether a trace sink is attached.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Emits a trace event if tracing is on (no-op otherwise).
     pub fn trace(&self, kind: &str, fields: &[(&str, FieldValue<'_>)]) {
         if let Some(sink) = &self.trace {
@@ -205,6 +200,5 @@ mod tests {
         let s = t.snapshot_json().to_string();
         assert!(s.starts_with("{\"uptime_ms\":"));
         assert!(s.contains("\"metrics\":{\"jobs_submitted\":0,"));
-        assert!(!t.trace_enabled());
     }
 }

@@ -171,11 +171,15 @@ pub struct MetricsRegistry {
     pub jobs_shed: Counter,
     /// Jobs quarantined after exhausting their retry budget.
     pub jobs_quarantined: Counter,
-    /// Submissions refused (queue full, shutdown, malformed).
+    /// Submissions refused: by the service (queue full, shutting down)
+    /// or by the daemon (the submission does not decode, names a model
+    /// it cannot build, or arrives after shutdown began). A frame that
+    /// is not JSON, or is a command, is not a submission.
     pub jobs_rejected: Counter,
-    /// Result-cache lookups that returned a finished report.
+    /// Jobs answered from the result cache (each job counts once).
     pub cache_hits: Counter,
-    /// Result-cache lookups that missed.
+    /// Jobs a worker ran with the result cache on (each job counts
+    /// once).
     pub cache_misses: Counter,
     /// Entries evicted from the result cache to make room.
     pub cache_evictions: Counter,

@@ -125,6 +125,12 @@ fn stats_frame_counters_agree_with_the_exit_summary() {
             .expect("report io")
             .expect("report arrives");
     }
+    // A submission the daemon refuses itself: its model does not exist.
+    let refusal = wire
+        .submit(&spec("suite:no_such_model jsat 3"))
+        .expect("submit io")
+        .expect_err("an unknown model is refused");
+    assert!(refusal.contains("no_such_model"), "{refusal}");
     let snapshot = wire.stats().expect("stats round-trips");
     assert!(
         snapshot.get("uptime_ms").and_then(Json::as_u64).is_some(),
@@ -138,6 +144,7 @@ fn stats_frame_counters_agree_with_the_exit_summary() {
             .unwrap_or_else(|| panic!("metric '{key}' missing in {metrics}"))
     };
     assert_eq!(counter("jobs_submitted"), 2);
+    assert_eq!(counter("jobs_rejected"), 1, "the unknown model");
     assert_eq!(counter("jobs_completed"), 1, "the cache hit never ran");
     assert_eq!(counter("jobs_cached"), 1);
     assert_eq!(counter("cache_hits"), 1);
@@ -162,6 +169,7 @@ fn stats_frame_counters_agree_with_the_exit_summary() {
     let summary = server.join().expect("server thread joins");
     // The live snapshot and the exit summary tell the same story.
     assert_eq!(summary.jobs_submitted, 2);
+    assert_eq!(summary.jobs_rejected, 1);
     assert_eq!(summary.reports_delivered, 2);
     assert_eq!(summary.cache, Some((1, 1)));
     assert!(summary.uptime > Duration::ZERO);
