@@ -9,8 +9,8 @@
 //!   must cost nothing but one `Option` branch at the hook sites);
 //! * `log_drat` — a write-only binary-DRAT sink into `io::sink()`:
 //!   the pure cost of encoding the event stream;
-//! * `log_checked` — the full [`StreamingChecker`]: encoding plus
-//!   on-the-fly forward checking through the bounded ring.
+//! * `log_checked` — the full [`StreamingChecker`]: byte accounting
+//!   plus on-the-fly forward checking in bounded batches.
 //!
 //! Results are recorded into `BENCH_pr5.json`; the perf gate treats
 //! these workloads as **record-only** (no pre-PR baseline exists, so

@@ -5,16 +5,17 @@ use std::collections::HashMap;
 use sebmc_logic::Lit;
 
 use crate::cert::Certificate;
-use crate::drat::{encode_record, DratDecoder, TAG_ADD, TAG_DELETE, TAG_FINAL, TAG_ORIG};
-use crate::ring::ByteRing;
+use crate::drat::{encoded_len, TAG_ADD, TAG_DELETE, TAG_FINAL, TAG_ORIG};
 use crate::sink::ProofSink;
 
 const UNASSIGNED: u8 = 0;
 const TRUE: u8 = 1;
 const FALSE: u8 = 2;
 
-/// Default in-flight proof buffer of a [`StreamingChecker`], in bytes.
-pub const DEFAULT_RING_BYTES: usize = 16 * 1024;
+/// Buffered literals at which a [`StreamingChecker`] checks its
+/// backlog. Checking each event as it arrives measured slower end to
+/// end than checking in batches of this size.
+const BATCH_LITS: usize = 16 * 1024;
 
 /// One active clause: its literals and, when it participates in
 /// propagation, the two watched literal codes.
@@ -42,10 +43,10 @@ struct Slot {
 /// [crate docs](crate)).
 ///
 /// Memory is `O(active clauses)`: the watch lists, the content index
-/// and the slots all shrink on deletion, which is what lets a
-/// *streaming* consumer certify an unbounded proof in bounded space.
+/// and the slots all shrink on deletion, which is what lets
+/// [`StreamingChecker`] certify an unbounded proof in bounded space.
 #[derive(Debug, Default)]
-pub struct ForwardChecker {
+struct ForwardChecker {
     /// Assignment by literal code (`UNASSIGNED`/`TRUE`/`FALSE`).
     vals: Vec<u8>,
     trail: Vec<Lit>,
@@ -71,25 +72,9 @@ pub struct ForwardChecker {
 }
 
 impl ForwardChecker {
-    /// An empty checker.
-    pub fn new() -> Self {
-        ForwardChecker::default()
-    }
-
-    /// Whether the empty clause has been verified: the axioms are
-    /// unsatisfiable outright.
-    pub fn proved_unsat(&self) -> bool {
-        self.proved_unsat
-    }
-
-    /// Number of clauses currently active.
-    pub fn active_clauses(&self) -> usize {
-        self.active
-    }
-
-    /// Cumulative counters (the `proof_bytes` field is owned by the
-    /// encoder and left 0 here).
-    pub fn certificate(&self) -> Certificate {
+    /// Cumulative counters (`proof_bytes` is counted by
+    /// [`StreamingChecker`] and left 0 here).
+    fn certificate(&self) -> Certificate {
         Certificate {
             originals: self.originals,
             lemmas_checked: self.lemmas_checked,
@@ -108,7 +93,7 @@ impl ForwardChecker {
     /// `assumptions`: the empty clause was verified, or the last
     /// verified finalization lemma is a subclause of
     /// `{¬a | a ∈ assumptions}`.
-    pub fn certifies(&self, assumptions: &[Lit]) -> bool {
+    fn certifies(&self, assumptions: &[Lit]) -> bool {
         if self.proved_unsat {
             return true;
         }
@@ -121,7 +106,7 @@ impl ForwardChecker {
     }
 
     /// Inserts an axiom clause (no check).
-    pub fn original(&mut self, lits: &[Lit]) {
+    fn original(&mut self, lits: &[Lit]) {
         self.originals += 1;
         if lits.is_empty() {
             self.proved_unsat = true;
@@ -135,7 +120,7 @@ impl ForwardChecker {
     /// current finalization lemma. Returns whether the check passed;
     /// failures are counted and the clause is **not** inserted (only
     /// entailed clauses may enter the active set).
-    pub fn add(&mut self, lits: &[Lit], finalize: bool) -> bool {
+    fn add(&mut self, lits: &[Lit], finalize: bool) -> bool {
         self.lemmas_checked += 1;
         let ok = self.rup(lits);
         if ok {
@@ -162,7 +147,7 @@ impl ForwardChecker {
     /// Removes one active clause with exactly these literals (in any
     /// order). A clause not in the active set is counted as a missing
     /// delete — a desynchronised log.
-    pub fn delete(&mut self, lits: &[Lit]) {
+    fn delete(&mut self, lits: &[Lit]) {
         self.deletions += 1;
         let key = clause_key(lits);
         let Some(ids) = self.index.get_mut(&key) else {
@@ -358,21 +343,25 @@ fn clause_key(lits: &[Lit]) -> Box<[u32]> {
     codes.into_boxed_slice()
 }
 
-/// The streaming certifier: a [`ProofSink`] that encodes every event
-/// as binary DRAT, pipes the bytes through a bounded [`ByteRing`], and
-/// has a [`ForwardChecker`] consume records on the fly.
+/// The streaming certifier: a [`ProofSink`] that checks every proof
+/// event on the fly with a forward reverse-unit-propagation checker.
 ///
-/// The ring is drained whenever it fills (and on every query), so the
-/// in-flight proof never exceeds the ring capacity and total memory is
-/// the checker's `O(active clauses)` plus a constant. Byte accounting
-/// ([`ProofSink::bytes_emitted`]) is exact: it counts every encoded
-/// byte, i.e. the size the proof stream would have on disk.
+/// Events wait in a flat buffer (their literals back to back, plus a
+/// tag and an end offset each) and are checked in one pass when 16,384
+/// literals are buffered and before every query, so the unchecked
+/// backlog is bounded and total memory is the checker's
+/// `O(active clauses)` plus a constant. Byte accounting
+/// ([`ProofSink::bytes_emitted`]) is exact: it counts the bytes of
+/// every event's annotated binary-DRAT record, i.e. the size the
+/// stream [`crate::DratWriter::new`] writes would have on disk.
 #[derive(Debug)]
 pub struct StreamingChecker {
-    ring: ByteRing,
-    decoder: DratDecoder,
     checker: ForwardChecker,
-    scratch: Vec<u8>,
+    /// Literals of the unchecked events, back to back.
+    lits: Vec<Lit>,
+    /// One `(tag, end)` per unchecked event: its record tag and the end
+    /// of its literals in `lits`.
+    events: Vec<(u8, usize)>,
     bytes: usize,
 }
 
@@ -383,84 +372,63 @@ impl Default for StreamingChecker {
 }
 
 impl StreamingChecker {
-    /// A checker with the default ring capacity
-    /// ([`DEFAULT_RING_BYTES`]).
+    /// A checker with nothing checked yet.
     pub fn new() -> Self {
-        StreamingChecker::with_ring_capacity(DEFAULT_RING_BYTES)
-    }
-
-    /// A checker whose in-flight proof buffer holds `bytes` bytes.
-    pub fn with_ring_capacity(bytes: usize) -> Self {
         StreamingChecker {
-            ring: ByteRing::new(bytes),
-            decoder: DratDecoder::new(),
-            checker: ForwardChecker::new(),
-            scratch: Vec::with_capacity(64),
+            checker: ForwardChecker::default(),
+            lits: Vec::with_capacity(BATCH_LITS),
+            events: Vec::new(),
             bytes: 0,
         }
     }
 
-    /// Drains every buffered byte through the decoder into the checker.
-    fn drain_ring(&mut self) {
-        let mut chunk = [0u8; 128];
-        loop {
-            let n = self.ring.read_into(&mut chunk);
-            if n == 0 {
-                return;
-            }
-            for &b in &chunk[..n] {
-                if self.decoder.feed(b) {
-                    let tag = self.decoder.tag();
-                    let lits = self.decoder.take_lits();
-                    match tag {
-                        TAG_ORIG => self.checker.original(&lits),
-                        TAG_ADD => {
-                            self.checker.add(&lits, false);
-                        }
-                        TAG_DELETE => self.checker.delete(&lits),
-                        TAG_FINAL => {
-                            self.checker.add(&lits, true);
-                        }
-                        _ => unreachable!("decoder only completes known tags"),
-                    }
-                    self.decoder.recycle(lits);
-                }
-            }
+    fn push(&mut self, tag: u8, lits: &[Lit]) {
+        self.bytes += encoded_len(lits);
+        self.lits.extend_from_slice(lits);
+        self.events.push((tag, self.lits.len()));
+        if self.lits.len() >= BATCH_LITS {
+            self.check_backlog();
         }
     }
 
-    fn emit(&mut self, tag: u8, lits: &[Lit]) {
-        let mut buf = std::mem::take(&mut self.scratch);
-        buf.clear();
-        encode_record(tag, lits, &mut buf);
-        self.bytes += buf.len();
-        let mut off = 0;
-        while off < buf.len() {
-            off += self.ring.push(&buf[off..]);
-            if off < buf.len() {
-                // Ring full: certify the backlog before buffering more.
-                self.drain_ring();
+    /// Runs every buffered event through the checker, in order.
+    fn check_backlog(&mut self) {
+        let mut start = 0;
+        for &(tag, end) in &self.events {
+            let lits = &self.lits[start..end];
+            match tag {
+                TAG_ORIG => self.checker.original(lits),
+                TAG_ADD => {
+                    self.checker.add(lits, false);
+                }
+                TAG_DELETE => self.checker.delete(lits),
+                TAG_FINAL => {
+                    self.checker.add(lits, true);
+                }
+                _ => unreachable!("only the sink hooks buffer events"),
             }
+            start = end;
         }
-        self.scratch = buf;
+        self.lits.clear();
+        self.events.clear();
     }
 }
 
 impl ProofSink for StreamingChecker {
     fn original(&mut self, lits: &[Lit]) {
-        self.emit(TAG_ORIG, lits);
+        self.push(TAG_ORIG, lits);
     }
 
     fn add(&mut self, lits: &[Lit]) {
-        self.emit(TAG_ADD, lits);
+        self.push(TAG_ADD, lits);
     }
 
     fn delete(&mut self, lits: &[Lit]) {
-        self.emit(TAG_DELETE, lits);
+        self.push(TAG_DELETE, lits);
     }
 
     fn finalize_unsat(&mut self, neg_core: &[Lit]) {
-        self.emit(TAG_FINAL, neg_core);
+        self.push(TAG_FINAL, neg_core);
     }
 
     fn bytes_emitted(&self) -> usize {
@@ -468,18 +436,15 @@ impl ProofSink for StreamingChecker {
     }
 
     fn summary(&mut self) -> Option<Certificate> {
-        self.drain_ring();
+        self.check_backlog();
         let mut cert = self.checker.certificate();
         cert.proof_bytes = self.bytes as u64;
-        cert.failed_checks += self.decoder.corrupt_bytes();
         Some(cert)
     }
 
     fn certifies(&mut self, assumptions: &[Lit]) -> bool {
-        self.drain_ring();
-        // A mangled stream certifies nothing, even if the records that
-        // did decode would cover the claim.
-        self.decoder.corrupt_bytes() == 0 && self.checker.certifies(assumptions)
+        self.check_backlog();
+        self.checker.certifies(assumptions)
     }
 }
 
@@ -493,7 +458,7 @@ mod tests {
 
     #[test]
     fn rup_accepts_resolvents_and_rejects_non_consequences() {
-        let mut c = ForwardChecker::new();
+        let mut c = ForwardChecker::default();
         let (a, b, x) = (l(0), l(2), l(4));
         c.original(&[a, b]);
         c.original(&[!a, b]);
@@ -505,19 +470,19 @@ mod tests {
 
     #[test]
     fn empty_clause_proves_unsat_and_certifies_everything() {
-        let mut c = ForwardChecker::new();
+        let mut c = ForwardChecker::default();
         let a = l(0);
         c.original(&[a]);
         c.original(&[!a]);
         assert!(c.add(&[], true));
-        assert!(c.proved_unsat());
+        assert!(c.proved_unsat);
         assert!(c.certifies(&[]));
         assert!(c.certifies(&[l(6)]), "ex falso: any assumption set");
     }
 
     #[test]
     fn finalization_lemma_matches_assumption_supersets() {
-        let mut c = ForwardChecker::new();
+        let mut c = ForwardChecker::default();
         let (a, b, s) = (l(0), l(2), l(4));
         c.original(&[!s, a]);
         c.original(&[!a, !b]);
@@ -531,15 +496,15 @@ mod tests {
 
     #[test]
     fn deletions_are_multiset_and_missing_deletes_are_counted() {
-        let mut c = ForwardChecker::new();
+        let mut c = ForwardChecker::default();
         let (a, b) = (l(0), l(2));
         c.original(&[a, b]);
         c.original(&[b, a]); // identical content, different order
-        assert_eq!(c.active_clauses(), 2);
+        assert_eq!(c.active, 2);
         c.delete(&[a, b]);
-        assert_eq!(c.active_clauses(), 1);
+        assert_eq!(c.active, 1);
         c.delete(&[b, a]);
-        assert_eq!(c.active_clauses(), 0);
+        assert_eq!(c.active, 0);
         c.delete(&[a, b]);
         let cert = c.certificate();
         assert_eq!(cert.deletions, 3);
@@ -548,7 +513,7 @@ mod tests {
 
     #[test]
     fn deleted_clauses_stop_supporting_rup() {
-        let mut c = ForwardChecker::new();
+        let mut c = ForwardChecker::default();
         let (a, b) = (l(0), l(2));
         c.original(&[a, b]);
         c.original(&[!a, b]);
@@ -565,28 +530,34 @@ mod tests {
 
     #[test]
     fn unit_insert_propagates_permanently() {
-        let mut c = ForwardChecker::new();
+        let mut c = ForwardChecker::default();
         let (a, b, x) = (l(0), l(2), l(4));
         c.original(&[a]);
         c.original(&[!a, b]);
         c.original(&[!b, x]);
         // a, b, x are all forced: the unit clause [x] must be RUP.
         assert!(c.add(&[x], false));
-        assert!(!c.proved_unsat());
+        assert!(!c.proved_unsat);
     }
 
     #[test]
     fn conflicting_axioms_prove_unsat_without_an_explicit_empty_clause() {
-        let mut c = ForwardChecker::new();
+        let mut c = ForwardChecker::default();
         let a = l(0);
         c.original(&[a]);
         c.original(&[!a]);
-        assert!(c.proved_unsat(), "unit conflict detected on insert");
+        assert!(c.proved_unsat, "unit conflict detected on insert");
     }
 
     #[test]
     fn streaming_checker_matches_direct_checking() {
-        let mut s = StreamingChecker::with_ring_capacity(8); // tiny: forces drains
+        let mut s = StreamingChecker::new();
+        // Filler over fresh variables fills exactly one batch, so the
+        // refutation below is checked after a mid-stream batch.
+        let filler = BATCH_LITS / 2;
+        for i in 0..filler {
+            s.original(&[l(4 + 4 * i), l(6 + 4 * i)]);
+        }
         let (a, b) = (l(0), l(2));
         s.original(&[a, b]);
         s.original(&[!a, b]);
@@ -595,7 +566,7 @@ mod tests {
         s.finalize_unsat(&[]);
         assert!(s.certifies(&[]));
         let cert = s.summary().unwrap();
-        assert_eq!(cert.originals, 3);
+        assert_eq!(cert.originals, filler as u64 + 3);
         assert_eq!(cert.lemmas_checked, 2);
         assert_eq!(cert.failed_checks, 0);
         assert_eq!(cert.unsat_proofs, 1);

@@ -2,9 +2,9 @@
 //!
 //! See the [crate docs](crate) for the record grammar. Encoding is
 //! allocation-free into a caller-provided buffer; decoding is a
-//! byte-at-a-time state machine so records can be reassembled straight
-//! out of the bounded [`crate::ByteRing`] without ever materialising
-//! the stream.
+//! byte-at-a-time state machine that reads proof files written by
+//! [`DratWriter`], input from outside the process, and counts every
+//! malformed byte instead of trusting it.
 
 use std::io::Write;
 
@@ -51,13 +51,24 @@ pub fn encode_record(tag: u8, lits: &[Lit], buf: &mut Vec<u8>) {
     buf.push(0);
 }
 
+/// Length in bytes of the record [`encode_record`] writes for `lits`
+/// (the tag and the terminator included).
+pub(crate) fn encoded_len(lits: &[Lit]) -> usize {
+    2 + lits
+        .iter()
+        .map(|&l| {
+            // Seven payload bits per varint byte.
+            let bits = u64::BITS - (l.code() as u64 + 2).leading_zeros();
+            bits.div_ceil(7) as usize
+        })
+        .sum::<usize>()
+}
+
 /// An incremental binary-DRAT record decoder.
 ///
 /// Feed bytes one at a time with [`DratDecoder::feed`]; when it
 /// returns `true`, a full record is available via
-/// [`DratDecoder::tag`] / [`DratDecoder::take_lits`]. The literal
-/// buffer is reused across records ([`DratDecoder::recycle`]), so
-/// steady-state decoding allocates nothing.
+/// [`DratDecoder::tag`] / [`DratDecoder::take_lits`].
 #[derive(Debug, Default)]
 pub struct DratDecoder {
     tag: Option<u8>,
@@ -134,19 +145,10 @@ impl DratDecoder {
     }
 
     /// Takes the completed record's literals (resetting the decoder to
-    /// the record boundary). Hand the vector back via
-    /// [`DratDecoder::recycle`] to reuse its allocation.
+    /// the record boundary).
     pub fn take_lits(&mut self) -> Vec<Lit> {
         self.tag = None;
         std::mem::take(&mut self.lits)
-    }
-
-    /// Returns a drained literal vector for reuse.
-    pub fn recycle(&mut self, mut lits: Vec<Lit>) {
-        lits.clear();
-        if self.lits.capacity() < lits.capacity() {
-            self.lits = lits;
-        }
     }
 
     /// Bytes skipped because they were not a valid record tag.
@@ -161,8 +163,9 @@ impl DratDecoder {
     }
 }
 
-/// Decodes a complete in-memory stream into `(tag, clause)` records —
-/// a test/tooling convenience; the streaming path never calls this.
+/// Decodes a complete in-memory stream, such as a proof file read
+/// back, into `(tag, clause)` records. Malformed bytes are skipped;
+/// use a [`DratDecoder`] to count them.
 pub fn decode_stream(bytes: &[u8]) -> Vec<(u8, Vec<Lit>)> {
     let mut dec = DratDecoder::new();
     let mut out = Vec::new();
@@ -311,6 +314,7 @@ mod tests {
             .collect();
         let mut buf = Vec::new();
         encode_record(TAG_ADD, &lits, &mut buf);
+        assert_eq!(encoded_len(&lits), buf.len());
         let records = decode_stream(&buf);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].0, TAG_ADD);
@@ -333,7 +337,7 @@ mod tests {
     #[test]
     fn decoder_is_byte_at_a_time_safe() {
         // Feeding the same stream in 1-byte slices must yield the same
-        // records (this is how the ring delivers it).
+        // records.
         let mut buf = Vec::new();
         encode_record(TAG_ADD, &[lit(128), lit(16_500)], &mut buf);
         encode_record(TAG_DELETE, &[lit(2)], &mut buf);
@@ -341,10 +345,7 @@ mod tests {
         let mut seen = Vec::new();
         for &b in &buf {
             if dec.feed(b) {
-                let tag = dec.tag();
-                let lits = dec.take_lits();
-                seen.push((tag, lits.clone()));
-                dec.recycle(lits);
+                seen.push((dec.tag(), dec.take_lits()));
             }
         }
         assert_eq!(seen.len(), 2);

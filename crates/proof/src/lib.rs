@@ -14,14 +14,15 @@
 //! paper's space-efficiency theme:
 //!
 //! * the proof is **streamed**, never stored: the solver's
-//!   [`ProofSink`] hooks encode each event into binary DRAT, the bytes
-//!   flow through a bounded [`ByteRing`], and the
-//!   [`StreamingChecker`] consumes and verifies lemmas on the fly —
-//!   checker memory is `O(active clauses)` (it mirrors the solver's
-//!   live clause database, deletions included), not `O(proof)`;
-//! * the stream is **byte-accounted exactly** ([`ProofSink::bytes_emitted`]),
-//!   so the size of the certificate joins the clause-arena and
-//!   watch-storage bytes in the experiment tables.
+//!   [`ProofSink`] hooks hand each event to the [`StreamingChecker`],
+//!   which buffers a bounded batch of events and verifies lemmas on
+//!   the fly — checker memory is `O(active clauses)` (it mirrors the
+//!   solver's live clause database, deletions included), not
+//!   `O(proof)`;
+//! * the stream is **byte-accounted exactly** ([`ProofSink::bytes_emitted`]
+//!   is the size of the binary-DRAT encoding), so the size of the
+//!   certificate joins the clause-arena and watch-storage bytes in the
+//!   experiment tables.
 //!
 //! # The proof dialect
 //!
@@ -83,13 +84,11 @@
 mod cert;
 mod checker;
 mod drat;
-mod ring;
 mod sink;
 mod tee;
 
 pub use cert::Certificate;
-pub use checker::{ForwardChecker, StreamingChecker, DEFAULT_RING_BYTES};
+pub use checker::StreamingChecker;
 pub use drat::{decode_stream, DratDecoder, DratWriter, TAG_ADD, TAG_DELETE, TAG_FINAL, TAG_ORIG};
-pub use ring::ByteRing;
 pub use sink::ProofSink;
 pub use tee::TeeSink;

@@ -26,9 +26,9 @@ use crate::cert::Certificate;
 ///   logged like an `add` but remembered so the verdict can later be
 ///   matched against the assumptions via [`ProofSink::certifies`].
 ///
-/// Implementations: [`crate::StreamingChecker`] (encode + check on the
-/// fly) and [`crate::DratWriter`] (encode only, e.g. to a file or to
-/// measure pure logging overhead).
+/// Implementations: [`crate::StreamingChecker`] (check on the fly),
+/// [`crate::DratWriter`] (encode only, e.g. to a file or to measure
+/// pure logging overhead) and [`crate::TeeSink`] (both at once).
 pub trait ProofSink: Send + std::fmt::Debug {
     /// Logs a caller-asserted (axiom) clause.
     fn original(&mut self, lits: &[Lit]);

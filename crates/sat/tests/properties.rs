@@ -7,8 +7,15 @@
 //! [`SplitMix64`] stream — fully deterministic and reproducible from
 //! the case number printed on failure.
 
+use std::io::Write;
+use std::sync::{Arc, Mutex};
+
 use sebmc_logic::rng::SplitMix64;
-use sebmc_logic::{dimacs, Cnf, Var};
+use sebmc_logic::{dimacs, Cnf, Lit, Var};
+use sebmc_proof::{
+    decode_stream, DratWriter, ProofSink, StreamingChecker, TeeSink, TAG_ADD, TAG_DELETE,
+    TAG_FINAL, TAG_ORIG,
+};
 use sebmc_sat::{SolveResult, Solver};
 
 /// A random CNF over at most `max_vars` variables with at most
@@ -241,5 +248,67 @@ fn blocking_clauses_exclude_models() {
         }
         // Full enumeration must terminate within 2^vars models.
         assert!(models_seen <= 1 << cnf.num_vars());
+    });
+}
+
+/// A `Write` into a buffer the test keeps a handle on (the solver owns
+/// its proof sink).
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The streaming checker checks exactly the stream a proof file would
+/// hold: the annotated DRAT a tee'd writer received, replayed record
+/// by record into a fresh checker, gives the same certificate, and
+/// both checkers count the file's length in bytes.
+#[test]
+fn checker_input_replays_from_the_written_stream() {
+    for_random_cnfs(0xD2A7, 128, 8, 30, |cnf, rng| {
+        let file = SharedBuf::default();
+        let mut s = Solver::new();
+        s.set_proof_sink(Box::new(TeeSink::new(
+            Box::new(StreamingChecker::new()),
+            Box::new(DratWriter::new(file.clone())),
+        )));
+        // Solves under random assumptions log finalization lemmas too.
+        let mut assumptions: Vec<Lit> = Vec::new();
+        if s.add_cnf(cnf) {
+            for _ in 0..3 {
+                assumptions = (0..rng.below(3))
+                    .map(|_| Var::new(rng.below(cnf.num_vars()) as u32).lit(rng.coin()))
+                    .collect();
+                s.solve_with(&assumptions);
+            }
+        }
+        let live = s.proof_summary().expect("checking sink");
+        let bytes = file.0.lock().unwrap().clone();
+        let mut replay = StreamingChecker::new();
+        for (tag, lits) in decode_stream(&bytes) {
+            match tag {
+                TAG_ORIG => replay.original(&lits),
+                TAG_ADD => replay.add(&lits),
+                TAG_DELETE => replay.delete(&lits),
+                TAG_FINAL => replay.finalize_unsat(&lits),
+                _ => unreachable!("decode_stream yields known tags only"),
+            }
+        }
+        assert_eq!(replay.summary(), Some(live.clone()));
+        assert_eq!(
+            replay.certifies(&assumptions),
+            s.proof_certifies(&assumptions)
+        );
+        assert_eq!(live.proof_bytes as usize, bytes.len());
+        assert_eq!(replay.bytes_emitted(), bytes.len());
+        assert_eq!(s.proof_bytes(), bytes.len());
     });
 }

@@ -121,6 +121,8 @@ pub enum LineEvent {
 pub struct LineReader<R> {
     inner: R,
     buf: Vec<u8>,
+    /// Leading bytes of `buf` already searched for a newline.
+    scanned: usize,
 }
 
 impl<R: Read> LineReader<R> {
@@ -129,21 +131,23 @@ impl<R: Read> LineReader<R> {
         LineReader {
             inner,
             buf: Vec::new(),
+            scanned: 0,
         }
     }
 
     /// Reads until one full line, a timeout, or end of stream.
     pub fn read_line(&mut self) -> LineEvent {
         loop {
-            if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-                let rest = self.buf.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.buf, rest);
-                line.pop();
-                if line.last() == Some(&b'\r') {
-                    line.pop();
-                }
-                return LineEvent::Line(String::from_utf8_lossy(&line).into_owned());
+            if let Some(off) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
+                let pos = self.scanned + off;
+                let line = &self.buf[..pos];
+                let line = line.strip_suffix(b"\r").unwrap_or(line);
+                let text = String::from_utf8_lossy(line).into_owned();
+                self.buf.drain(..=pos);
+                self.scanned = 0;
+                return LineEvent::Line(text);
             }
+            self.scanned = self.buf.len();
             let mut chunk = [0u8; 4096];
             match self.inner.read(&mut chunk) {
                 Ok(0) => return LineEvent::Eof,
@@ -404,6 +408,26 @@ mod tests {
         assert_eq!(r.read_line(), LineEvent::Timeout);
         assert_eq!(r.read_line(), LineEvent::Line("{\"op\":\"ping\"}".into()));
         assert_eq!(r.read_line(), LineEvent::Line("{\"op\":\"pong\"}".into()));
+        assert_eq!(r.read_line(), LineEvent::Eof);
+
+        // One line over three reads, then a read holding the end of
+        // one line, a whole line and the start of the next.
+        let mut r = LineReader::new(Script(vec![
+            Ok(b"{\"op\"".to_vec()),
+            Ok(b":\"pi".to_vec()),
+            Ok(b"ng\"}\n{\"op\":".to_vec()),
+            Ok(b"\"stats\"}\n{\"op\":\"pong\"}\n{\"op".to_vec()),
+            Err(io::Error::new(ErrorKind::WouldBlock, "timeout")),
+            Ok(b"\":\"shutdown\"}\n".to_vec()),
+        ]));
+        assert_eq!(r.read_line(), LineEvent::Line("{\"op\":\"ping\"}".into()));
+        assert_eq!(r.read_line(), LineEvent::Line("{\"op\":\"stats\"}".into()));
+        assert_eq!(r.read_line(), LineEvent::Line("{\"op\":\"pong\"}".into()));
+        assert_eq!(r.read_line(), LineEvent::Timeout);
+        assert_eq!(
+            r.read_line(),
+            LineEvent::Line("{\"op\":\"shutdown\"}".into())
+        );
         assert_eq!(r.read_line(), LineEvent::Eof);
     }
 

@@ -258,8 +258,17 @@ impl JobSpec {
 
     /// Resolves the model reference and materialises the [`Job`]
     /// (fresh cancel token; budget and retry policy built from the
-    /// spec's fields).
+    /// spec's fields). A `mem_mb` whose byte count overflows is an
+    /// error, found before the model is read.
     pub fn into_job(self) -> Result<Job, String> {
+        let max_formula_bytes = self
+            .mem_mb
+            .map(|mb| {
+                mb.checked_mul(1024 * 1024)
+                    .and_then(|b| usize::try_from(b).ok())
+                    .ok_or_else(|| format!("mem-mb {mb} overflows a byte count"))
+            })
+            .transpose()?;
         let model = if let Some(name) = self.model.strip_prefix("suite:") {
             suite_model(name).ok_or_else(|| format!("no built-in suite model named '{name}'"))?
         } else {
@@ -272,7 +281,7 @@ impl JobSpec {
         };
         let mut budget = Budget::none().with_cancel(CancelToken::new());
         budget.timeout = self.timeout_ms.map(Duration::from_millis);
-        budget.max_formula_bytes = self.mem_mb.map(|mb| (mb as usize) * 1024 * 1024);
+        budget.max_formula_bytes = max_formula_bytes;
         budget.certify = self.certify;
         budget.reduce = self.reduce;
         let defaults = RetryPolicy::default();
@@ -358,6 +367,15 @@ mod tests {
             .into_job()
             .unwrap_err()
             .contains("no built-in suite model"));
+        // 2^44 MiB is 2^64 bytes; the overflow is found before the
+        // (unknown) model is resolved.
+        assert!(
+            JobSpec::parse_line("suite:nope jsat 4 mem-mb=17592186044416")
+                .unwrap()
+                .into_job()
+                .unwrap_err()
+                .contains("mem-mb 17592186044416 overflows")
+        );
         for (wire, needle) in [
             (r#"{"engines":["jsat"],"max_bound":4}"#, "missing 'model'"),
             (

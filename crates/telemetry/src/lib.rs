@@ -9,8 +9,8 @@
 //!    log₂-bucketed histograms with a lock-free hot path and a
 //!    stable-keyed JSON snapshot (the `stats` protocol frame).
 //! 2. [`trace`] — hierarchical span events (service → job → attempt →
-//!    bound → solver episode) emitted as JSONL through a bounded byte
-//!    ring to `--trace-out FILE`, so a quarantined job's full
+//!    bound → solver episode) emitted as JSONL through a bounded
+//!    64 KiB buffer to `--trace-out FILE`, so a quarantined job's full
 //!    attempt/backoff/resume timeline is reconstructible offline.
 //! 3. [`progress`] — the [`ProgressSink`] trait polled at the
 //!    existing budget safe points inside the solver and engines,

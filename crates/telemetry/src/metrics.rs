@@ -205,8 +205,8 @@ pub struct MetricsRegistry {
     pub peak_arena_bytes: Gauge,
     /// Highest per-job peak watch bytes reported by a finished job.
     pub peak_watch_bytes: Gauge,
-    /// Highest per-job peak proof-ring bytes reported by a finished
-    /// job.
+    /// Highest per-job proof-stream bytes (the binary-DRAT size)
+    /// reported by a finished job.
     pub peak_proof_bytes: Gauge,
     /// Solver trail depth at the last progress poll.
     pub solver_trail_depth: Gauge,

@@ -1,4 +1,4 @@
-//! Structured JSONL span tracing through a bounded byte ring.
+//! Structured JSONL span tracing through a bounded buffer.
 //!
 //! Trace events are small JSON objects, one per line, each carrying a
 //! monotone sequence number, a microsecond timestamp relative to the
@@ -9,15 +9,12 @@
 //! timeline of one quarantined job by filtering on its id — no state
 //! machine needed.
 //!
-//! Lines buffer in a bounded byte ring (the `ByteRing` shape from
-//! `crates/proof`, replicated here so the crate depends on nothing
-//! but `sebmc-logic`) and drain to the writer only when the ring
-//! fills or on an explicit [`TraceSink::flush`]: emitting an event
-//! costs a short mutex hold and an in-memory copy, not a syscall. The
-//! ring bounds the trace path's memory the same way the proof ring
-//! bounds certification memory — in keeping with the paper's
-//! space-first discipline, instrumentation must not grow with the
-//! workload.
+//! Lines collect in a 64 KiB buffer and drain to the writer only when
+//! the next line would not fit or on an explicit [`TraceSink::flush`]:
+//! emitting an event costs a short mutex hold and an in-memory copy,
+//! not a syscall. The fixed buffer bounds the trace path's memory — in
+//! keeping with the paper's space-first discipline, instrumentation
+//! must not grow with the workload.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
@@ -27,63 +24,13 @@ use std::time::Instant;
 
 use sebmc_logic::json::{obj, Json};
 
-/// Default ring capacity: enough for a few hundred events between
-/// drains without ever holding more than 64 KiB of trace data.
-const DEFAULT_RING_BYTES: usize = 64 << 10;
+/// Buffer capacity: enough for a few hundred events between drains
+/// without ever holding more than 64 KiB of trace data.
+const BUFFER_BYTES: usize = 64 << 10;
 
-/// A fixed-capacity FIFO ring buffer of bytes (the `ByteRing` shape
-/// from `crates/proof`, private replica).
-#[derive(Debug)]
-struct ByteRing {
-    buf: Box<[u8]>,
-    /// Index of the oldest unread byte.
-    head: usize,
-    /// Number of unread bytes.
-    len: usize,
-}
-
-impl ByteRing {
-    /// A ring holding at most `capacity` bytes (at least 1).
-    fn new(capacity: usize) -> Self {
-        ByteRing {
-            buf: vec![0u8; capacity.max(1)].into_boxed_slice(),
-            head: 0,
-            len: 0,
-        }
-    }
-
-    /// Free space in bytes.
-    fn free(&self) -> usize {
-        self.buf.len() - self.len
-    }
-
-    /// Appends as much of `bytes` as fits and returns how many bytes
-    /// were accepted (0 when full).
-    fn push(&mut self, bytes: &[u8]) -> usize {
-        let n = bytes.len().min(self.free());
-        let cap = self.buf.len();
-        let mut tail = (self.head + self.len) % cap;
-        for &b in &bytes[..n] {
-            self.buf[tail] = b;
-            tail = (tail + 1) % cap;
-        }
-        self.len += n;
-        n
-    }
-
-    /// Moves up to `out.len()` of the oldest bytes into `out` and
-    /// returns how many were read (0 when empty).
-    fn read_into(&mut self, out: &mut [u8]) -> usize {
-        let n = out.len().min(self.len);
-        let cap = self.buf.len();
-        for slot in &mut out[..n] {
-            *slot = self.buf[self.head];
-            self.head = (self.head + 1) % cap;
-        }
-        self.len -= n;
-        n
-    }
-}
+/// Size of each write a drain makes; a failed write counts its whole
+/// chunk as dropped.
+const DRAIN_CHUNK: usize = 1024;
 
 /// One typed field value in a trace event.
 #[derive(Debug, Clone, Copy)]
@@ -129,7 +76,8 @@ impl From<FieldValue<'_>> for Json {
 
 /// Everything behind the sink's mutex.
 struct TraceInner {
-    ring: ByteRing,
+    /// Lines not yet written, at most `BUFFER_BYTES`.
+    buf: Vec<u8>,
     out: Box<dyn Write + Send>,
     /// Next event sequence number.
     seq: u64,
@@ -138,7 +86,7 @@ struct TraceInner {
     dropped: u64,
 }
 
-/// A thread-safe JSONL event sink with ring-buffered batching.
+/// A thread-safe JSONL event sink with buffered batching.
 pub struct TraceSink {
     inner: Mutex<TraceInner>,
     epoch: Instant,
@@ -156,7 +104,7 @@ impl TraceSink {
     pub fn to_writer(out: Box<dyn Write + Send>) -> Self {
         TraceSink {
             inner: Mutex::new(TraceInner {
-                ring: ByteRing::new(DEFAULT_RING_BYTES),
+                buf: Vec::with_capacity(BUFFER_BYTES),
                 out,
                 seq: 0,
                 dropped: 0,
@@ -173,8 +121,8 @@ impl TraceSink {
 
     /// Emits one event line: the JSON object
     /// `{"seq":N,"t_us":T,"ev":"kind",...}` with the fields in order.
-    /// The line lands in the ring; the writer is only touched when the
-    /// ring cannot hold the line.
+    /// The line lands in the buffer; the writer is only touched when
+    /// the buffer cannot hold the line.
     pub fn event(&self, kind: &str, fields: &[(&str, FieldValue<'_>)]) {
         let t_us = self.epoch.elapsed().as_micros() as u64;
         let Ok(mut inner) = self.inner.lock() else {
@@ -192,38 +140,34 @@ impl TraceSink {
         );
         let line = format!("{}\n", obj(event));
         inner.seq += 1;
-        if inner.ring.free() < line.len() {
-            Self::drain_ring(&mut inner);
+        if BUFFER_BYTES - inner.buf.len() < line.len() {
+            Self::drain(&mut inner);
         }
-        if line.len() <= inner.ring.free() {
-            inner.ring.push(line.as_bytes());
+        if line.len() <= BUFFER_BYTES - inner.buf.len() {
+            inner.buf.extend_from_slice(line.as_bytes());
         } else if inner.out.write_all(line.as_bytes()).is_err() {
-            // Line bigger than the whole (drained) ring: written
+            // Line bigger than the whole (drained) buffer: written
             // through directly; on writer failure the trace degrades,
             // the service does not.
             inner.dropped += line.len() as u64;
         }
     }
 
-    /// Moves every buffered byte from the ring to the writer.
-    fn drain_ring(inner: &mut TraceInner) {
-        let mut chunk = [0u8; 1024];
-        loop {
-            let n = inner.ring.read_into(&mut chunk);
-            if n == 0 {
-                break;
-            }
-            if inner.out.write_all(&chunk[..n]).is_err() {
-                inner.dropped += n as u64;
+    /// Moves every buffered byte to the writer.
+    fn drain(inner: &mut TraceInner) {
+        for chunk in inner.buf.chunks(DRAIN_CHUNK) {
+            if inner.out.write_all(chunk).is_err() {
+                inner.dropped += chunk.len() as u64;
             }
         }
+        inner.buf.clear();
     }
 
-    /// Drains the ring and flushes the writer (called on shutdown and
+    /// Drains the buffer and flushes the writer (called on shutdown and
     /// before reading a trace file back).
     pub fn flush(&self) {
         if let Ok(mut inner) = self.inner.lock() {
-            Self::drain_ring(&mut inner);
+            Self::drain(&mut inner);
             let _ = inner.out.flush();
         }
     }
@@ -313,7 +257,7 @@ mod tests {
         sink.event("tick", &[]);
         assert!(
             buf.contents().is_empty(),
-            "one small event stays in the ring"
+            "one small event stays in the buffer"
         );
         sink.flush();
         assert!(buf.contents().contains("\"ev\":\"tick\""));

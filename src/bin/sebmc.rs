@@ -199,6 +199,19 @@ fn parse_num(flag: &str, value: Option<String>) -> u64 {
     })
 }
 
+/// Parses the value of `--{flag}`, a size in MiB, to bytes; a size
+/// whose byte count overflows is a usage error like any other bad
+/// number.
+fn parse_mib(flag: &str, value: Option<String>) -> usize {
+    let mb = parse_num(flag, value);
+    mb.checked_mul(1024 * 1024)
+        .and_then(|b| usize::try_from(b).ok())
+        .unwrap_or_else(|| {
+            eprintln!("sebmc: --{flag} {mb} overflows a byte count");
+            std::process::exit(2);
+        })
+}
+
 fn parse_args() -> Options {
     let mut args = std::env::args().skip(1);
     let mut path = None;
@@ -207,7 +220,7 @@ fn parse_args() -> Options {
     let mut deepen = false;
     let mut semantics = Semantics::Exactly;
     let mut timeout_ms = None;
-    let mut mem_mb = None;
+    let mut mem_bytes = None;
     let mut certify = false;
     let mut proof_out: Option<String> = None;
     let mut fault_plan: Option<String> = None;
@@ -221,7 +234,7 @@ fn parse_args() -> Options {
             "--deepen" => deepen = true,
             "--within" => semantics = Semantics::Within,
             "--timeout-ms" => timeout_ms = Some(parse_num("timeout-ms", args.next())),
-            "--mem-mb" => mem_mb = Some(parse_num("mem-mb", args.next())),
+            "--mem-mb" => mem_bytes = Some(parse_mib("mem-mb", args.next())),
             "--certify" => certify = true,
             "--no-reduce" => reduce = false,
             "--proof-out" => proof_out = Some(args.next().unwrap_or_else(|| usage())),
@@ -243,7 +256,7 @@ fn parse_args() -> Options {
             timeout: timeout_ms.map(Duration::from_millis),
             // Byte-based cap against the solver's exact clause-arena
             // accounting (headers included).
-            max_formula_bytes: mem_mb.map(|mb| mb as usize * 1024 * 1024),
+            max_formula_bytes: mem_bytes,
             certify,
             proof_out: proof_out.map(Into::into),
             fault: effective_fault_plan(fault_plan),
@@ -456,9 +469,9 @@ fn run_batch(args: Vec<String>) -> ExitCode {
     let mut bound: Option<usize> = None;
     let mut workers: Option<usize> = None;
     let mut timeout_ms: Option<u64> = None;
-    let mut mem_mb: Option<u64> = None;
-    let mut max_job_mb: Option<u64> = None;
-    let mut max_total_mb: Option<u64> = None;
+    let mut mem_bytes: Option<usize> = None;
+    let mut max_job_bytes: Option<usize> = None;
+    let mut max_total_bytes: Option<usize> = None;
     let mut retries: Option<u32> = None;
     let mut backoff_ms: Option<u64> = None;
     let mut attempt_timeout_ms: Option<u64> = None;
@@ -479,10 +492,16 @@ fn run_batch(args: Vec<String>) -> ExitCode {
             "--bound" => bound = Some(parse_num("bound", it.next()) as usize),
             "--workers" => workers = Some(parse_num("workers", it.next()) as usize),
             "--timeout-ms" => timeout_ms = Some(parse_num("timeout-ms", it.next())),
-            "--mem-mb" => mem_mb = Some(parse_num("mem-mb", it.next())),
-            "--max-job-mb" => max_job_mb = Some(parse_num("max-job-mb", it.next())),
-            "--max-total-mb" => max_total_mb = Some(parse_num("max-total-mb", it.next())),
-            "--retries" => retries = Some(parse_num("retries", it.next()) as u32),
+            "--mem-mb" => mem_bytes = Some(parse_mib("mem-mb", it.next())),
+            "--max-job-mb" => max_job_bytes = Some(parse_mib("max-job-mb", it.next())),
+            "--max-total-mb" => max_total_bytes = Some(parse_mib("max-total-mb", it.next())),
+            "--retries" => {
+                let n = parse_num("retries", it.next());
+                retries = Some(u32::try_from(n).unwrap_or_else(|_| {
+                    eprintln!("sebmc: --retries {n} is out of range");
+                    std::process::exit(2);
+                }));
+            }
             "--backoff-ms" => backoff_ms = Some(parse_num("backoff-ms", it.next())),
             "--attempt-timeout-ms" => {
                 attempt_timeout_ms = Some(parse_num("attempt-timeout-ms", it.next()));
@@ -530,7 +549,7 @@ fn run_batch(args: Vec<String>) -> ExitCode {
                         j.budget.timeout = timeout_ms.map(Duration::from_millis);
                     }
                     if j.budget.max_formula_bytes.is_none() {
-                        j.budget.max_formula_bytes = mem_mb.map(|mb| mb as usize * 1024 * 1024);
+                        j.budget.max_formula_bytes = mem_bytes;
                     }
                     if semantics == Semantics::Within {
                         j.semantics = Semantics::Within;
@@ -564,7 +583,7 @@ fn run_batch(args: Vec<String>) -> ExitCode {
         };
         let budget = Budget {
             timeout: timeout_ms.map(Duration::from_millis),
-            max_formula_bytes: mem_mb.map(|mb| mb as usize * 1024 * 1024),
+            max_formula_bytes: mem_bytes,
             certify,
             ..Budget::default()
         };
@@ -607,8 +626,8 @@ fn run_batch(args: Vec<String>) -> ExitCode {
         Some(w) => ServiceConfig::with_workers(w),
         None => ServiceConfig::default(),
     };
-    config.max_job_bytes = max_job_mb.map(|mb| mb as usize * 1024 * 1024);
-    config.max_total_bytes = max_total_mb.map(|mb| mb as usize * 1024 * 1024);
+    config.max_job_bytes = max_job_bytes;
+    config.max_total_bytes = max_total_bytes;
     config.witness_dir = witness_dir.map(Into::into);
     config.proof_dir = proof_dir.map(Into::into);
     if !quiet {
@@ -725,11 +744,11 @@ fn serve_usage() -> ! {
 fn run_serve(args: Vec<String>) -> ExitCode {
     let mut addr = "127.0.0.1:3935".to_string();
     let mut workers: Option<usize> = None;
-    let mut cache_mb: u64 = 64;
+    let mut cache_bytes: usize = 64 * 1024 * 1024;
     let mut no_cache = false;
     let mut max_queue: Option<usize> = Some(1024);
-    let mut max_job_mb: Option<u64> = None;
-    let mut max_total_mb: Option<u64> = None;
+    let mut max_job_bytes: Option<usize> = None;
+    let mut max_total_bytes: Option<usize> = None;
     let mut aging_ms: Option<u64> = None;
     let mut witness_dir: Option<String> = None;
     let mut proof_dir: Option<String> = None;
@@ -740,11 +759,11 @@ fn run_serve(args: Vec<String>) -> ExitCode {
         match a.as_str() {
             "--addr" => addr = it.next().unwrap_or_else(|| serve_usage()),
             "--workers" => workers = Some(parse_num("workers", it.next()) as usize),
-            "--cache-mb" => cache_mb = parse_num("cache-mb", it.next()),
+            "--cache-mb" => cache_bytes = parse_mib("cache-mb", it.next()),
             "--no-cache" => no_cache = true,
             "--max-queue" => max_queue = Some(parse_num("max-queue", it.next()) as usize),
-            "--max-job-mb" => max_job_mb = Some(parse_num("max-job-mb", it.next())),
-            "--max-total-mb" => max_total_mb = Some(parse_num("max-total-mb", it.next())),
+            "--max-job-mb" => max_job_bytes = Some(parse_mib("max-job-mb", it.next())),
+            "--max-total-mb" => max_total_bytes = Some(parse_mib("max-total-mb", it.next())),
             "--aging-ms" => aging_ms = Some(parse_num("aging-ms", it.next())),
             "--witness-dir" => witness_dir = Some(it.next().unwrap_or_else(|| serve_usage())),
             "--proof-out" => proof_dir = Some(it.next().unwrap_or_else(|| serve_usage())),
@@ -768,12 +787,12 @@ fn run_serve(args: Vec<String>) -> ExitCode {
         Some(w) => ServiceConfig::with_workers(w),
         None => ServiceConfig::default(),
     };
-    if !no_cache && cache_mb > 0 {
-        config.result_cache_bytes = Some(cache_mb as usize * 1024 * 1024);
+    if !no_cache && cache_bytes > 0 {
+        config.result_cache_bytes = Some(cache_bytes);
     }
     config.max_queue_depth = max_queue;
-    config.max_job_bytes = max_job_mb.map(|mb| mb as usize * 1024 * 1024);
-    config.max_total_bytes = max_total_mb.map(|mb| mb as usize * 1024 * 1024);
+    config.max_job_bytes = max_job_bytes;
+    config.max_total_bytes = max_total_bytes;
     config.witness_dir = witness_dir.map(Into::into);
     config.proof_dir = proof_dir.map(Into::into);
     if let Some(ms) = aging_ms {

@@ -246,6 +246,8 @@ fn malformed_numeric_flags_exit_2() {
         ("--mem-mb", "abc"),
         ("--bound", "-3"),
         ("--timeout-ms", "1.5"),
+        // 2^44 MiB is 2^64 bytes: the byte count overflows.
+        ("--mem-mb", "17592186044416"),
     ] {
         let out = cli()
             .args([path.to_str().unwrap(), flag, value])
@@ -260,6 +262,16 @@ fn malformed_numeric_flags_exit_2() {
         assert!(stderr.contains(flag.trim_start_matches("--")), "{stderr}");
     }
     std::fs::remove_file(path).ok();
+    // Batch values that parse as u64 but do not fit their target.
+    for (flag, value) in [("--mem-mb", "17592186044416"), ("--retries", "4294967297")] {
+        let out = cli()
+            .args(["batch", "--suite", "small", "--bound", "1", flag, value])
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "batch {flag} {value}: {stderr}");
+        assert!(stderr.contains(flag.trim_start_matches("--")), "{stderr}");
+    }
 }
 
 #[test]
