@@ -12,12 +12,17 @@
 //! **> 1.5×** slowdown against the *slowest* checked-in baseline for
 //! each bench.
 //!
-//! The proof-logging workloads (`proof/*`, PR 5) and the telemetry
-//! workloads (`telemetry/*`, PR 10) are **record-only**: they predate
-//! no baseline — their job is to document the cost of the feature on
-//! vs. off, not to gate. They are measured, printed and written to
-//! `--out`, but never fail the run and never exit 2 when a baseline
-//! is missing. The **off** configurations are gated indirectly: the
+//! The proof-logging workloads (`proof/*`), the telemetry workloads
+//! (`telemetry/*`) and the expansion hand-over
+//! (`expansion/traffic_light_k4`: `ExpansionSolver` on the unreduced
+//! bound-4 squaring encoding of `traffic_light`, every sample asserting
+//! the verdict and the three pinned `ExpansionStats` counts) are
+//! **record-only**. The first two document the cost of a feature on
+//! vs. off (there is no pre-feature baseline to regress against); the
+//! third records, on every run, the time of the expansion and of its
+//! hand-over of 653,888 clauses to CDCL. They are measured, printed and
+//! written to `--out`, but never fail the run and never exit 2 when a
+//! baseline is missing. The **off** configurations are gated indirectly: the
 //! propagation/watch workloads above run with no proof sink and no
 //! progress sink installed, so a regression in either disabled hot
 //! path trips the ordinary gate.
@@ -43,9 +48,9 @@ use sebmc_bench::baseline::baseline_median;
 use sebmc_bench::microbench::{json_array, run, Sample};
 use sebmc_bench::workloads::{chain_instance, churn_instance, pigeonhole_instance};
 use sebmc_bench::{flag, flag_u64};
-use sebmc_model::builders::token_ring;
+use sebmc_model::builders::{token_ring, traffic_light};
 use sebmc_proof::StreamingChecker;
-use sebmc_qbf::{QbfResult, QdpllSolver};
+use sebmc_qbf::{ExpansionSolver, QbfResult, QdpllSolver};
 use sebmc_sat::{Limits, SolveResult};
 use sebmc_telemetry::Telemetry;
 
@@ -62,11 +67,12 @@ const BASELINE_FILES: [&str; 5] = [
 /// proof-logging and PR 10 telemetry workloads have no pre-feature
 /// baseline to regress against (the feature did not exist), so their
 /// medians inform only.
-const RECORD_ONLY: [&str; 4] = [
+const RECORD_ONLY: [&str; 5] = [
     "proof/php76_log_off",
     "proof/php76_log_checked",
     "telemetry/chain30k_progress_off",
     "telemetry/chain30k_progress_on",
+    "expansion/traffic_light_k4",
 ];
 
 /// The slowest median any checked-in baseline records for `name`
@@ -124,6 +130,7 @@ fn main() -> ExitCode {
     });
     assert_eq!(tel_on.solve_with(&tel_on_heads), SolveResult::Sat);
     let token_ring_k3 = sebmc::encode_qbf_linear(&token_ring(4), 3).formula;
+    let traffic_k4 = sebmc::encode_qbf_squaring(&traffic_light(), 4).formula;
 
     let fresh: Vec<Sample> = vec![
         run("propagation/binary_chain_30k", 3, samples, || {
@@ -161,6 +168,21 @@ fn main() -> ExitCode {
             assert_eq!(
                 (stats.decisions, stats.conflicts, stats.satisfactions),
                 (31_072, 528, 17_656)
+            );
+        }),
+        // Record-only: the expansion and its hand-over to CDCL, with
+        // the same verdict and counts on every sample.
+        run("expansion/traffic_light_k4", 1, samples, || {
+            let mut solver = ExpansionSolver::new();
+            assert_eq!(solver.solve(&traffic_k4), QbfResult::False);
+            let stats = solver.stats();
+            assert_eq!(
+                (
+                    stats.expanded_universals,
+                    stats.peak_matrix_literals,
+                    stats.duplicated_vars
+                ),
+                (12, 2_340_864, 475_209)
             );
         }),
     ];

@@ -430,10 +430,10 @@ pub struct RunStats {
     /// Peak bytes held by the solver's *access structures* — the flat
     /// watch-list storage plus its per-literal range table — reported
     /// alongside `peak_formula_bytes` so the paper's memory accounting
-    /// covers the whole clause database, not just the clauses. 0 for
-    /// QBF engines: QDPLL keeps no watch lists, and the expansion
-    /// back-end's last copy, which is solved by CDCL, is not counted
-    /// yet.
+    /// covers the whole clause database, not just the clauses. The
+    /// expansion back-end reports the watch storage of the CDCL solver
+    /// its last copy is handed to; QDPLL keeps no watch lists and
+    /// reports 0.
     pub peak_watch_bytes: usize,
     /// Exact bytes of binary-DRAT proof stream emitted so far (0
     /// unless [`Budget::certify`] is on and the engine logs proofs).

@@ -239,17 +239,17 @@ impl QbfSession {
     /// Runs the back-end on `formula` under the session budget (byte
     /// cap lowered to a matrix-literal cap at 4 bytes per literal,
     /// cancellation polled at the solver's safe points): the verdict
-    /// with the matrix sizes, the solver effort and its peak formula
-    /// size.
+    /// with the matrix sizes, the solver effort, its peak formula size
+    /// and, for the expansion, the watch bytes of its CDCL copy.
     fn solve(&self, formula: &QbfFormula) -> BmcOutcome {
         let budget = &self.core.budget;
         let limits = budget.qbf_limits(self.core.started);
         let matrix = formula.matrix();
-        let (r, effort, peak) = match self.backend {
+        let (r, effort, peak, peak_watch_bytes) = match self.backend {
             QbfBackend::Qdpll => {
                 let mut solver = QdpllSolver::with_limits(limits);
                 let r = solver.solve(formula);
-                (r, solver.stats().decisions, matrix.num_literals())
+                (r, solver.stats().decisions, matrix.num_literals(), 0)
             }
             QbfBackend::Expansion => {
                 let mut solver = ExpansionSolver::with_limits(ExpansionLimits {
@@ -261,11 +261,12 @@ impl QbfSession {
                     base: limits,
                 });
                 let r = solver.solve(formula);
-                let peak = solver.stats().peak_matrix_literals;
+                let stats = solver.stats();
                 (
                     r,
-                    solver.stats().expanded_universals,
-                    peak.max(matrix.num_literals()),
+                    stats.expanded_universals,
+                    stats.peak_matrix_literals.max(matrix.num_literals()),
+                    stats.peak_watch_bytes,
                 )
             }
         };
@@ -280,6 +281,7 @@ impl QbfSession {
             encode_lits: matrix.num_literals(),
             peak_formula_lits: peak,
             peak_formula_bytes: peak * std::mem::size_of::<Lit>(),
+            peak_watch_bytes,
             solver_effort: effort,
             ..RunStats::default()
         };

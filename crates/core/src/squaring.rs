@@ -300,15 +300,24 @@ mod tests {
 
     /// Pins the expansion back-end's verdict and counts on three
     /// squaring encodings: how the expansion stores its matrices must
-    /// not change what it hands the SAT solver.
+    /// not change what it hands the SAT solver. At `traffic_light`
+    /// bound 4 it also pins the watch bytes of the CDCL copy.
     #[test]
     fn expansion_counts_on_squaring_encodings() {
         let cases = [
-            (traffic_light(), 2, QbfResult::False, 6, 22_176, 4_284),
-            (traffic_light(), 4, QbfResult::False, 12, 2_340_864, 475_209),
-            (fifo(1), 2, QbfResult::True, 12, 3_594_240, 683_865),
+            (traffic_light(), 2, QbfResult::False, 6, 22_176, 4_284, None),
+            (
+                traffic_light(),
+                4,
+                QbfResult::False,
+                12,
+                2_340_864,
+                475_209,
+                Some(24_905_336),
+            ),
+            (fifo(1), 2, QbfResult::True, 12, 3_594_240, 683_865, None),
         ];
-        for (model, k, verdict, expanded, peak, duplicated) in cases {
+        for (model, k, verdict, expanded, peak, duplicated, watch) in cases {
             let mut solver = ExpansionSolver::new();
             let got = solver.solve(&encode_qbf_squaring(&model, k).formula);
             let stats = solver.stats();
@@ -322,6 +331,9 @@ mod tests {
                 (expanded, peak, duplicated),
                 "bound {k}"
             );
+            if let Some(watch) = watch {
+                assert_eq!(stats.peak_watch_bytes, watch, "bound {k}");
+            }
         }
     }
 

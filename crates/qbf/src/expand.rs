@@ -21,10 +21,15 @@
 //! reusable flat buffers, each holding every clause's literals back to
 //! back plus one `u32` end offset per clause, which swap roles at each
 //! expansion: one is read while the other is written. The last
-//! expansion builds no matrix. It streams its two copies clause by
-//! clause into the CDCL solver's `add_clause`, so the largest matrix
-//! exists only as the solver's own copy, and both buffers are freed
-//! before the search starts.
+//! expansion builds no matrix. It frees the idle buffer, sizes the
+//! CDCL solver's per-variable arrays exactly with one `ensure_vars`
+//! call, and streams its two copies clause by clause into one
+//! [`ClauseBatch`](sebmc_sat::ClauseBatch). The largest matrix exists
+//! only as the solver's own copy, and the batch's `finish` lays out
+//! every watch list with exactly the room its clauses take, instead of
+//! growing the lists one clause at a time. Both buffers are freed
+//! before the search starts. [`ExpansionStats::peak_watch_bytes`]
+//! reports the watch storage of that copy.
 //!
 //! **Growth guard.** Before each expansion the solver gives up with
 //! [`QbfResult::Unknown`] when the next matrix could exceed
@@ -74,6 +79,11 @@ pub struct ExpansionStats {
     pub peak_matrix_literals: usize,
     /// Fresh variables introduced by duplication.
     pub duplicated_vars: u64,
+    /// Peak bytes of the CDCL solver's watch storage (its
+    /// [`Stats::peak_watch_bytes`](sebmc_sat::Stats::peak_watch_bytes)),
+    /// over the hand-over of the last copy and the search. 0 when the
+    /// expansion stopped before the hand-over.
+    pub peak_watch_bytes: usize,
 }
 
 /// Expansion-based QBF solver: eliminates universals innermost-first,
@@ -133,7 +143,7 @@ impl ExpansionSolver {
         });
         // The expansion's buffers are freed when it returns, before the
         // search starts.
-        match self.expand_into(qbf, &mut sat) {
+        let result = match self.expand_into(qbf, &mut sat) {
             None => QbfResult::Unknown,
             Some(false) => QbfResult::False,
             Some(true) => match sat.solve() {
@@ -141,7 +151,9 @@ impl ExpansionSolver {
                 SolveResult::Unsat => QbfResult::False,
                 SolveResult::Unknown => QbfResult::Unknown,
             },
-        }
+        };
+        self.stats.peak_watch_bytes = sat.stats().peak_watch_bytes;
+        result
     }
 
     /// Expands every universal of `qbf`, innermost first, and streams
@@ -203,15 +215,17 @@ impl ExpansionSolver {
                 std::mem::swap(&mut cur, &mut next);
             } else {
                 // The last expansion frees the idle buffer and streams
-                // its copies straight into the SAT solver, counting them
-                // also past a top-level conflict.
+                // its copies straight into one clause batch of the SAT
+                // solver, counting them also past a top-level conflict.
                 next = FlatMatrix::default();
                 sat.ensure_vars(num_vars);
                 lits = 0;
+                let mut batch = sat.batch();
                 expand(source, u, &rename, |c| {
                     lits += c.len();
-                    ok = ok && sat.add_clause(c.iter().copied());
+                    batch.add(c);
                 });
+                ok = batch.finish();
             }
             self.stats.expanded_universals += 1;
             self.stats.peak_matrix_literals = self.stats.peak_matrix_literals.max(lits);

@@ -12,11 +12,13 @@ use sebmc_logic::Var;
 #[derive(Debug, Clone, Default)]
 pub struct ActivityHeap {
     heap: Vec<Var>,
-    /// Position of each variable in `heap`, or `usize::MAX` if absent.
-    pos: Vec<usize>,
+    /// Position of each variable in `heap`, or `ABSENT`. Four bytes
+    /// per variable: a heap holds at most one entry per variable, and
+    /// variable indices fit in `u32`.
+    pos: Vec<u32>,
 }
 
-const ABSENT: usize = usize::MAX;
+const ABSENT: u32 = u32::MAX;
 
 impl ActivityHeap {
     /// Creates an empty heap.
@@ -29,6 +31,13 @@ impl ActivityHeap {
         if self.pos.len() < n {
             self.pos.resize(n, ABSENT);
         }
+    }
+
+    /// Reserves room for exactly `additional` more variables in the
+    /// position table and the heap itself.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.pos.reserve_exact(additional);
+        self.heap.reserve_exact(additional);
     }
 
     /// Whether `v` is currently in the heap.
@@ -54,7 +63,7 @@ impl ActivityHeap {
         if self.contains(v) {
             return;
         }
-        self.pos[v.index()] = self.heap.len();
+        self.pos[v.index()] = self.heap.len() as u32;
         self.heap.push(v);
         self.sift_up(self.heap.len() - 1, act);
     }
@@ -79,7 +88,7 @@ impl ActivityHeap {
     pub fn bumped(&mut self, v: Var, act: &[f64]) {
         if let Some(&p) = self.pos.get(v.index()) {
             if p != ABSENT {
-                self.sift_up(p, act);
+                self.sift_up(p as usize, act);
             }
         }
     }
@@ -121,8 +130,8 @@ impl ActivityHeap {
 
     fn swap(&mut self, i: usize, j: usize) {
         self.heap.swap(i, j);
-        self.pos[self.heap[i].index()] = i;
-        self.pos[self.heap[j].index()] = j;
+        self.pos[self.heap[i].index()] = i as u32;
+        self.pos[self.heap[j].index()] = j as u32;
     }
 }
 
@@ -175,6 +184,13 @@ mod tests {
         h.pop_max(&act);
         assert!(!h.contains(Var::new(2)));
         assert!(h.is_empty());
+    }
+
+    #[test]
+    fn position_entries_take_four_bytes() {
+        let mut h = ActivityHeap::new();
+        h.grow(1);
+        assert_eq!(std::mem::size_of_val(&h.pos[0]), 4);
     }
 
     #[test]

@@ -38,4 +38,4 @@ mod occlists;
 mod solver;
 
 pub use arena::{CRef, ClauseArena};
-pub use solver::{Limits, SolveResult, Solver, Stats};
+pub use solver::{ClauseBatch, Limits, SolveResult, Solver, Stats};

@@ -11,7 +11,8 @@
 //!   contiguous memory;
 //! * watch storage becomes *measurable* — [`OccLists::resident_bytes`]
 //!   is exact, like the clause arena's accounting — and *compactable*:
-//!   segments abandoned by growth are reclaimed by [`OccLists::compact`]
+//!   segments abandoned by growth are reclaimed by
+//!   [`OccLists::compact_with_room`]
 //!   the same way the arena reclaims freed clauses;
 //! * deletion is **lazy**: detaching a clause marks its two watch lists
 //!   dirty ([`OccLists::smudge`]) instead of running the old
@@ -27,9 +28,22 @@
 //! anywhere else it relocates to the tail with doubled capacity,
 //! abandoning its old slots. Abandoned slots are booked in `wasted`;
 //! when they exceed [`COMPACT_WASTE_FRACTION`] of the storage at a safe
-//! point, `compact` rewrites every live segment back-to-back in literal
+//! point, it rewrites every live segment back-to-back in literal
 //! order (also restoring scan locality). The solver calls
 //! [`OccLists::maybe_compact`] from its GC safe points.
+//!
+//! Pushing clauses one at a time is what makes this waste: a bulk load
+//! relocates most lists several times, and at the end of it the vector
+//! holds about twice its live watchers in spare room and abandoned
+//! segments. A clause batch therefore attaches nothing while it is
+//! filled. At its end [`OccLists::compact_with_room`] is told every
+//! watcher the batch will push, and rewrites the storage in one
+//! allocation, each list's live watchers followed by exactly the room
+//! its new ones take, so attaching them relocates no list. Only the
+//! level-0 propagation that follows can still move a watcher into a
+//! full list; the allocation keeps [`LAYOUT_TAIL_SLACK`] of spare tail
+//! room for those relocations, as every compaction does for the
+//! relocations of the search.
 //!
 //! ## The dirty-bit discipline
 //!
@@ -128,12 +142,18 @@ impl Range {
 const COMPACT_WASTE_FRACTION: f64 = 0.25;
 /// Initial capacity a list receives when it first relocates to the tail.
 const MIN_SEGMENT_CAP: u32 = 4;
+/// Spare tail room [`OccLists::compact_with_room`] allocates past the
+/// laid-out segments, as a fraction of them: room for the relocations
+/// that follow (at the end of a clause batch, those of its level-0
+/// propagation), so that the first of them does not double the whole
+/// vector.
+const LAYOUT_TAIL_SLACK: f64 = 1.0 / 8.0;
 
 /// Flat literal-indexed watch storage. See the module docs.
 #[derive(Debug, Default)]
 pub(crate) struct OccLists {
     /// All segments, back to back (plus abandoned holes awaiting
-    /// [`OccLists::compact`]).
+    /// [`OccLists::compact_with_room`]).
     data: Vec<Watcher>,
     /// One segment descriptor per literal code.
     ranges: Vec<Range>,
@@ -151,6 +171,12 @@ impl OccLists {
     /// Registers one more literal code (two calls per fresh variable).
     pub(crate) fn push_lit(&mut self) {
         self.ranges.push(Range::default());
+    }
+
+    /// Reserves the range table for exactly `additional` more literal
+    /// codes.
+    pub(crate) fn reserve_codes_exact(&mut self, additional: usize) {
+        self.ranges.reserve_exact(additional);
     }
 
     /// The live extent of `code`'s list as `(start, len)` indices into
@@ -321,31 +347,48 @@ impl OccLists {
         }
     }
 
-    /// Rewrites the flat storage with every live segment back to back
-    /// in literal order: reclaims abandoned slots *and* spare capacity,
-    /// and restores scan locality. Lists must be clean.
-    pub(crate) fn compact(&mut self) {
-        let live: usize = self.ranges.iter().map(|r| r.len as usize).sum();
-        let mut fresh: Vec<Watcher> = Vec::with_capacity(live);
+    /// Rewrites the flat storage with every list back to back in
+    /// literal order, in one allocation: reclaims abandoned slots and
+    /// spare room, and restores scan locality. Every list keeps its
+    /// watchers in order (a dirty list its stale ones too, and its
+    /// dirty bit).
+    ///
+    /// `room` names, one entry per watcher, every list the caller is
+    /// about to [`push`](OccLists::push) to in bulk; each list gets
+    /// exactly the spare room its named pushes take, so they relocate
+    /// nothing. The counts are kept in the descriptors' capacity fields
+    /// while the storage is rebuilt, so no per-literal count array is
+    /// allocated beside it. The allocation keeps [`LAYOUT_TAIL_SLACK`]
+    /// of spare tail room for the relocations that follow.
+    pub(crate) fn compact_with_room(&mut self, room: impl IntoIterator<Item = usize>) {
         for r in &mut self.ranges {
-            let start = r.start as usize;
-            let len = r.len as usize;
+            r.cap_dirty = r.len | (r.cap_dirty & DIRTY);
+        }
+        for code in room {
+            self.ranges[code].cap_dirty += 1;
+        }
+        let total: usize = self.ranges.iter().map(|r| r.cap() as usize).sum();
+        let slack = (total as f64 * LAYOUT_TAIL_SLACK) as usize;
+        let mut fresh: Vec<Watcher> = Vec::with_capacity(total + slack);
+        for r in &mut self.ranges {
+            let (start, len) = (r.start as usize, r.len as usize);
             r.start = fresh.len() as u32;
-            r.cap_dirty = (r.len) | (r.cap_dirty & DIRTY);
             fresh.extend_from_slice(&self.data[start..start + len]);
+            fresh.resize(r.start as usize + r.cap() as usize, Watcher::dummy());
         }
         self.data = fresh;
         self.wasted = 0;
     }
 
-    /// Runs [`OccLists::compact`] when abandoned slots exceed
+    /// Runs [`OccLists::compact_with_room`], with no room asked for,
+    /// when abandoned slots exceed
     /// [`COMPACT_WASTE_FRACTION`] of the storage. Called from the
     /// solver's GC safe points (after `clean_all`).
     pub(crate) fn maybe_compact(&mut self) {
         if !self.data.is_empty()
             && self.wasted as f64 >= self.data.len() as f64 * COMPACT_WASTE_FRACTION
         {
-            self.compact();
+            self.compact_with_room([]);
         }
     }
 
@@ -360,7 +403,7 @@ impl OccLists {
     }
 
     /// `data` slots abandoned by segment relocation (reclaimed by the
-    /// next [`OccLists::compact`]).
+    /// next [`OccLists::compact_with_room`]).
     #[cfg(test)]
     pub(crate) fn wasted_slots(&self) -> usize {
         self.wasted
@@ -491,7 +534,7 @@ mod tests {
         let before: Vec<Vec<u32>> = (0..8).map(|c| list(&o, c)).collect();
         assert!(o.wasted_slots() > 0);
         let bytes_loose = o.resident_bytes();
-        o.compact();
+        o.compact_with_room([]);
         assert_eq!(o.wasted_slots(), 0);
         assert!(o.resident_bytes() < bytes_loose, "compaction shrinks");
         let after: Vec<Vec<u32>> = (0..8).map(|c| list(&o, c)).collect();
@@ -499,6 +542,50 @@ mod tests {
         // Lists remain usable after compaction.
         o.push(5, w(999));
         assert_eq!(*list(&o, 5).last().unwrap(), 999);
+    }
+
+    #[test]
+    fn compact_with_room_is_exact_and_keeps_lists() {
+        let mut o = fresh(6);
+        // Interleaved pushes leave abandoned segments and spare room.
+        for round in 0..9u32 {
+            for code in [0, 2, 3] {
+                o.push(code, w(round * 10 + code as u32));
+            }
+        }
+        o.smudge(2);
+        assert!(o.wasted_slots() > 0);
+        let before: Vec<Vec<u32>> = (0..6).map(|c| list(&o, c)).collect();
+        let room = [0, 1, 3, 3, 2, 4, 4, 5];
+        o.compact_with_room(room);
+        assert_eq!(o.wasted_slots(), 0);
+        let after: Vec<Vec<u32>> = (0..6).map(|c| list(&o, c)).collect();
+        assert_eq!(before, after, "every list keeps its watchers in order");
+        assert!(o.is_dirty(2), "the dirty bit survives");
+        assert!(!o.is_dirty(0) && !o.is_dirty(3));
+        assert_eq!(o.dirties, vec![2]);
+        let live: usize = before.iter().map(Vec::len).sum();
+        assert_eq!(o.data.len(), live + room.len(), "live plus reserved slots");
+        // Segments sit back to back in literal order.
+        let mut next = 0;
+        for code in 0..6 {
+            assert_eq!(o.ranges[code].start as usize, next);
+            next += o.ranges[code].cap() as usize;
+        }
+        // Filling the reserved room relocates nothing.
+        let starts: Vec<u32> = o.ranges.iter().map(|r| r.start).collect();
+        for (i, &code) in room.iter().enumerate() {
+            o.push(code, w(1000 + i as u32));
+        }
+        assert_eq!(o.data.len(), live + room.len());
+        assert_eq!(o.wasted_slots(), 0);
+        assert_eq!(o.ranges.iter().map(|r| r.start).collect::<Vec<_>>(), starts);
+        assert_eq!(list(&o, 0), [&before[0][..], &[1000]].concat());
+        assert_eq!(list(&o, 1), vec![1001]);
+        assert_eq!(list(&o, 2), [&before[2][..], &[1004]].concat());
+        assert_eq!(list(&o, 3), [&before[3][..], &[1002, 1003]].concat());
+        assert_eq!(list(&o, 4), vec![1005, 1006]);
+        assert_eq!(list(&o, 5), vec![1007]);
     }
 
     #[test]

@@ -30,7 +30,10 @@
 //! per-literal `(start, len)` ranges, so a propagation cascade walks
 //! contiguous memory instead of chasing one heap `Vec` per literal,
 //! and watch storage is byte-accounted and compactable exactly like
-//! the arena.
+//! the arena. A bulk load goes through a [`ClauseBatch`], which stores
+//! its clauses unwatched and lays out every watch list once, with
+//! exactly the room the batch takes, instead of growing the lists one
+//! clause at a time.
 //!
 //! Three kinds of root references exist, and the solver maintains
 //! these invariants for each:
@@ -93,10 +96,10 @@
 //! the first clause), the solver narrates every change to its
 //! *logical* clause database as a binary-DRAT event stream:
 //!
-//! * `add_clause` logs the caller's clause as an **original**; when
-//!   level-0 filtering strips falsified literals, the filtered clause
-//!   is logged as a derived **add** (RUP via the top-level units)
-//!   followed by a **delete** of the original;
+//! * `add_clause` and [`ClauseBatch::add`] log the caller's clause as
+//!   an **original**; when level-0 filtering strips falsified
+//!   literals, the filtered clause is logged as a derived **add** (RUP
+//!   via the top-level units) followed by a **delete** of the original;
 //! * every clause learnt by `analyze` is logged as an **add** (the
 //!   first-UIP clause with minimization is RUP by construction);
 //! * `reduce_db`, `simplify` and the subsumption pass log a **delete**
@@ -253,10 +256,24 @@ enum Value {
     Unassigned,
 }
 
+/// A variable's trail data in 8 bytes: its reason clause, or
+/// [`NO_REASON`] for a decision, an assumption or a level-0 fact, and
+/// its decision level.
 #[derive(Copy, Clone, Debug)]
 struct VarData {
-    reason: Option<CRef>,
+    reason: CRef,
     level: u32,
+}
+
+/// `VarData::reason` of a variable that no clause implied. Arena
+/// offsets stay below 2³¹, so no clause has this reference.
+const NO_REASON: CRef = CRef(u32::MAX);
+
+impl VarData {
+    #[inline]
+    fn reason(self) -> Option<CRef> {
+        (self.reason != NO_REASON).then_some(self.reason)
+    }
 }
 
 const VAR_DECAY: f64 = 0.95;
@@ -319,7 +336,9 @@ pub struct Solver {
     stats: Stats,
     max_learnts: f64,
     /// Stamp array indexed by decision level, used to count distinct
-    /// levels (LBD) without clearing between clauses.
+    /// levels (LBD) without clearing between clauses. It grows with the
+    /// deepest decision level an LBD count has seen, not with the
+    /// variables.
     lbd_stamp: Vec<u64>,
     lbd_counter: u64,
     /// Proof-event receiver; `None` (the default) costs one branch at
@@ -329,6 +348,11 @@ pub struct Solver {
     /// (`reduce_db`/`simplify` delete clauses in bulk; one fresh `Vec`
     /// per deletion would be needless churn).
     proof_scratch: Vec<Lit>,
+    /// Reusable buffers of [`Solver::normalize`]: the caller's clause
+    /// sorted and deduplicated, and the same without its level-0-false
+    /// literals. Adding a clause allocates nothing per call.
+    clause_buf: Vec<Lit>,
+    filtered: Vec<Lit>,
     /// `(conflicts, propagations, restarts)` at the previous progress
     /// poll: samples carry deltas, so a sink can derive rates.
     progress_marks: (u64, u64, u64),
@@ -365,10 +389,12 @@ impl Solver {
             limits: Limits::none(),
             stats: Stats::default(),
             max_learnts: 4000.0,
-            lbd_stamp: vec![0],
+            lbd_stamp: Vec::new(),
             lbd_counter: 0,
             proof: None,
             proof_scratch: Vec::new(),
+            clause_buf: Vec::new(),
+            filtered: Vec::new(),
             progress_marks: (0, 0, 0),
         }
     }
@@ -379,7 +405,7 @@ impl Solver {
         self.assigns.push(Value::Unassigned);
         self.assigns.push(Value::Unassigned);
         self.vardata.push(VarData {
-            reason: None,
+            reason: NO_REASON,
             level: 0,
         });
         self.activity.push(0.0);
@@ -387,13 +413,30 @@ impl Solver {
         self.seen.push(false);
         self.watches.push_lit();
         self.watches.push_lit();
-        self.lbd_stamp.push(0);
         self.heap.insert(v, &self.activity);
         v
     }
 
     /// Ensures at least `n` variables exist.
+    ///
+    /// A call that more than doubles the variable count (a fresh
+    /// solver's [`Solver::add_cnf`], or the expansion back-end handing
+    /// over its last copy) sizes every per-variable array, the decision
+    /// heap and the watch range table exactly. Smaller growth stays
+    /// amortized: jSAT adds one variable per frame push, and an exact
+    /// reserve on every call would reallocate every time.
     pub fn ensure_vars(&mut self, n: usize) {
+        let have = self.num_vars();
+        if n > 2 * have {
+            let add = n - have;
+            self.assigns.reserve_exact(2 * add);
+            self.vardata.reserve_exact(add);
+            self.activity.reserve_exact(add);
+            self.phase.reserve_exact(add);
+            self.seen.reserve_exact(add);
+            self.heap.reserve_exact(add);
+            self.watches.reserve_codes_exact(2 * add);
+        }
         while self.num_vars() < n {
             self.new_var();
         }
@@ -489,13 +532,6 @@ impl Solver {
 
     // ----- proof-logging helpers (each a no-op without a sink) -----------
 
-    fn proof_original(&mut self, lits: &[Lit]) {
-        if let Some(p) = self.proof.as_mut() {
-            p.original(lits);
-            self.stats.peak_proof_bytes = p.bytes_emitted();
-        }
-    }
-
     fn proof_add(&mut self, lits: &[Lit]) {
         if let Some(p) = self.proof.as_mut() {
             p.add(lits);
@@ -537,51 +573,24 @@ impl Solver {
     /// (the empty clause was derived).
     ///
     /// Tautologies are silently dropped and duplicate literals merged.
-    /// May be called between `solve` calls for incremental use.
+    /// May be called between `solve` calls for incremental use. To add
+    /// many clauses at once, a [`Solver::batch`] leaves far less spare
+    /// room in the watch storage.
     pub fn add_clause<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
         self.cancel_until(0);
         if !self.ok {
             return false;
         }
-        let mut ls: Vec<Lit> = lits.into_iter().collect();
-        for l in &ls {
-            assert!(
-                l.var().index() < self.num_vars(),
-                "literal {l:?} references an unallocated variable"
-            );
-        }
-        ls.sort_unstable();
-        ls.dedup();
-        // Tautology?
-        if ls.windows(2).any(|w| w[0].var() == w[1].var()) {
+        if !self.normalize(lits) {
             return true;
         }
-        // Remove literals already false at level 0; drop satisfied
-        // clauses (silently — a missing axiom only *strengthens* what
-        // the proof certifies).
-        let mut filtered = Vec::with_capacity(ls.len());
-        for &l in &ls {
-            match lit_value(&self.assigns, l) {
-                Value::True => return true,
-                Value::False => {}
-                Value::Unassigned => filtered.push(l),
-            }
-        }
-        // Proof: the caller's clause is the axiom; the filtered
-        // version, when different, is a derived add (RUP via the
-        // top-level units) that replaces it.
-        self.proof_original(&ls);
-        if filtered.len() != ls.len() {
-            self.proof_add(&filtered);
-            self.proof_delete(&ls);
-        }
-        match filtered.len() {
+        match self.filtered.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(filtered[0], None);
+                self.unchecked_enqueue(self.filtered[0], None);
                 self.ok = self.propagate().is_none();
                 if !self.ok {
                     // Top-level conflict: the empty clause follows by
@@ -591,10 +600,152 @@ impl Solver {
                 self.ok
             }
             _ => {
+                let filtered = std::mem::take(&mut self.filtered);
                 self.alloc_clause(&filtered, false);
+                self.filtered = filtered;
                 true
             }
         }
+    }
+
+    /// Opens a batch of problem clauses: the way to add many clauses
+    /// at once, such as the expansion back-end's last copy.
+    ///
+    /// [`ClauseBatch::add`] takes each clause as [`Solver::add_clause`]
+    /// does, with the same proof events, but leaves the watch storage
+    /// alone: a unit is enqueued without being propagated, and a longer
+    /// clause is stored unwatched. [`ClauseBatch::finish`] then watches
+    /// every stored clause on two literals that are not false at level
+    /// 0, lays out each watch list with exactly the room its new
+    /// watchers take, attaches the clauses in order and propagates
+    /// once. Clause by clause, every full list relocates with doubled
+    /// capacity, which leaves about as much spare and abandoned room
+    /// as live watchers.
+    ///
+    /// Level-0 filtering sees the batch's own units but not their
+    /// consequences, so a clause that propagation would have satisfied
+    /// or shortened is kept as it is. The guard borrows the solver
+    /// mutably, so nothing else runs while a clause is unwatched, and
+    /// dropping it without `finish` (also during a panic) finishes the
+    /// batch.
+    ///
+    /// ```
+    /// use sebmc_sat::{SolveResult, Solver};
+    ///
+    /// let mut s = Solver::new();
+    /// let [a, b, c] = [(); 3].map(|()| s.new_var().positive());
+    /// let mut batch = s.batch();
+    /// batch.add(&[a, b, c]);
+    /// batch.add(&[!a, b]);
+    /// batch.add(&[!b]);
+    /// assert!(batch.finish());
+    /// assert_eq!(s.solve(), SolveResult::Sat);
+    /// assert_eq!(s.value(c.var()), Some(true));
+    /// ```
+    pub fn batch(&mut self) -> ClauseBatch<'_> {
+        self.cancel_until(0);
+        let first = self.clauses.len();
+        ClauseBatch {
+            solver: self,
+            first,
+            finished: false,
+        }
+    }
+
+    /// Level-0 normalization of a clause being added, shared by
+    /// [`Solver::add_clause`] and [`ClauseBatch::add`]. Sorts the
+    /// caller's literals into `clause_buf` and merges duplicates; drops
+    /// a tautology or a clause already true at level 0 (silently: a
+    /// missing axiom only *strengthens* what the proof certifies);
+    /// otherwise leaves the literals that are not false at level 0 in
+    /// `filtered` and logs the proof events. The caller's clause is the
+    /// axiom; the filtered version, when different, is a derived add
+    /// (RUP via the top-level units) that replaces it. Returns `false`
+    /// when the clause is dropped.
+    fn normalize<I: IntoIterator<Item = Lit>>(&mut self, lits: I) -> bool {
+        let Solver {
+            clause_buf: ls,
+            filtered,
+            assigns,
+            proof,
+            stats,
+            ..
+        } = self;
+        ls.clear();
+        ls.extend(lits);
+        for l in ls.iter() {
+            assert!(
+                l.var().index() < assigns.len() / 2,
+                "literal {l:?} references an unallocated variable"
+            );
+        }
+        ls.sort_unstable();
+        ls.dedup();
+        if ls.windows(2).any(|w| w[0].var() == w[1].var()) {
+            return false;
+        }
+        filtered.clear();
+        for &l in ls.iter() {
+            match lit_value(assigns, l) {
+                Value::True => return false,
+                Value::False => {}
+                Value::Unassigned => filtered.push(l),
+            }
+        }
+        if let Some(p) = proof.as_mut() {
+            p.original(ls);
+            if filtered.len() != ls.len() {
+                p.add(filtered);
+                p.delete(ls);
+            }
+            stats.peak_proof_bytes = p.bytes_emitted();
+        }
+        true
+    }
+
+    /// Ends a batch whose clauses start at `first` in the problem-clause
+    /// list (see [`Solver::batch`]). Returns `false` if the solver is
+    /// inconsistent.
+    fn finish_batch(&mut self, first: usize) -> bool {
+        if first < self.clauses.len() {
+            // Watch two literals that are not false at level 0 where the
+            // clause has them. A false watch is always one of the
+            // batch's own units, which the propagation below visits.
+            for &cref in &self.clauses[first..] {
+                let lits = self.arena.lits_raw_mut(cref);
+                let mut picked = 0;
+                for k in 0..lits.len() {
+                    if picked == 2 {
+                        break;
+                    }
+                    if self.assigns[lits[k] as usize] != Value::False {
+                        lits.swap(picked, k);
+                        picked += 1;
+                    }
+                }
+            }
+            let Solver {
+                arena,
+                clauses,
+                watches,
+                ..
+            } = self;
+            watches.compact_with_room(
+                clauses[first..]
+                    .iter()
+                    .flat_map(|&c| [(!arena.lit(c, 0)).code(), (!arena.lit(c, 1)).code()]),
+            );
+            for i in first..self.clauses.len() {
+                self.attach_clause(self.clauses[i]);
+            }
+        }
+        if self.ok && self.propagate().is_some() {
+            self.ok = false;
+            self.proof_add(&[]);
+        }
+        self.sync_word_stats();
+        self.check_invariants();
+        self.ok
     }
 
     /// Adds every clause of a [`Cnf`], creating variables as needed.
@@ -704,7 +855,7 @@ impl Solver {
         }
         // Top-level assignments never need reasons again.
         for &l in &self.trail {
-            self.vardata[l.var().index()].reason = None;
+            self.vardata[l.var().index()].reason = NO_REASON;
         }
         let proof_on = self.proof.is_some();
         // Every watch list is rebuilt from scratch at the end; until
@@ -997,8 +1148,8 @@ impl Solver {
         });
         for i in 0..self.trail.len() {
             let v = self.trail[i].var();
-            if let Some(r) = self.vardata[v.index()].reason {
-                self.vardata[v.index()].reason = Some(self.arena.reloc(r, &mut to));
+            if let Some(r) = self.vardata[v.index()].reason() {
+                self.vardata[v.index()].reason = self.arena.reloc(r, &mut to);
             }
         }
         self.arena = to;
@@ -1031,9 +1182,16 @@ impl Solver {
             return;
         }
         // 1. Clause lists own exactly the live clauses, and the
-        //    clause-database statistics agree with the arena.
+        //    clause-database statistics agree with the arena. One mark
+        //    byte per arena word, keyed by the clause's offset, records
+        //    that a clause is listed and on which of its two watched
+        //    literals a watcher was seen: the audit runs after every
+        //    clause batch, and hash sets over a bulk load's clauses
+        //    would cost more than the clauses.
+        const LISTED: u8 = 1;
+        const WATCHED: [u8; 2] = [2, 4];
+        let mut marks = vec![0u8; self.arena.resident_words()];
         let mut live_lits = 0usize;
-        let mut listed: std::collections::HashSet<CRef> = std::collections::HashSet::new();
         for (&cref, learnt) in self
             .clauses
             .iter()
@@ -1049,7 +1207,9 @@ impl Solver {
                 learnt,
                 "clause sits in the wrong owning list"
             );
-            assert!(listed.insert(cref), "clause listed twice");
+            let mark = &mut marks[cref.0 as usize];
+            assert_eq!(*mark & LISTED, 0, "clause listed twice");
+            *mark |= LISTED;
             let len = self.arena.len(cref);
             assert!(len >= 2, "live clause shorter than two literals");
             live_lits += len;
@@ -1072,9 +1232,7 @@ impl Solver {
         //    list references a live clause that is watched on this
         //    list's literal, with the right binary tag and a blocker
         //    from the clause; stale watchers only survive in dirty
-        //    lists. Live watchers are tallied for the backward check.
-        let mut watched: std::collections::HashMap<CRef, Vec<usize>> =
-            std::collections::HashMap::new();
+        //    lists.
         for code in 0..self.watches.num_codes() {
             let dirty = self.watches.is_dirty(code);
             for w in self.watches.watchers(code) {
@@ -1083,8 +1241,10 @@ impl Solver {
                     assert!(dirty, "stale watcher survives in a clean watch list");
                     continue;
                 }
-                assert!(
-                    listed.contains(&cref),
+                let mark = &mut marks[cref.0 as usize];
+                assert_ne!(
+                    *mark & LISTED,
+                    0,
                     "watcher references a live clause missing from its list"
                 );
                 let len = self.arena.len(cref);
@@ -1093,29 +1253,27 @@ impl Solver {
                     len == 2,
                     "watcher's binary tag disagrees with the clause length"
                 );
-                assert!(
-                    (0..2).any(|i| (!self.arena.lit(cref, i)).code() == code),
-                    "watcher sits in a list its clause does not watch"
-                );
+                let slot = (0..2)
+                    .find(|&i| (!self.arena.lit(cref, i)).code() == code)
+                    .expect("watcher sits in a list its clause does not watch");
                 assert!(
                     self.arena.lits(cref).any(|l| l == w.blocker),
                     "watcher's blocker is not a literal of its clause"
                 );
-                watched.entry(cref).or_default().push(code);
+                assert_eq!(
+                    *mark & WATCHED[slot],
+                    0,
+                    "live clause is watched twice on one literal"
+                );
+                *mark |= WATCHED[slot];
             }
         }
-        // 2b. Backward direction: each live clause is watched exactly
-        //     once on each of `(!lit0, !lit1)`.
-        for &cref in &listed {
-            let mut codes = watched.remove(&cref).unwrap_or_default();
-            codes.sort_unstable();
-            let mut expect = vec![
-                (!self.arena.lit(cref, 0)).code(),
-                (!self.arena.lit(cref, 1)).code(),
-            ];
-            expect.sort_unstable();
+        // 2b. Backward direction: each live clause is watched on each
+        //     of `(!lit0, !lit1)`.
+        for &cref in self.clauses.iter().chain(&self.learnt_refs) {
             assert_eq!(
-                codes, expect,
+                marks[cref.0 as usize],
+                LISTED | WATCHED[0] | WATCHED[1],
                 "live clause is not watched exactly on its first two literals"
             );
         }
@@ -1183,7 +1341,7 @@ impl Solver {
         //    contain the literal itself (true), and have every other
         //    literal false — i.e. it still propagates the literal.
         for &l in &self.trail {
-            let Some(r) = self.vardata[l.var().index()].reason else {
+            let Some(r) = self.vardata[l.var().index()].reason() else {
                 continue;
             };
             assert!(!self.arena.is_freed(r), "reason clause has been freed");
@@ -1245,6 +1403,16 @@ impl Solver {
     }
 
     fn alloc_clause(&mut self, lits: &[Lit], learnt: bool) -> CRef {
+        let cref = self.store_clause(lits, learnt);
+        self.attach_clause(cref);
+        self.sync_word_stats();
+        cref
+    }
+
+    /// Allocates a clause and lists it, without watching it (a batch
+    /// attaches its clauses at `finish`). The word statistics are left
+    /// to the caller's next `sync_word_stats`.
+    fn store_clause(&mut self, lits: &[Lit], learnt: bool) -> CRef {
         debug_assert!(lits.len() >= 2);
         let cref = self.arena.alloc(lits, learnt);
         self.stats.live_lits += lits.len();
@@ -1255,8 +1423,6 @@ impl Solver {
         } else {
             self.clauses.push(cref);
         }
-        self.attach_clause(cref);
-        self.sync_word_stats();
         cref
     }
 
@@ -1312,7 +1478,7 @@ impl Solver {
             &mut self.trail,
             self.trail_lim.len() as u32,
             p,
-            reason,
+            reason.unwrap_or(NO_REASON),
         );
     }
 
@@ -1379,7 +1545,7 @@ impl Solver {
                     if w.is_binary() {
                         // The blocker is the whole rest of the clause.
                         if blocker_val == Value::Unassigned {
-                            enqueue_raw(assigns, vardata, trail, level, w.blocker, Some(w.cref()));
+                            enqueue_raw(assigns, vardata, trail, level, w.blocker, w.cref());
                             i += 1;
                             continue;
                         }
@@ -1425,7 +1591,7 @@ impl Solver {
                         conflict = Some(cref);
                         break 'queue;
                     }
-                    enqueue_raw(assigns, vardata, trail, level, first, Some(cref));
+                    enqueue_raw(assigns, vardata, trail, level, first, cref);
                 }
                 first_move
             };
@@ -1456,7 +1622,7 @@ impl Solver {
                         ws[j] = w;
                         j += 1;
                         if blocker_val == Value::Unassigned {
-                            enqueue_raw(assigns, vardata, trail, level, w.blocker, Some(w.cref()));
+                            enqueue_raw(assigns, vardata, trail, level, w.blocker, w.cref());
                         } else {
                             conflict = Some(w.cref());
                             ws.copy_within(i..len, j);
@@ -1499,7 +1665,7 @@ impl Solver {
                         j += len - i;
                         break 'moves;
                     }
-                    enqueue_raw(assigns, vardata, trail, level, first, Some(cref));
+                    enqueue_raw(assigns, vardata, trail, level, first, cref);
                 }
                 let (code, keep) = pending;
                 watches.push(code, keep);
@@ -1575,7 +1741,7 @@ impl Solver {
                 break;
             }
             confl = self.vardata[pl.var().index()]
-                .reason
+                .reason()
                 .expect("non-decision literal on conflict path has a reason");
         }
 
@@ -1584,7 +1750,7 @@ impl Solver {
         let mut j = 1;
         for i in 1..learnt.len() {
             let x = learnt[i].var();
-            let redundant = match self.vardata[x.index()].reason {
+            let redundant = match self.vardata[x.index()].reason() {
                 None => false,
                 Some(r) => self.arena.lits(r).all(|q| {
                     q.var() == x
@@ -1625,8 +1791,7 @@ impl Solver {
     /// LBD ("glue") of a clause about to be learnt. Uses a stamped
     /// level array, so no clearing between calls.
     fn lits_lbd(&mut self, lits: &[Lit]) -> u32 {
-        self.lbd_counter += 1;
-        let stamp = self.lbd_counter;
+        let stamp = self.next_lbd_stamp();
         let mut glue = 0u32;
         for l in lits {
             let lvl = self.vardata[l.var().index()].level as usize;
@@ -1640,8 +1805,7 @@ impl Solver {
 
     /// Recomputes the LBD of a (fully assigned) clause in the arena.
     fn clause_lbd(&mut self, cref: CRef) -> u32 {
-        self.lbd_counter += 1;
-        let stamp = self.lbd_counter;
+        let stamp = self.next_lbd_stamp();
         let mut glue = 0u32;
         for idx in 0..self.arena.len(cref) {
             let lvl = self.vardata[self.arena.lit(cref, idx).var().index()].level as usize;
@@ -1651,6 +1815,18 @@ impl Solver {
             }
         }
         glue
+    }
+
+    /// A fresh stamp for one LBD count, with a stamp slot for every
+    /// decision level up to the current one (the levels of the literals
+    /// counted).
+    fn next_lbd_stamp(&mut self) -> u64 {
+        let levels = self.decision_level() + 1;
+        if self.lbd_stamp.len() < levels {
+            self.lbd_stamp.resize(levels, 0);
+        }
+        self.lbd_counter += 1;
+        self.lbd_counter
     }
 
     fn bump_var(&mut self, v: Var) {
@@ -1731,7 +1907,7 @@ impl Solver {
             if !self.seen[x.index()] {
                 continue;
             }
-            match self.vardata[x.index()].reason {
+            match self.vardata[x.index()].reason() {
                 None => {
                     debug_assert!(self.vardata[x.index()].level > 0);
                     self.conflict_core.push(self.trail[i]);
@@ -1793,7 +1969,7 @@ impl Solver {
         let slots = self.arena.len(cref).min(2);
         (0..slots).any(|i| {
             let l = self.arena.lit(cref, i);
-            self.vardata[l.var().index()].reason == Some(cref)
+            self.vardata[l.var().index()].reason == cref
                 && lit_value(&self.assigns, l) == Value::True
         })
     }
@@ -1966,6 +2142,58 @@ enum SearchOutcome {
     Restart,
 }
 
+/// A batch of problem clauses being added to a [`Solver`]; see
+/// [`Solver::batch`]. Dropping it finishes it.
+#[derive(Debug)]
+pub struct ClauseBatch<'s> {
+    solver: &'s mut Solver,
+    /// Index in the problem-clause list of the batch's first clause.
+    first: usize,
+    finished: bool,
+}
+
+impl ClauseBatch<'_> {
+    /// Adds a clause, normalized as [`Solver::add_clause`] does. A unit
+    /// is enqueued without propagation, and a longer clause is stored
+    /// unwatched until [`ClauseBatch::finish`]. Returns `false` if the
+    /// solver is inconsistent (an empty clause was derived).
+    pub fn add(&mut self, lits: &[Lit]) -> bool {
+        let s = &mut *self.solver;
+        if !s.ok {
+            return false;
+        }
+        if !s.normalize(lits.iter().copied()) {
+            return true;
+        }
+        match s.filtered.len() {
+            0 => s.ok = false,
+            1 => s.unchecked_enqueue(s.filtered[0], None),
+            _ => {
+                let filtered = std::mem::take(&mut s.filtered);
+                s.store_clause(&filtered, false);
+                s.filtered = filtered;
+            }
+        }
+        s.ok
+    }
+
+    /// Watches and attaches every clause of the batch and propagates
+    /// its units. Returns `false` if the solver is inconsistent; a
+    /// conflict found here logs the empty clause.
+    pub fn finish(mut self) -> bool {
+        self.finished = true;
+        self.solver.finish_batch(self.first)
+    }
+}
+
+impl Drop for ClauseBatch<'_> {
+    fn drop(&mut self) {
+        if !self.finished {
+            self.solver.finish_batch(self.first);
+        }
+    }
+}
+
 /// Assigns `p` and records its reason/level — the raw parts of
 /// `unchecked_enqueue`, usable while other solver fields are borrowed
 /// (propagation walks a watch segment as a slice).
@@ -1976,7 +2204,7 @@ fn enqueue_raw(
     trail: &mut Vec<Lit>,
     level: u32,
     p: Lit,
-    reason: Option<CRef>,
+    reason: CRef,
 ) {
     debug_assert_eq!(lit_value(assigns, p), Value::Unassigned);
     assigns[p.code()] = Value::True;
@@ -2034,6 +2262,16 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Sat);
         assert_eq!(s.value(v[0].var()), Some(false));
         assert_eq!(s.value(v[1].var()), Some(true));
+    }
+
+    #[test]
+    fn var_data_takes_eight_bytes() {
+        assert_eq!(std::mem::size_of::<VarData>(), 8);
+        let data = VarData {
+            reason: NO_REASON,
+            level: 0,
+        };
+        assert_eq!(data.reason(), None);
     }
 
     #[test]
@@ -2467,7 +2705,7 @@ mod tests {
         s.unchecked_enqueue(!a, None);
         assert!(s.propagate().is_none());
         assert_eq!(s.arena.lit(cref, 1), b, "implied literal is at slot 1");
-        assert_eq!(s.vardata[b.var().index()].reason, Some(cref));
+        assert_eq!(s.vardata[b.var().index()].reason(), Some(cref));
         assert!(
             s.is_locked(cref),
             "a binary clause implying via the fast path is locked"

@@ -312,3 +312,146 @@ fn checker_input_replays_from_the_written_stream() {
         assert_eq!(s.proof_bytes(), bytes.len());
     });
 }
+
+/// A random CNF with everything a clause batch must normalize mixed in:
+/// units, repeated units, contradictory units, tautologies, duplicate
+/// literals and, now and then, an empty clause.
+fn messy_cnf(rng: &mut SplitMix64, max_vars: usize, max_clauses: usize) -> Cnf {
+    let mut cnf = Cnf::with_vars(max_vars);
+    let mut units: Vec<Lit> = Vec::new();
+    for _ in 0..rng.below(max_clauses + 1) {
+        let l = Var::new(rng.below(max_vars) as u32).lit(rng.coin());
+        let m = Var::new(rng.below(max_vars) as u32).lit(rng.coin());
+        let clause = match rng.below(24) {
+            0 if rng.below(4) == 0 => Vec::new(),
+            1 | 2 => {
+                units.push(l);
+                vec![l]
+            }
+            3 if !units.is_empty() => vec![units[rng.below(units.len())]],
+            4 if !units.is_empty() => vec![!units[rng.below(units.len())]],
+            5 => vec![l, !l, m],
+            6 => vec![l, m, l, m],
+            _ => (0..rng.range_inclusive(2, 4))
+                .map(|_| Var::new(rng.below(max_vars) as u32).lit(rng.coin()))
+                .collect(),
+        };
+        cnf.add_clause(clause);
+    }
+    cnf
+}
+
+/// Loads `cnf` clause by clause; returns whether the solver stayed
+/// consistent.
+fn load_each(s: &mut Solver, cnf: &Cnf) -> bool {
+    s.ensure_vars(cnf.num_vars());
+    cnf.iter().all(|c| s.add_clause(c.iter().copied()))
+}
+
+/// Loads `cnf` through one clause batch, finished or dropped; returns
+/// whether the solver is consistent.
+fn load_batch(s: &mut Solver, cnf: &Cnf, finish: bool) -> bool {
+    s.ensure_vars(cnf.num_vars());
+    let mut batch = s.batch();
+    for c in cnf.iter() {
+        batch.add(c.lits());
+    }
+    if finish {
+        batch.finish()
+    } else {
+        drop(batch);
+        s.is_ok()
+    }
+}
+
+fn verdict(s: &mut Solver, consistent: bool) -> SolveResult {
+    if consistent {
+        s.solve()
+    } else {
+        SolveResult::Unsat
+    }
+}
+
+/// A clause batch decides what adding its clauses one by one decides,
+/// on a fresh solver and on one that already holds clauses, learnt
+/// clauses and level-0 units, and it ends consistent exactly when
+/// they do. Its models satisfy every clause, its
+/// Unsat verdicts are certified by the streaming checker, and the
+/// solver passes the invariant audit also when the batch is dropped
+/// without `finish`.
+#[test]
+fn clause_batches_load_like_single_clauses() {
+    const VARS: usize = 10;
+    let (mut learnt_cases, mut sat_cases) = (0, 0);
+    for case in 0..160u64 {
+        let mut rng = SplitMix64::new(0xBA7C4 ^ case.wrapping_mul(0x9e37_79b9));
+        let mut pre = Cnf::with_vars(VARS);
+        for _ in 0..rng.range_inclusive(20, 44) {
+            pre.add_clause((0..3).map(|_| Var::new(rng.below(VARS) as u32).lit(rng.coin())));
+        }
+        let mut units = Cnf::with_vars(VARS);
+        for _ in 0..rng.below(3) {
+            units.add_unit(Var::new(rng.below(VARS) as u32).lit(rng.coin()));
+        }
+        let cnf = messy_cnf(&mut rng, VARS, 30);
+        let mut whole = pre.clone();
+        whole.append(&units);
+        whole.append(&cnf);
+        let expect = whole.brute_force_satisfiable();
+        sat_cases += usize::from(expect);
+        for (preloaded, finish) in [(false, true), (true, true), (false, false), (true, false)] {
+            let what = format!("case {case}, preloaded: {preloaded}, finish: {finish}");
+            let mut each = Solver::new();
+            let mut batched = Solver::new();
+            batched.set_proof_sink(Box::new(StreamingChecker::new()));
+            let consistent = if preloaded {
+                let mut ok = [true, true];
+                for (s, ok) in [&mut each, &mut batched].into_iter().zip(&mut ok) {
+                    *ok = load_each(s, &pre) && s.solve() != SolveResult::Unsat;
+                    *ok = load_each(s, &units) && *ok;
+                }
+                if batched.stats().learnts > 0 {
+                    learnt_cases += 1;
+                }
+                [
+                    load_each(&mut each, &cnf) && ok[0],
+                    load_batch(&mut batched, &cnf, finish) && ok[1],
+                ]
+            } else {
+                [
+                    load_each(&mut each, &whole),
+                    load_batch(&mut batched, &whole, finish),
+                ]
+            };
+            // Level-0 propagation finds a conflict whatever order the
+            // clauses arrive in, so both loads end equally consistent.
+            assert_eq!(consistent[0], consistent[1], "consistency, {what}");
+            batched.check_invariants();
+            let got = [
+                verdict(&mut each, consistent[0]),
+                verdict(&mut batched, consistent[1]),
+            ];
+            assert_eq!(got[0].is_sat(), expect, "clause by clause, {what}");
+            assert_eq!(got[1].is_sat(), expect, "batch, {what}");
+            if expect {
+                for s in [&each, &batched] {
+                    assert!(
+                        whole.eval(&model_of(s, VARS)),
+                        "model violates a clause, {what}"
+                    );
+                }
+            } else {
+                assert!(
+                    batched.proof_certifies(&[]),
+                    "uncertified batch Unsat, {what}"
+                );
+            }
+            batched.check_invariants();
+        }
+    }
+    assert!(learnt_cases > 0, "no preloaded solver held learnt clauses");
+    assert!(
+        (1..160).contains(&sat_cases),
+        "{sat_cases} of 160 cases satisfiable"
+    );
+}

@@ -182,6 +182,29 @@ fn qbf_squaring_expansion_fits_160_mib() {
     std::fs::remove_file(path).ok();
 }
 
+/// The expansion hands its last copy to CDCL as one clause batch, whose
+/// watch lists are laid out with exact room, so `traffic_light` at
+/// bound 4 is decided under a 96 MiB address-space limit: grown one
+/// clause at a time, the watch lists alone pass 33 MB of capacity, and
+/// the job aborts on a failed allocation under this limit.
+#[test]
+fn qbf_squaring_hand_over_fits_96_mib() {
+    let file = aiger::model_to_aiger(&traffic_light()).expect("export");
+    let path = write_temp_aag("traffic-hand-over", &aiger::to_ascii_string(&file));
+    let out = Command::new("sh")
+        .args(["-c", "ulimit -v 98304; exec \"$0\" \"$@\""])
+        .arg(env!("CARGO_BIN_EXE_sebmc-cli"))
+        .arg(&path)
+        .args(["--engine", "qbf-squaring", "--bound", "4", "--json"])
+        .output()
+        .expect("run sebmc under sh");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(20), "{stderr}");
+    assert!(stdout.contains("\"reason\":null,"), "{stdout}");
+    std::fs::remove_file(path).ok();
+}
+
 /// A valid AIGER file may declare no latches: the state is the empty
 /// vector and the property a constant. Every engine decides it, at one
 /// bound and deepening, and so does a batch job.
